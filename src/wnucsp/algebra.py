@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ArgumentError,
     FormatError,
+    InternalError,
     InvariantError,
     SizeError,
 )
@@ -310,7 +311,8 @@ def search_special_wnu(domain_size, relations, arity, budget=500_000) -> WnuSear
             pos += 1
         if pos == ncells:
             table = OperationTable(m, n, tuple(val))
-            assert not verify_special_wnu(table)
+            if verify_special_wnu(table):
+                raise InternalError("searched table is not a special WNU")
             return WnuSearch(table, True)
         tried = 0
         placed = False

@@ -127,10 +127,10 @@ def cmd_solve(args):
     center_cap = max(3, max(parsed.domains.values()) - 1)
     cfg = SolverConfig(center_arity_cap=center_cap, trace=args.trace,
                        trace_sink=_trace_sink(sys.stderr) if args.trace else None)
-    t0 = time.time()
+    t0 = time.perf_counter()
     solver = Solver(cfg)
     outcome = solver.solve(inst)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if args.json:
         _emit_json({
             "command": "solve",

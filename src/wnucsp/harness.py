@@ -14,7 +14,7 @@ from .algebra import (
     search_special_wnu,
     wnu_closure,
 )
-from .errors import ArgumentError, SizeError
+from .errors import ArgumentError, InternalError, SizeError
 from .instance import Constraint, Instance, normalize_scope
 from .relation import Relation, is_invariant
 from .solver import Solver, SolverConfig
@@ -105,7 +105,8 @@ def random_instance(params: GenParams):
         if params.satisfiable_bias:
             seed.add(tuple(planted[v] for v in scope))
         rel = Relation(arity, coords, wnu_closure(coords, seed))
-        assert is_invariant(rel)
+        if not is_invariant(rel):
+            raise InternalError("closure of a seed is not invariant")
         constraints.append(normalize_scope(rel, scope))
     inst = Instance(
         variables,
@@ -164,6 +165,7 @@ def differential_test(n, params: GenParams,
         records.append(rec)
         if not rec.agree:
             disagreements.append((p.seed, serialize_instance(inst)))
-        if got.kind == "sat":
-            assert inst.assignment_satisfies(got.assignment)
+        if got.kind == "sat" and not inst.assignment_satisfies(got.assignment):
+            raise InternalError("solver assignment for seed %d violates the "
+                                "instance" % p.seed)
     return DiffReport(tuple(records), tuple(disagreements))

@@ -15,7 +15,6 @@ from .algebra import Algebra, is_closed, restrict_algebra
 from .classify import ConLinResult, con_lin
 from .errors import (
     ArgumentError,
-    ConfigError,
     EmptyRelationError,
     FormatError,
     InternalError,
@@ -27,9 +26,9 @@ from .linsolve import Equation, LinearSystem, nullspace_mod_p
 from .relation import (
     Relation,
     factorize,
+    minimal_weaker_relations,
     project,
     restrict_relation,
-    weaker_relations,
 )
 
 
@@ -375,17 +374,14 @@ def rref_rows(rows, p):
 
 
 def weaken_all(inst: Instance) -> Instance:
-    """Replace every constraint by all of its weaker constraints (dummy-free,
-    sub-scopes allowed), deduplicated.  The result lives over the current
-    domain algebras with full domains."""
+    """Replace every constraint by its minimal strictly weaker constraints
+    (dummy-free, sub-scopes allowed), deduplicated.  The solution set is that
+    of the instance with all weaker constraints.  The result lives over the
+    current domain algebras with full domains."""
 
     new_constraints = {}
     for c in inst.constraints:
-        eff = inst.effective(c)
-        pairs, complete = weaker_relations(eff)
-        if not complete:
-            raise ConfigError("weaker-constraint enumeration was capped")
-        for sub, rel in pairs:
+        for sub, rel in minimal_weaker_relations(inst.effective(c)):
             scope = tuple(c.scope[i] for i in sub)
             new_constraints[(scope, rel.tuples)] = Constraint(rel, scope)
     constraints = tuple(sorted(new_constraints.values(),
@@ -437,7 +433,7 @@ def make_crucial(inst: Instance, unsat_oracle, max_rounds=10_000) -> Instance:
     """Weaken constraints until the instance is crucial for the oracle.
 
     First drops constraints weaker than others, then repeatedly replaces one
-    constraint by all of its weaker constraints whenever the oracle still
+    constraint by its minimal weaker constraints whenever the oracle still
     reports the target unsatisfiable, restarting after each acceptance.
     """
 
@@ -456,12 +452,8 @@ def make_crucial(inst: Instance, unsat_oracle, max_rounds=10_000) -> Instance:
             rounds += 1
             if rounds > max_rounds:
                 raise InternalError("crucial computation did not settle")
-            eff = inst.effective(c)
-            pairs, complete = weaker_relations(eff)
-            if not complete:
-                raise ConfigError("weaker-constraint enumeration was capped")
             replaced = [d for d in current if d is not c]
-            for sub, rel in pairs:
+            for sub, rel in minimal_weaker_relations(inst.effective(c)):
                 scope = tuple(c.scope[i] for i in sub)
                 replaced.append(Constraint(rel, scope))
             candidate = prune_weaker(inst, replaced)

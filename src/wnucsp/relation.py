@@ -316,6 +316,77 @@ def weaker_relations(rel: Relation, cap=DEFAULT_ENUM_CAP):
     return tuple(out), complete
 
 
+def _upper_covers(rel: Relation):
+    """closure(rel ∪ {t}) for every absent tuple t, deduplicated.  Every
+    invariant relation strictly containing ``rel`` contains one of them.
+
+    On group-sum coordinates ``rel`` is a coset t0 + H, and every u in
+    t + H gives the cover of t, so each coset of H is closed once."""
+
+    coords = rel.coords
+    r = rel.arity
+    ctx = group_context(coords) if rel.tuples else None
+    if ctx is not None:
+        groups, maps = ctx
+        pos = [tuple(maps[c][t[c]] for c in range(r)) for t in rel.tuples]
+        t0 = pos[0]
+        diffs = [tuple(groups[c].sub(p[c], t0[c]) for c in range(r))
+                 for p in pos]
+    covered = set(rel.tuples)
+    out = set()
+    for t in itertools.product(*(alg.elements for alg in coords)):
+        if t in covered:
+            continue
+        out.add(wnu_closure(coords, rel.tuples | {t}))
+        if ctx is not None:
+            pt = tuple(maps[c][t[c]] for c in range(r))
+            covered.update(
+                tuple(coords[c].elements[groups[c].add[pt[c]][d[c]]]
+                      for c in range(r))
+                for d in diffs
+            )
+    return out
+
+
+@lru_cache(maxsize=65536)
+def minimal_weaker_relations(rel: Relation):
+    """Strictly weaker dummy-free constraints on sub-scopes of ``rel`` that
+    together imply every pair of ``weaker_relations(rel)``.
+
+    Returns a tuple of (coordinate index subset, Relation) pairs, each also
+    emitted by ``weaker_relations``; every pair that function emits is
+    implied by one of these on a scope inside its own.  So weakening to
+    these pairs gives the same solution set with no lattice walk: a
+    projection whose cylinder does not imply ``rel`` is the least candidate
+    on its sub-scope; otherwise the candidates are the strict supersets of
+    the projection, and each contains one of its upper covers.
+    """
+
+    n = rel.arity
+    out = set()
+    for size in range(1, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            proj = project(rel, sub)
+            if not _cylinder_implies(proj, sub, rel):
+                # with dummy coordinates, the sub-scope without them gives
+                # the same constraint
+                if not dummy_coordinates(proj):
+                    out.add((sub, proj))
+                continue
+            # here rel is the cylinder of proj, so the covers are needed even
+            # when proj has dummy coordinates: x = 0 on (x, y) under majority
+            # weakens to x <= y and not(x and y), which no sub-scope gives
+            for cover in _upper_covers(proj):
+                cand = Relation(size, proj.coords, cover)
+                dummies = dummy_coordinates(cand)
+                if len(dummies) == size:
+                    continue
+                keep = [j for j in range(size) if j not in dummies]
+                out.add((tuple(sub[j] for j in keep), project(cand, keep)))
+    return tuple(sorted(out, key=lambda p: (len(p[0]), p[0],
+                                            p[1].sort_key())))
+
+
 def _cylinder_implies(cand: Relation, sub, rel: Relation) -> bool:
     """Whether the constraint (sub, cand) implies ``rel`` on the full scope,
     i.e. the cylinder of cand over the full coordinates sits inside rel."""

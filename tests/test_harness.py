@@ -1,7 +1,7 @@
 import pytest
 
 from wnucsp.algebra import minority_table, sum_table
-from wnucsp.errors import ArgumentError, SizeError
+from wnucsp.errors import ArgumentError, InternalError, SizeError
 from wnucsp.harness import (
     GenParams,
     brute_force,
@@ -10,6 +10,7 @@ from wnucsp.harness import (
 )
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation, is_invariant
+from wnucsp.solver import SolveOutcome
 
 from conftest import linear_relation
 
@@ -133,3 +134,17 @@ def test_differential_disagreement_artifacts_replay(monkeypatch, z2min):
     seed, text = report.disagreements[0]
     replayed = fileformat.parse_instance(text)
     assert brute_force(replayed, "decision") is not None
+
+
+def test_differential_test_rejects_non_satisfying_assignment():
+    class ForgedSolver:
+        def solve(self, inst):
+            bad = {v: 0 for v in inst.variables}
+            return SolveOutcome("sat", bad)
+
+    # seed 0 draws the single constraint x1 = 1
+    params = GenParams(2, 3, 2, 1, 2, 0, wnu=minority_table())
+    inst, _ = random_instance(params)
+    assert not inst.assignment_satisfies({v: 0 for v in inst.variables})
+    with pytest.raises(InternalError):
+        differential_test(1, params, solver_factory=ForgedSolver)

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from wnucsp.algebra import Congruence, wnu_closure
+from wnucsp.algebra import (
+    Congruence,
+    make_algebra,
+    search_special_wnu,
+    wnu_closure,
+)
 from wnucsp.errors import ArgumentError
+from wnucsp.harness import brute_force
+from wnucsp.instance import Constraint, Instance, weaken_all
 from wnucsp.relation import (
     Relation,
     close_relation,
@@ -13,6 +20,7 @@ from wnucsp.relation import (
     full_relation,
     is_invariant,
     is_subdirect,
+    minimal_weaker_relations,
     project,
     weaker_relations,
 )
@@ -212,3 +220,79 @@ def test_invariance_by_closure(z4, dd3):
             rel = close_relation(coords, seed)
             assert is_invariant(rel)
             assert rel.tuples == wnu_closure(coords, rel.tuples)
+
+
+# --- minimal weaker relations ------------------------------------------------
+
+
+def _implies(strong_sub, strong, weak_sub, weak):
+    """Whether the constraint (strong_sub, strong) implies (weak_sub, weak)
+    when both sit on coordinates of the same relation scope."""
+
+    if not set(strong_sub) <= set(weak_sub):
+        return False
+    pos = [weak_sub.index(i) for i in strong_sub]
+    space = itertools.product(*(a.elements for a in weak.coords))
+    return all(t in weak.tuples for t in space
+               if tuple(t[j] for j in pos) in strong.tuples)
+
+
+def _random_closed(rng, alg, arity):
+    coords = (alg,) * arity
+    seed = {tuple(rng.choice(alg.elements) for _ in range(arity))
+            for _ in range(rng.randint(1, 3))}
+    return close_relation(coords, seed)
+
+
+@pytest.fixture(scope="module")
+def searched3():
+    return make_algebra(range(3), search_special_wnu(3, [], 3).table)
+
+
+def test_minimal_weaker_matches_reference(z2min, maj2, dd3, z4, searched3):
+    # the reference walks the whole superset lattice: ternary relations on
+    # three elements take up to a minute there, so those stay binary
+    rng = random.Random(11)
+    for alg, max_arity in ((z2min, 3), (maj2, 3), (dd3, 2), (z4, 3),
+                           (searched3, 2)):
+        for _ in range(12):
+            rel = _random_closed(rng, alg, rng.randint(1, max_arity))
+            ref, complete = weaker_relations(rel)
+            assert complete
+            got = minimal_weaker_relations(rel)
+            assert set(got) <= set(ref)
+            for sub, cand in ref:
+                assert any(_implies(s, r, sub, cand) for s, r in got)
+
+
+def test_minimal_weaker_keeps_covers_of_dummy_projections(maj2):
+    # x = 0 on (x, y): y is dummy, yet x <= y and not(x and y) are weaker
+    rel = Relation(2, (maj2, maj2), {(0, 0), (0, 1)})
+    got = {(sub, r.tuples) for sub, r in minimal_weaker_relations(rel)}
+    assert got == {((0, 1), frozenset({(0, 0), (0, 1), (1, 1)})),
+                   ((0, 1), frozenset({(0, 0), (0, 1), (1, 0)}))}
+
+
+def test_weaken_all_matches_reference_solutions(maj2, dd3, z4, searched3):
+    rng = random.Random(17)
+    vs = ("a", "b", "c", "d")
+    for alg, max_arity in ((maj2, 3), (dd3, 2), (z4, 3), (searched3, 2)):
+        for _ in range(4):
+            constraints = []
+            for _ in range(3):
+                arity = rng.randint(1, max_arity)
+                scope = tuple(rng.sample(vs, arity))
+                constraints.append(
+                    Constraint(_random_closed(rng, alg, arity), scope))
+            inst = Instance(vs, (alg,) * 4, (frozenset(alg.elements),) * 4,
+                            tuple(constraints))
+            ref = []
+            for c in inst.constraints:
+                pairs, complete = weaker_relations(inst.effective(c))
+                assert complete
+                ref.extend(Constraint(r, tuple(c.scope[i] for i in sub))
+                           for sub, r in pairs)
+            ref_inst = Instance(vs, (alg,) * 4, inst.current_domains,
+                                tuple(ref))
+            got = brute_force(weaken_all(inst), "all")
+            assert got == brute_force(ref_inst, "all")

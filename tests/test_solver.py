@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+import time
 
 import pytest
 
@@ -275,3 +277,30 @@ def test_type3_descent_guard(z2min):
     with pytest.raises(InternalError):
         solver.solve(inst)
     assert solve(inst).satisfiable  # default config handles it
+
+
+class _WallBound(BaseException):
+    pass
+
+
+def _raise_wall_bound(signum, frame):
+    raise _WallBound()
+
+
+def test_searched_four_element_seed_7029_within_wall_bound():
+    # weakening through the full superset lattice of every projection runs
+    # for minutes on this instance; the minimal weaker constraints take ~1 s
+    params = GenParams(4, 3, 5, 5, 3, 7029, satisfiable_bias=True)
+    inst, _ = random_instance(params)
+    previous = signal.signal(signal.SIGALRM, _raise_wall_bound)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    start = time.perf_counter()
+    try:
+        outcome = Solver(SolverConfig(center_arity_cap=3)).solve(inst)
+    except _WallBound:
+        pytest.fail("solve exceeded the 10 s wall bound")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 10.0
+    assert outcome.satisfiable == (brute_force(inst, "decision") is not None)
