@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -379,12 +379,6 @@ class GroupSum:
 
     def sub(self, x, y):
         return self.add[x][self.inverse[y]]
-
-    def fold(self, args):
-        acc = args[0]
-        for a in args[1:]:
-            acc = self.add[acc][a]
-        return acc
 
     def power(self, x, k):
         acc = self.identity
@@ -809,6 +803,13 @@ def all_congruences(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
     return tuple(out)
 
 
+def maximal_among(congs):
+    """The congruences of ``congs`` that refine no other one, in order."""
+
+    return [c for c in congs
+            if not any(c is not d and c.refines(d) for d in congs)]
+
+
 def maximal_congruences(alg: Algebra, nontrivial=False):
     """Maximal proper congruences; with ``nontrivial`` the equality
     congruence is excluded as well."""
@@ -816,13 +817,10 @@ def maximal_congruences(alg: Algebra, nontrivial=False):
     congs = [c for c in all_congruences(alg) if not c.is_full]
     if nontrivial:
         congs = [c for c in congs if not c.is_equality]
-    out = []
-    for c in congs:
-        if not any(c is not d and c.refines(d) for d in congs):
-            out.append(c)
-    return tuple(out)
+    return tuple(maximal_among(congs))
 
 
+@lru_cache(maxsize=None)
 def quotient_algebra(alg: Algebra, cong: Congruence):
     """Quotient by a congruence: carrier = block indices, induced table.
 
@@ -831,11 +829,6 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     callers and must not be mutated.
     """
 
-    return _quotient_cached(alg, cong)
-
-
-@lru_cache(maxsize=None)
-def _quotient_cached(alg: Algebra, cong: Congruence):
     if set(cong.carrier) != set(alg.elements):
         raise InvariantError("partition does not cover the carrier")
     if not _kernel_compatible(alg, cong.kernel()):
@@ -1052,7 +1045,7 @@ def unary_polynomial_closure(alg: Algebra):
 
 
 @lru_cache(maxsize=None)
-def is_polynomially_complete(alg: Algebra, cap=DEFAULT_DOMAIN_CAP) -> bool:
+def is_polynomially_complete(alg: Algebra) -> bool:
     """Whether the WNU together with all constants generates every operation.
 
     For carriers of size >= 3 this holds iff every unary map is a polynomial
@@ -1062,7 +1055,7 @@ def is_polynomially_complete(alg: Algebra, cap=DEFAULT_DOMAIN_CAP) -> bool:
     """
 
     n = alg.size
-    if n > cap:
+    if n > DEFAULT_DOMAIN_CAP:
         raise SizeError("carrier above PC cap")
     if n == 1:
         return True
@@ -1141,7 +1134,7 @@ def verify_linear_iso(alg: Algebra, iso: LinearIso) -> bool:
 
 
 @lru_cache(maxsize=None)
-def linear_structure(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
+def linear_structure(alg: Algebra):
     """A LinearIso if the algebra is a product of prime cyclic groups under
     its WNU, else None.
 
@@ -1151,7 +1144,7 @@ def linear_structure(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
     the identity and every prime to divide (arity - 1)."""
 
     n = alg.size
-    if n > cap:
+    if n > DEFAULT_DOMAIN_CAP:
         raise SizeError("carrier above linear-structure cap")
     if n == 1:
         return LinearIso((), ((alg.elements[0], ()),))
@@ -1161,10 +1154,7 @@ def linear_structure(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
     if group.shift != group.identity:
         return None  # cannot happen for an idempotent operation
     m = alg.arity
-    orders = [group.order(x) for x in range(n)]
-    exponent = 1
-    for o in orders:
-        exponent = exponent * o // _gcd(exponent, o)
+    exponent = lcm(*(group.order(x) for x in range(n)))
     for p in set(prime_factors(exponent)):
         if exponent % (p * p) == 0:
             return None  # a prime-square order element blocks linearity
@@ -1214,12 +1204,6 @@ def linear_structure(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
     return LinearIso(tuple(primes), forward)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # binary term closure
 
@@ -1230,20 +1214,25 @@ class BinaryTerms:
     complete: bool
 
 
+# Binary term closures larger than this are returned partial.
+_BINARY_TERMS_CAP = 2048
+
+
 @lru_cache(maxsize=None)
-def binary_terms(alg: Algebra, cap=2048) -> BinaryTerms:
+def binary_terms(alg: Algebra) -> BinaryTerms:
     """Closure of the two binary projections under substitution into the WNU.
 
-    Tables are in position space.  When the closure exceeds ``cap`` a partial
-    set is returned with ``complete`` False; callers needing exhaustiveness
-    must treat that as inconclusive.
+    Tables are in position space.  When the closure exceeds
+    ``_BINARY_TERMS_CAP`` a partial set is returned with ``complete`` False;
+    callers needing exhaustiveness must treat that as inconclusive.
     """
 
     n = alg.size
     cells = list(itertools.product(range(n), repeat=2))
     p1 = tuple(c[0] for c in cells)
     p2 = tuple(c[1] for c in cells)
-    closed, complete = _pointwise_closure(alg, {p1, p2}, size_cap=cap)
+    closed, complete = _pointwise_closure(alg, {p1, p2},
+                                          size_cap=_BINARY_TERMS_CAP)
     tables = tuple(
         OperationTable(2, n, t) for t in sorted(closed)
     )

@@ -22,6 +22,7 @@ from .algebra import (
     binary_terms,
     is_polynomially_complete,
     linear_structure,
+    maximal_among,
     maximal_congruences,
     quotient_algebra,
     verify_linear_iso,
@@ -102,28 +103,37 @@ def find_binary_absorbing(alg: Algebra):
 # invariant binary relations (subalgebras of A^2 above the diagonal)
 
 
+def _closed_sets_above(space, base, close):
+    """Every set reached from the closed set ``base`` by repeatedly closing
+    (current set plus one absent tuple of ``space``) under ``close``, base
+    included, canonically sorted.  When ``close`` is a closure operator
+    these are all its closed sets containing ``base``."""
+
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for t in space:
+                if t in cur:
+                    continue
+                grown = close(cur | {t})
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append(grown)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
+
+
 @lru_cache(maxsize=None)
 def reflexive_invariant_binaries(alg: Algebra):
     """All invariant binary relations containing the diagonal, canonically
-    sorted.  BFS closure-extension in the subalgebra lattice of A^2."""
+    sorted."""
 
     coords = (alg, alg)
     diag = wnu_closure(coords, {(e, e) for e in alg.elements})
     space = list(itertools.product(alg.elements, repeat=2))
-    seen = {diag}
-    frontier = [diag]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for t in space:
-                if t in base:
-                    continue
-                closed = wnu_closure(coords, set(base) | {t})
-                if closed not in seen:
-                    seen.add(closed)
-                    nxt.append(closed)
-        frontier = nxt
-    rels = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
+    rels = _closed_sets_above(space, diag, lambda s: wnu_closure(coords, s))
     return tuple(Relation(2, coords, s) for s in rels)
 
 
@@ -181,23 +191,9 @@ def _central_relations(alg: Algebra, h):
     space = list(itertools.product(alg.elements, repeat=h))
     full = frozenset(space)
     base = _symmetric_wnu_closure(alg, h, _totally_reflexive_base(alg, h))
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            if cur == full:
-                continue
-            for t in space:
-                if t in cur:
-                    continue
-                grown = _symmetric_wnu_closure(alg, h, set(cur) | {t})
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
     out = []
-    for ts in sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))):
+    for ts in _closed_sets_above(
+            space, base, lambda s: _symmetric_wnu_closure(alg, h, s)):
         if ts == full:
             continue
         center = _relation_center(alg, ts, h)
@@ -306,6 +302,14 @@ def pc_structure(alg: Algebra):
     return tuple(pc_congs), conpc, False
 
 
+def pc_congruence(alg: Algebra):
+    """The congruence a PC-class reduction uses: the first maximal one
+    among those with polynomially complete quotient, or None."""
+
+    pc_congs, _, _ = pc_structure(alg)
+    return maximal_among(pc_congs)[0] if pc_congs else None
+
+
 @dataclass(frozen=True)
 class ConLinResult:
     congruence: Congruence
@@ -354,13 +358,9 @@ def classify_domain(alg: Algebra, arity_cap=DEFAULT_CENTER_ARITY_CAP) -> Structu
                                witness=search.witness)
     if not search.complete:
         raise ConfigError("center search capped; classification undecided")
-    pc_congs, _, _ = pc_structure(alg)
-    if pc_congs:
-        maximal = [
-            c for c in pc_congs
-            if not any(c is not d and c.refines(d) for d in pc_congs)
-        ]
-        return StructureReport("pc_quotient", congruence=maximal[0])
+    sigma = pc_congruence(alg)
+    if sigma is not None:
+        return StructureReport("pc_quotient", congruence=sigma)
     lin = con_lin(alg)
     if lin.congruence.is_full:
         raise ClassificationError("no structure found", algebra=alg)

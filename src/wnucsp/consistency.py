@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 from .algebra import maximal_congruences
 from .errors import ArgumentError, InternalError
-from .instance import Instance, apply_reduction, project_instance
+from .instance import (
+    Instance,
+    apply_reduction,
+    connected_groups,
+    fragment_variable_sets,
+    project_instance,
+)
 
 
 @dataclass
@@ -150,39 +156,9 @@ def linked_components(inst: Instance):
     constraint pair projections as edges.  The instance must not be
     fragmented."""
 
-    from .instance import fragment_variable_sets
-
     if len(fragment_variable_sets(inst)) > 1:
         raise ArgumentError("instance is fragmented")
-    nodes = [
-        (v, a) for i, v in enumerate(inst.variables)
-        for a in sorted(inst.current_domains[i])
-    ]
-    parent = {nd: nd for nd in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for c in inst.constraints:
-        eff = inst.effective(c)
-        for t in eff.tuples:
-            first = (c.scope[0], t[0])
-            for k in range(1, len(c.scope)):
-                union(first, (c.scope[k], t[k]))
-    groups = {}
-    for nd in nodes:
-        groups.setdefault(find(nd), []).append(nd)
-    comps = [frozenset(g) for g in groups.values()]
-    comps.sort(key=lambda g: sorted(g)[0])
-    return tuple(comps)
+    return _value_components(inst)
 
 
 def is_linked(inst: Instance) -> bool:
@@ -192,7 +168,7 @@ def is_linked(inst: Instance) -> bool:
     if not constrained:
         return True
     nodes = {}
-    comps = _components_no_fragment_check(inst)
+    comps = _value_components(inst)
     for ci, comp in enumerate(comps):
         for v, a in comp:
             nodes[(v, a)] = ci
@@ -203,33 +179,15 @@ def is_linked(inst: Instance) -> bool:
     return True
 
 
-def _components_no_fragment_check(inst: Instance):
+def _value_components(inst: Instance):
     nodes = [
         (v, a) for i, v in enumerate(inst.variables)
         for a in sorted(inst.current_domains[i])
     ]
-    parent = {nd: nd for nd in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in inst.constraints:
-        eff = inst.effective(c)
-        for t in eff.tuples:
-            first = find((c.scope[0], t[0]))
-            for k in range(1, len(c.scope)):
-                r = find((c.scope[k], t[k]))
-                if r != first:
-                    parent[r] = first
-    groups = {}
-    for nd in nodes:
-        groups.setdefault(find(nd), []).append(nd)
-    comps = [frozenset(g) for g in groups.values()]
-    comps.sort(key=lambda g: sorted(g)[0])
-    return tuple(comps)
+    links = (tuple(zip(c.scope, t))
+             for c in inst.constraints for t in inst.effective(c).tuples)
+    return tuple(sorted((frozenset(g) for g in connected_groups(nodes, links)),
+                        key=min))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,11 @@ def parse_instance_text(text) -> ParsedFile:
             if tokens[1] not in parsed.relations:
                 raise FormatError("unknown relation %s" % tokens[1],
                                   line=lineno)
+            arity = len(parsed.relations[tokens[1]][0])
+            if len(tokens) - 2 != arity:
+                raise FormatError("CON %s has %d variables for arity %d"
+                                  % (tokens[1], len(tokens) - 2, arity),
+                                  line=lineno)
             known = {v for v, _ in parsed.variables}
             for v in tokens[2:]:
                 if v not in known:

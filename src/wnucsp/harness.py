@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 
 from .algebra import (
@@ -153,10 +153,7 @@ def differential_test(n, params: GenParams,
     records = []
     disagreements = []
     for i in range(n):
-        p = GenParams(params.domain_size, params.wnu_arity,
-                      params.n_variables, params.n_constraints,
-                      params.max_arity, params.seed + i,
-                      params.satisfiable_bias, params.wnu)
+        p = replace(params, seed=params.seed + i)
         inst, _ = random_instance(p)
         solver = solver_factory() if solver_factory else Solver(config)
         got = solver.solve(inst)

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     ReductionError,
 )
-from .linsolve import Equation, LinearSystem, nullspace_mod_p
+from .linsolve import Equation, LinearSystem, nullspace_mod_p, rref_mod_p
 from .relation import (
     Relation,
     factorize,
@@ -167,6 +167,8 @@ def apply_reduction(inst: Instance, reduction) -> Instance:
 
     new_domains = list(inst.current_domains)
     for var, subset in reduction.items():
+        if var not in inst.variables:
+            raise ReductionError("reduction of unknown variable %r" % (var,))
         i = inst.index(var)
         subset = frozenset(subset)
         if not subset:
@@ -180,11 +182,12 @@ def apply_reduction(inst: Instance, reduction) -> Instance:
                     tuple(new_domains), inst.constraints)
 
 
-def fragment_variable_sets(inst: Instance):
-    """Variable blocks sharing no constraints; unconstrained variables are
-    singleton fragments."""
+def connected_groups(nodes, links):
+    """Union-find: the groups of ``nodes`` when the members of each
+    sequence in ``links`` are joined.  Each group lists its nodes in the
+    order of ``nodes``."""
 
-    parent = {v: v for v in inst.variables}
+    parent = {v: v for v in nodes}
 
     def find(v):
         while parent[v] != v:
@@ -192,14 +195,23 @@ def fragment_variable_sets(inst: Instance):
             v = parent[v]
         return v
 
-    for c in inst.constraints:
-        root = find(c.scope[0])
-        for v in c.scope[1:]:
+    for link in links:
+        root = find(link[0])
+        for v in link[1:]:
             parent[find(v)] = root
     groups = {}
-    for v in inst.variables:
+    for v in nodes:
         groups.setdefault(find(v), []).append(v)
-    return tuple(sorted((tuple(g) for g in groups.values())))
+    return groups.values()
+
+
+def fragment_variable_sets(inst: Instance):
+    """Variable blocks sharing no constraints; unconstrained variables are
+    singleton fragments."""
+
+    groups = connected_groups(inst.variables,
+                              (c.scope for c in inst.constraints))
+    return tuple(sorted(tuple(g) for g in groups))
 
 
 def restrict_to_variables(inst: Instance, variables) -> Instance:
@@ -340,10 +352,7 @@ def relation_to_equations(rel: Relation, isos):
             if any(row):
                 gens.append(row)
         basis = nullspace_mod_p(gens, len(cols), p)
-        rank = 0
-        if gens:
-            rank = len(rref_rows(gens, p))
-        solutions *= p ** rank
+        solutions *= p ** len(rref_mod_p(gens, p)[0])
         for brow in basis:
             coeffs = [0] * n
             for j, i in enumerate(cols):
@@ -360,13 +369,6 @@ def relation_to_equations(rel: Relation, isos):
             if sum(c * x for c, x in zip(coeffs, v)) % p != rhs:
                 raise InternalError("linearized equations reject a member tuple")
     return out
-
-
-def rref_rows(rows, p):
-    from .linsolve import rref_mod_p
-
-    red, _ = rref_mod_p(rows, p)
-    return red
 
 
 # ---------------------------------------------------------------------------

@@ -209,16 +209,17 @@ def solve_linear_system(system: LinearSystem) -> LinearSolveResult:
     return LinearSolveResult("param", param=param)
 
 
+def _zero_and_units(k):
+    """The zero vector of length k followed by the unit vectors, in order."""
+
+    zero = (0,) * k
+    return [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(k)]
+
+
 def basis_points(param: AffineParam):
     """The zero assignment followed by the unit assignments, in order."""
 
-    k = len(param.free_vars)
-    out = [tuple([0] * k)]
-    for i in range(k):
-        unit = [0] * k
-        unit[i] = 1
-        out.append(tuple(unit))
-    return out
+    return _zero_and_units(len(param.free_vars))
 
 
 @dataclass(frozen=True)
@@ -254,13 +255,8 @@ def learn_hyperplane(oracle, p, h) -> LearnOutcome:
         kind = "full" if ask(()) else "empty"
         return LearnOutcome(kind, queries=len(cache))
 
-    probes = [tuple([0] * h)]
-    for i in range(h):
-        unit = [0] * h
-        unit[i] = 1
-        probes.append(tuple(unit))
     d = None
-    for pt in probes:
+    for pt in _zero_and_units(h):
         if not ask(pt):
             d = pt
             break

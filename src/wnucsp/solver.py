@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 from .algebra import Algebra
 from .classify import (
     StructureReport,
     find_binary_absorbing,
     find_center,
-    pc_structure,
+    pc_congruence,
 )
 from .consistency import (
     check_irreducibility,
@@ -51,6 +52,7 @@ from .instance import (
 from .linsolve import (
     Equation,
     LinearSystem,
+    basis_points,
     learn_hyperplane,
     solve_linear_system,
 )
@@ -326,12 +328,9 @@ class Solver:
             if len(inst.current_domains[i]) < 2:
                 continue
             alg = inst.domain_algebra(var)
-            pc_congs, _, _ = pc_structure(alg)
-            if not pc_congs:
+            sigma = pc_congruence(alg)
+            if sigma is None:
                 continue
-            maximal = [c for c in pc_congs
-                       if not any(c is not d and c.refines(d) for d in pc_congs)]
-            sigma = maximal[0]
             report = StructureReport("pc_quotient", congruence=sigma)
             self.reports.append((alg, report))
             block = frozenset(sigma.block_of(min(inst.current_domains[i])))
@@ -437,33 +436,17 @@ class Solver:
         set is proper, learn its hyperplane inside the newest prime block."""
 
         moduli = param.moduli
-        k = len(moduli)
-        for i in range(1, k + 1):
+        for i in range(1, len(moduli) + 1):
             good = {pt[:i] for pt in solvable_points}
-            space = 1
-            for q in moduli[:i]:
-                space *= q
-            if len(good) == space:
+            if len(good) == prod(moduli[:i]):
                 continue
-            p = moduli[i - 1]
-            slots = [j for j in range(i) if moduli[j] == p]
-
-            def oracle(v):
-                prefix = [0] * i
-                for idx, j in enumerate(slots):
-                    prefix[j] = v[idx]
-                return tuple(prefix) in good
-
-            out = learn_hyperplane(oracle, p, len(slots))
+            slots, out, exact = _learn_block(moduli[:i], moduli[i - 1], good)
             if out.kind != "equation":
                 raise AffineStructureViolation(
                     "prefix good set is not a single-block hyperplane")
-            for prefix in itertools.product(*(range(q) for q in moduli[:i])):
-                lhs = sum(out.coeffs[idx] * prefix[j]
-                          for idx, j in enumerate(slots)) % p
-                if (lhs == out.rhs) != (prefix in good):
-                    raise AffineStructureViolation(
-                        "learned prefix equation does not match the good set")
+            if not exact:
+                raise AffineStructureViolation(
+                    "learned prefix equation does not match the good set")
             self._emit("12", "learned prefix equation at i=%d" % i,
                        None, depth, 0)
             return self._global_equation(param, system, slots, out, depth)
@@ -474,29 +457,11 @@ class Solver:
         in a single prime block; find the block, learn, verify exactly."""
 
         moduli = param.moduli
-        k = len(moduli)
         tried = []
         for p in dict.fromkeys(moduli):
-            slots = [j for j in range(k) if moduli[j] == p]
-
-            def oracle(v):
-                point = [0] * k
-                for idx, j in enumerate(slots):
-                    point[j] = v[idx]
-                return tuple(point) in solvable_points
-
-            out = learn_hyperplane(oracle, p, len(slots))
+            slots, out, exact = _learn_block(moduli, p, solvable_points)
             tried.append((p, out.kind))
-            if out.kind != "equation":
-                continue
-            match = True
-            for point in param.points():
-                lhs = sum(out.coeffs[idx] * point[j]
-                          for idx, j in enumerate(slots)) % p
-                if (lhs == out.rhs) != (point in solvable_points):
-                    match = False
-                    break
-            if match:
+            if exact:
                 self._emit("13", "learned equation in block p=%d" % p,
                            None, depth, 0)
                 return self._global_equation(param, system, slots, out, depth)
@@ -520,17 +485,36 @@ class Solver:
         """An equation already implied by the parameterized system holds at
         the zero point and at every unit point."""
 
-        points = [tuple([0] * len(param.free_vars))]
-        for j in range(len(param.free_vars)):
-            unit = [0] * len(param.free_vars)
-            unit[j] = 1
-            points.append(tuple(unit))
-        for pt in points:
+        for pt in basis_points(param):
             values = param.evaluate(pt)
             lhs = sum(c * v for c, v in zip(equation.coeffs, values))
             if lhs % equation.prime != equation.rhs:
                 return False
         return True
+
+
+def _learn_block(moduli, p, members):
+    """Learn the hyperplane that ``members``, points over ``moduli``, cut
+    out of the coordinates of prime ``p`` with every other coordinate 0.
+
+    Returns (those coordinates, the LearnOutcome, whether it is an equation
+    that holds exactly at the members among all points over ``moduli``).
+    """
+
+    slots = [j for j, q in enumerate(moduli) if q == p]
+
+    def oracle(v):
+        point = [0] * len(moduli)
+        for idx, j in enumerate(slots):
+            point[j] = v[idx]
+        return tuple(point) in members
+
+    out = learn_hyperplane(oracle, p, len(slots))
+    exact = out.kind == "equation" and all(
+        (sum(out.coeffs[idx] * pt[j] for idx, j in enumerate(slots)) % p
+         == out.rhs) == (pt in members)
+        for pt in itertools.product(*(range(q) for q in moduli)))
+    return slots, out, exact
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveOutcome:

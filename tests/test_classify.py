@@ -10,14 +10,17 @@ from wnucsp.algebra import (
     make_algebra,
     quotient_algebra,
     restrict_algebra,
+    search_special_wnu,
     sum_table,
 )
 from wnucsp.classify import (
+    _central_relations,
     classify_domain,
     con_lin,
     find_binary_absorbing,
     find_center,
     pc_structure,
+    reflexive_invariant_binaries,
     verify_structure_report,
 )
 from wnucsp.errors import ArgumentError
@@ -216,3 +219,39 @@ def test_quotient_of_conjunction_absorbs(and3, z4):
             quotient, _ = quotient_algebra(alg, Congruence(blocks))
             if quotient.size >= 2:
                 classify_domain(quotient)
+
+
+def _brute_invariant_binaries(alg, keep):
+    """Subsets of A^2 passing ``keep`` that the WNU preserves, found by
+    enumerating every subset and applying ``alg.op`` to every m-tuple."""
+
+    space = list(itertools.product(alg.elements, repeat=2))
+    out = []
+    for mask in range(1 << len(space)):
+        ts = frozenset(t for i, t in enumerate(space) if mask >> i & 1)
+        if keep(ts) and all(
+                tuple(alg.op(col) for col in zip(*rows)) in ts
+                for rows in itertools.product(ts, repeat=alg.arity)):
+            out.append(ts)
+    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def test_relation_walks_match_subset_enumeration(z2min, maj2, and3, dd3):
+    searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
+    for alg in (z2min, maj2, and3, dd3, searched3):
+        elems = alg.elements
+        diag = {(a, a) for a in elems}
+        reflexive = _brute_invariant_binaries(alg, lambda ts: diag <= ts)
+        assert [r.tuples for r in reflexive_invariant_binaries(alg)] \
+            == reflexive
+
+        def central(ts):
+            return (diag <= ts and len(ts) < len(elems) ** 2
+                    and all((b, a) in ts for a, b in ts))
+
+        want = []
+        for ts in _brute_invariant_binaries(alg, central):
+            center = {a for a in elems if all((a, b) in ts for b in elems)}
+            if center:
+                want.append((ts, center))
+        assert [(r.tuples, c) for r, c in _central_relations(alg, 2)] == want

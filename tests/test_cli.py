@@ -104,6 +104,13 @@ def test_parse_out_of_range_tuple():
     assert err.value.line == 4
 
 
+def test_parse_con_arity_mismatch():
+    text = "DOMAIN B 2\nVAR x B\nVAR y B\nREL R 1 B\n0\nEND\nCON R x y\n"
+    with pytest.raises(FormatError) as err:
+        parse_instance_text(text)
+    assert err.value.line == 7
+
+
 def test_parse_rejects_non_wnu_table():
     # first projection is not a WNU
     entries = " ".join(str(a) for a, b, c in

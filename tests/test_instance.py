@@ -59,6 +59,11 @@ def test_reduction_rejects_non_subuniverse(z4_example):
         apply_reduction(z4_example, {"x1": {1, 2}})
 
 
+def test_reduction_rejects_unknown_variable(z4_example):
+    with pytest.raises(ReductionError, match="nope"):
+        apply_reduction(z4_example, {"nope": {0}})
+
+
 def test_reduction_rejects_empty(z4_example):
     with pytest.raises(ReductionError):
         apply_reduction(z4_example, {"x1": set()})
