@@ -29,6 +29,9 @@ DEFAULT_DOMAIN_CAP = 6
 # Guard for the layered image computation; generous for desk scale.
 _STATE_CAP = 500_000
 
+# Canonical entries tuple of every table built in this process.
+_TABLES = {}
+
 
 @dataclass(frozen=True)
 class OperationTable:
@@ -52,8 +55,12 @@ class OperationTable:
                 "table needs %d entries, got %d"
                 % (self.domain_size ** self.arity, len(self.entries))
             )
-        if any(not (0 <= v < self.domain_size) for v in self.entries):
+        if min(self.entries) < 0 or max(self.entries) >= self.domain_size:
             raise FormatError("table entry out of range")
+        # one entries tuple per distinct table: equal tables then compare
+        # by identity instead of element by element
+        object.__setattr__(self, "entries",
+                           _TABLES.setdefault(self.entries, self.entries))
 
     def apply(self, args):
         idx = 0
@@ -73,7 +80,8 @@ class OperationTable:
             return NotImplemented
         return (self.arity == other.arity
                 and self.domain_size == other.domain_size
-                and self.entries == other.entries)
+                and (self.entries is other.entries
+                     or self.entries == other.entries))
 
 
 @dataclass(frozen=True)
@@ -833,20 +841,24 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
         raise InvariantError("partition does not cover the carrier")
     if not _kernel_compatible(alg, cong.kernel()):
         raise InvariantError("partition is not compatible with the operation")
-    blocks = cong.blocks
-    k = len(blocks)
+    k = len(cong.blocks)
     m = alg.arity
     kernel = cong.kernel()
-    entries = []
-    for combo in itertools.product(range(k), repeat=m):
-        vals = {
-            kernel[alg.op(reps)]
-            for reps in itertools.product(*(blocks[i] for i in combo))
-        }
-        if len(vals) != 1:
-            raise InvariantError("quotient table depends on representatives")
-        entries.append(vals.pop())
-    quotient = Algebra(tuple(range(k)), OperationTable(m, k, tuple(entries)))
+    # per table position: the block of its value, and the index of its
+    # argument blocks' combination (first argument most significant)
+    block = np.array([kernel[e] for e in alg.elements], dtype=np.int64)
+    value_block = block[np.asarray(alg.wnu.entries, dtype=np.int64)]
+    combo = block
+    for _ in range(m - 1):
+        combo = (combo[:, None] * k + block[None, :]).ravel()
+    # every combination occurs; storing any one of its value blocks and
+    # reading it back everywhere finds representatives that disagree
+    entries = np.empty(k ** m, dtype=np.int64)
+    entries[combo] = value_block
+    if not np.array_equal(entries[combo], value_block):
+        raise InvariantError("quotient table depends on representatives")
+    quotient = Algebra(tuple(range(k)),
+                       OperationTable(m, k, tuple(entries.tolist())))
     return quotient, dict(kernel)
 
 
@@ -855,17 +867,13 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 
 
 def _is_symmetric(table: OperationTable) -> bool:
+    """Invariance under every swap of adjacent arguments, which generate
+    all permutations."""
+
     n, m = table.domain_size, table.arity
-    if m == 1:
-        return True
-    for args in itertools.product(range(n), repeat=m):
-        v = table.apply(args)
-        for i in range(m - 1):
-            swapped = list(args)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if table.apply(swapped) != v:
-                return False
-    return True
+    cube = np.asarray(table.entries).reshape((n,) * m)
+    return all(np.array_equal(cube, np.swapaxes(cube, i, i + 1))
+               for i in range(m - 1))
 
 
 def _frontier_combos(old, fresh, m, symmetric):
@@ -950,7 +958,6 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, budget=80_000_000,
     n = alg.size
     table = alg.wnu
     apply = table.apply
-    symmetric = _symmetric_cached(alg)
     current = set(seed)
     if early_stop and early_stop(current):
         return frozenset(current), True
@@ -961,6 +968,7 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, budget=80_000_000,
         # closure in the product group
         closed = _coset_closure([group] * ncells, list(current))
         return frozenset(map(tuple, closed)), True
+    symmetric = _is_symmetric(table)
     cells = range(ncells)
     entries_np = np.asarray(table.entries, dtype=np.int64)
     spent = 0
@@ -1021,11 +1029,6 @@ def _multichoose(pool, take):
     if pool == 0:
         return 0
     return comb(pool + take - 1, take)
-
-
-@lru_cache(maxsize=None)
-def _symmetric_cached(alg: Algebra) -> bool:
-    return _is_symmetric(alg.wnu)
 
 
 @lru_cache(maxsize=None)
@@ -1243,6 +1246,7 @@ def binary_terms(alg: Algebra) -> BinaryTerms:
 # common small tables
 
 
+@lru_cache(maxsize=None)
 def sum_table(n, m) -> OperationTable:
     """x1 + ... + xm mod n."""
 

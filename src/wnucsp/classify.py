@@ -175,9 +175,12 @@ def _symmetric_wnu_closure(alg: Algebra, h, seed):
 
     coords = (alg,) * h
     current = set(seed)
+    orbits = set()  # sorted keys of the orbits already added in full
     while True:
-        sym = {tuple(t[i] for i in perm)
-               for t in current for perm in itertools.permutations(range(h))}
+        fresh = {tuple(sorted(t)) for t in current} - orbits
+        orbits |= fresh
+        sym = {tuple(key[i] for i in perm)
+               for key in fresh for perm in itertools.permutations(range(h))}
         grown = wnu_closure(coords, current | sym)
         if grown == current:
             return frozenset(current)

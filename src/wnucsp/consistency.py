@@ -158,17 +158,22 @@ def linked_components(inst: Instance):
 
     if len(fragment_variable_sets(inst)) > 1:
         raise ArgumentError("instance is fragmented")
-    return _value_components(inst)
+    return value_components(inst)
 
 
 def is_linked(inst: Instance) -> bool:
     """Every value pair of every constrained variable is path-connected."""
 
+    return components_linked(inst, value_components(inst))
+
+
+def components_linked(inst: Instance, comps) -> bool:
+    """``is_linked`` given ``comps = value_components(inst)``."""
+
     constrained = {v for c in inst.constraints for v in c.scope}
     if not constrained:
         return True
     nodes = {}
-    comps = _value_components(inst)
     for ci, comp in enumerate(comps):
         for v, a in comp:
             nodes[(v, a)] = ci
@@ -179,7 +184,9 @@ def is_linked(inst: Instance) -> bool:
     return True
 
 
-def _value_components(inst: Instance):
+def value_components(inst: Instance):
+    """``linked_components`` without its fragment check."""
+
     nodes = [
         (v, a) for i, v in enumerate(inst.variables)
         for a in sorted(inst.current_domains[i])

@@ -71,6 +71,7 @@ class Instance:
                 == len(self.current_domains)):
             raise FormatError("per-variable field lengths disagree")
         index = {v: i for i, v in enumerate(self.variables)}
+        object.__setattr__(self, "_index", index)
         for dom, alg in zip(self.current_domains, self.base_algebras):
             if not dom:
                 raise FormatError("empty current domain")
@@ -89,7 +90,10 @@ class Instance:
                     raise FormatError("relation coords exceed variable carrier")
 
     def index(self, var):
-        return self.variables.index(var)
+        try:
+            return self._index[var]
+        except KeyError:
+            raise ValueError("%r is not a variable" % (var,)) from None
 
     def domain(self, var):
         return self.current_domains[self.index(var)]

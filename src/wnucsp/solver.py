@@ -29,9 +29,10 @@ from .classify import (
 )
 from .consistency import (
     check_irreducibility,
+    components_linked,
     enforce_cycle_consistency,
     is_linked,
-    linked_components,
+    value_components,
 )
 from .errors import (
     AffineStructureViolation,
@@ -177,9 +178,11 @@ class Solver:
                 inst = apply_reduction(inst, {prop.var: prop.subset})
                 continue
 
-            # not linked: solve per linked component (type 2)
-            if not is_linked(inst):
-                return self._solve_unlinked(inst, depth, t3)
+            # not linked: solve per linked component (type 2); the
+            # instance is not fragmented, as checked on entry
+            comps = value_components(inst)
+            if not components_linked(inst, comps):
+                return self._solve_unlinked(inst, comps, depth, t3)
 
             # Step 2: irreducibility
             irr = check_irreducibility(
@@ -225,8 +228,7 @@ class Solver:
 
             return self._linear_phase(inst, depth, t3)
 
-    def _solve_unlinked(self, inst: Instance, depth, t3):
-        comps = linked_components(inst)
+    def _solve_unlinked(self, inst: Instance, comps, depth, t3):
         self._emit("2", "%d linked components" % len(comps), 2, depth, t3)
         for comp in comps:
             reduction = {}

@@ -508,3 +508,96 @@ def test_binary_terms_closure_property(z4):
             z4.wnu.apply([t[c] for t in combo]) for c in range(16)
         )
         assert new in tables
+
+
+# --- whole-table kernels against per-tuple references -------------------------
+
+
+def naive_quotient_entries(alg, cong):
+    """Quotient table from the operation applied to every m-tuple; None when
+    some block combination yields values in two blocks."""
+
+    kernel = cong.kernel()
+    values = {}
+    for args in itertools.product(alg.elements, repeat=alg.arity):
+        combo = tuple(kernel[a] for a in args)
+        values.setdefault(combo, set()).add(kernel[alg.op(args)])
+    if any(len(v) != 1 for v in values.values()):
+        return None
+    return tuple(min(values[c]) for c in
+                 itertools.product(range(len(cong.blocks)), repeat=alg.arity))
+
+
+def searched3():
+    return make_algebra(range(3), search_special_wnu(3, [], 3).table)
+
+
+def test_quotient_matches_per_tuple_reference(z2min, dd3, z4):
+    cases = [(alg, cong) for alg in (z2min, dd3, z4, searched3())
+             for cong in all_congruences(alg)]
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    cases += [(z6, Congruence(((0, 2, 4), (1, 3, 5)))),
+              (z6, Congruence(((0, 3), (1, 4), (2, 5))))]
+    for alg, cong in cases:
+        quotient, kmap = quotient_algebra(alg, cong)
+        assert quotient.elements == tuple(range(len(cong.blocks)))
+        assert quotient.wnu.entries == naive_quotient_entries(alg, cong)
+        assert kmap == cong.kernel()
+
+
+def test_quotient_rejects_representative_dependence(monkeypatch, dd3):
+    # {0, 1} | {2} is no congruence of the dual discriminator; with the
+    # blockwise compatibility test bypassed the table check must catch it
+    cong = Congruence(((0, 1), (2,)))
+    assert naive_quotient_entries(dd3, cong) is None
+    with pytest.raises(InvariantError):
+        quotient_algebra(dd3, cong)
+    monkeypatch.setattr("wnucsp.algebra._kernel_compatible",
+                        lambda alg, kernel: True)
+    with pytest.raises(InvariantError, match="representatives"):
+        quotient_algebra(dd3, cong)
+
+
+def symmetric_by_swaps(table):
+    n, m = table.domain_size, table.arity
+    for args in itertools.product(range(n), repeat=m):
+        value = table.apply(args)
+        for i in range(m - 1):
+            swapped = list(args)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if table.apply(swapped) != value:
+                return False
+    return True
+
+
+def test_is_symmetric_matches_swapping():
+    from wnucsp.algebra import _is_symmetric
+
+    skewed = list(sum_table(3, 3).entries)
+    skewed[1 * 9 + 2 * 3 + 2] = 0   # w(1,2,2) no longer equals w(2,2,1)
+    tables = [sum_table(2, 3), sum_table(4, 5), sum_table(6, 7),
+              search_special_wnu(3, [], 3).table,
+              search_special_wnu(4, [], 3).table,
+              majority_table(), dual_discriminator_table(),
+              proj_table(2, 3, 2), proj_table(3, 1, 0),
+              OperationTable(3, 3, tuple(skewed))]
+    verdicts = [_is_symmetric(t) for t in tables]
+    assert verdicts == [symmetric_by_swaps(t) for t in tables]
+    assert verdicts[0] and not verdicts[-1]
+
+
+def test_equal_tables_share_entries_and_compare_equal():
+    import copy
+
+    a = OperationTable(3, 3, [(x + y + z) % 3 for x, y, z in
+                              itertools.product(range(3), repeat=3)])
+    b = OperationTable(3, 3, tuple(sum_table(3, 3).entries))
+    assert a == b and hash(a) == hash(b)
+    assert a.entries is b.entries
+    c = copy.copy(a)
+    assert c == a and hash(c) == hash(a)
+    # a copy holding its own entries tuple compares by value
+    object.__setattr__(c, "entries", tuple(list(a.entries)))
+    assert c == a and c != OperationTable(3, 3, (0,) * 27)
+    with pytest.raises(FormatError):
+        OperationTable(3, 2, a.entries[:8])

@@ -304,3 +304,26 @@ def test_searched_four_element_seed_7029_within_wall_bound():
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 10.0
     assert outcome.satisfiable == (brute_force(inst, "decision") is not None)
+
+
+def test_z6_sum_of_seven_file_seed_100013_within_wall_bound():
+    # quotients, symmetry checks and table comparisons over the 6^7-entry
+    # table used to take minutes on this planted file
+    from wnucsp.fileformat import parse_instance, serialize_instance
+
+    params = GenParams(6, 7, 6, 6, 3, 100013, satisfiable_bias=True,
+                       wnu=sum_table(6, 7))
+    original, _ = random_instance(params)
+    assert len(original.variables) == 6 and len(original.constraints) == 6
+    inst = parse_instance(serialize_instance(original))
+    previous = signal.signal(signal.SIGALRM, _raise_wall_bound)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        outcome = Solver(SolverConfig(center_arity_cap=5)).solve(inst)
+    except _WallBound:
+        pytest.fail("solve exceeded the 10 s wall bound")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcome.satisfiable
+    assert inst.assignment_satisfies(outcome.assignment)
