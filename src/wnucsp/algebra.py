@@ -178,10 +178,6 @@ def verify_special_wnu(table: OperationTable):
     return violations
 
 
-def is_special_wnu(table: OperationTable) -> bool:
-    return not verify_special_wnu(table)
-
-
 @dataclass(frozen=True)
 class WnuSearch:
     """Outcome of a table search: found table, or none; whether the search

@@ -1,8 +1,9 @@
 """CSP instances: variables, shrinking domains, shared constraint relations.
 
 Reductions are domain masks; relation tables are stored once and membership
-tests intersect with the current domains.  Derived instances (weakenings,
-projections) are rebuilt over the current-domain algebras.
+tests intersect with the current domains.  ``Instance(...)`` checks its
+fields; instances derived from a valid one are built by ``_derived`` and
+trusted (weakenings and projections over the current-domain algebras).
 """
 
 from __future__ import annotations
@@ -137,6 +138,21 @@ class Instance:
         return True
 
 
+def _derived(parent: Instance, variables, base_algebras, current_domains,
+             constraints) -> Instance:
+    """An instance derived from the valid ``parent``, skipping the checks of
+    ``Instance.__post_init__``: callers pass tuples, frozenset domains that
+    are nonempty subuniverses of their bases and scopes over ``variables``."""
+
+    inst = object.__new__(Instance)
+    index = parent._index if variables == parent.variables else {
+        v: i for i, v in enumerate(variables)}
+    inst.__dict__.update(variables=variables, base_algebras=base_algebras,
+                         current_domains=current_domains,
+                         constraints=constraints, _index=index)
+    return inst
+
+
 @lru_cache(maxsize=65536)
 def _effective(rel: Relation, coords, doms) -> Relation:
     return restrict_relation(rel, coords, doms)
@@ -171,9 +187,9 @@ def apply_reduction(inst: Instance, reduction) -> Instance:
 
     new_domains = list(inst.current_domains)
     for var, subset in reduction.items():
-        if var not in inst.variables:
+        i = inst._index.get(var)
+        if i is None:
             raise ReductionError("reduction of unknown variable %r" % (var,))
-        i = inst.index(var)
         subset = frozenset(subset)
         if not subset:
             raise ReductionError("empty reduction for %s" % var)
@@ -182,7 +198,7 @@ def apply_reduction(inst: Instance, reduction) -> Instance:
         if not is_closed((inst.base_algebras[i],), {(e,) for e in subset}):
             raise ReductionError("reduction of %s is not a subuniverse" % var)
         new_domains[i] = subset
-    return Instance(inst.variables, inst.base_algebras,
+    return _derived(inst, inst.variables, inst.base_algebras,
                     tuple(new_domains), inst.constraints)
 
 
@@ -225,12 +241,9 @@ def restrict_to_variables(inst: Instance, variables) -> Instance:
     constraints = tuple(
         c for c in inst.constraints if set(c.scope) <= keep
     )
-    return Instance(
-        variables,
-        tuple(inst.base_algebras[i] for i in idx),
-        tuple(inst.current_domains[i] for i in idx),
-        constraints,
-    )
+    return _derived(inst, variables,
+                    tuple(inst.base_algebras[i] for i in idx),
+                    tuple(inst.current_domains[i] for i in idx), constraints)
 
 
 def project_instance(inst: Instance, variables) -> Instance:
@@ -259,12 +272,10 @@ def project_instance(inst: Instance, variables) -> Instance:
             continue
         seen.add(key)
         constraints.append(Constraint(proj, scope))
-    return Instance(
-        variables,
-        tuple(inst.domain_algebra(v) for v in variables),
-        tuple(inst.current_domains[i] for i in idx),
-        tuple(constraints),
-    )
+    return _derived(inst, variables,
+                    tuple(inst.domain_algebra(v) for v in variables),
+                    tuple(inst.current_domains[i] for i in idx),
+                    tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +403,9 @@ def weaken_all(inst: Instance) -> Instance:
             new_constraints[(scope, rel.tuples)] = Constraint(rel, scope)
     constraints = tuple(sorted(new_constraints.values(),
                                key=Constraint.sort_key))
-    return Instance(
-        inst.variables,
-        tuple(inst.domain_algebra(v) for v in inst.variables),
-        inst.current_domains,
-        constraints,
-    )
+    return _derived(inst, inst.variables,
+                    tuple(inst.domain_algebra(v) for v in inst.variables),
+                    inst.current_domains, constraints)
 
 
 def constraint_weaker(inst: Instance, ca: Constraint, cb: Constraint) -> bool:
@@ -444,7 +452,7 @@ def make_crucial(inst: Instance, unsat_oracle, max_rounds=10_000) -> Instance:
     """
 
     def build(constraints):
-        return Instance(inst.variables, inst.base_algebras,
+        return _derived(inst, inst.variables, inst.base_algebras,
                         inst.current_domains, tuple(constraints))
 
     current = prune_weaker(inst, inst.constraints)

@@ -2,12 +2,23 @@ import itertools
 
 import pytest
 
-from wnucsp.algebra import Congruence
+from wnucsp import instance as instance_module
+from wnucsp.algebra import (
+    Congruence,
+    conjunction_table,
+    dual_discriminator_table,
+    majority_table,
+    minority_table,
+    search_special_wnu,
+    sum_table,
+)
 from wnucsp.errors import (
     EmptyRelationError,
+    FormatError,
     OracleError,
     ReductionError,
 )
+from wnucsp.harness import GenParams, random_instance
 from wnucsp.instance import (
     Constraint,
     Instance,
@@ -22,6 +33,7 @@ from wnucsp.instance import (
 )
 from wnucsp.linsolve import LinearSystem
 from wnucsp.relation import Relation, factorize, full_relation
+from wnucsp.solver import Solver
 
 from conftest import linear_relation
 
@@ -325,3 +337,80 @@ def test_make_crucial_removes_duplicates(z4):
                     (frozenset(range(4)),) * 4, pair + (pair[0],))
     result = make_crucial(inst, even_class_unsat_oracle)
     assert len(result.constraints) == 2
+
+
+# --- the public boundary and the trusted path ----------------------------------
+
+
+def test_constructor_rejects_malformed_input(z2min, z4):
+    x = ("x",)
+    full2, full4 = frozenset({0, 1}), frozenset(range(4))
+    z4_unary = Relation(1, (z4,), frozenset({(0,)}))
+    z2_binary = Relation(2, (z2min, z2min), frozenset({(0, 0), (1, 1)}))
+    cases = [
+        (("x", "x"), (z2min,) * 2, (full2,) * 2, ()),   # duplicate variable
+        (("x", "y"), (z2min,), (full2, full2), ()),     # lengths disagree
+        (x, (z2min,), (frozenset(),), ()),              # empty domain
+        (x, (z2min,), (frozenset({0, 5}),), ()),        # outside the carrier
+        (x, (z4,), (frozenset({1, 2}),), ()),           # not a subuniverse
+        (x, (z2min,), (full2,),                         # repeated scope var
+         (Constraint(z2_binary, ("x", "x")),)),
+        (x, (z2min,), (full2,),                         # unknown scope var
+         (Constraint(Relation(1, (z2min,), {(0,)}), ("y",)),)),
+        (x, (z2min,), (full2,),                         # coords exceed carrier
+         (Constraint(z4_unary, ("x",)),)),
+    ]
+    for variables, bases, domains, constraints in cases:
+        with pytest.raises(FormatError):
+            Instance(variables, bases, domains, constraints)
+    Instance(x, (z4,), (full4,), (Constraint(z4_unary, x),))
+
+
+def _rebuilt_through_constructor(real, built):
+    """Wrap the derived-instance builder so every instance it makes is also
+    built, and so checked, by ``Instance(...)``."""
+
+    def wrapper(parent, variables, base_algebras, current_domains,
+                constraints):
+        fields = (variables, base_algebras, current_domains, constraints)
+        assert all(type(f) is tuple for f in fields)
+        assert all(type(d) is frozenset for d in current_domains)
+        inst = real(parent, *fields)
+        checked = Instance(*fields)
+        assert checked.canonical_key() == inst.canonical_key()
+        assert all(checked.index(v) == inst.index(v) for v in variables)
+        built.append(inst)
+        return inst
+
+    return wrapper
+
+
+def test_derived_instances_pass_the_constructor_checks(monkeypatch,
+                                                       z4_example):
+    families = [
+        (2, 3, minority_table()),
+        (2, 3, majority_table()),
+        (2, 3, conjunction_table(3)),
+        (3, 3, dual_discriminator_table()),
+        (4, 5, sum_table(4, 5)),
+        (3, 3, search_special_wnu(3, [], 3).table),
+    ]
+    instances = [
+        random_instance(GenParams(n, m, 6, 6, 3, 100_000 + i,
+                                  satisfiable_bias=bool(i % 2), wnu=t))[0]
+        for n, m, t in families for i in range(8)
+    ]
+
+    def outcomes():
+        # the solver reaches make_crucial only in rare Step 10 cases
+        crucial = make_crucial(z4_example, even_class_unsat_oracle)
+        return ([Solver().solve(inst) for inst in instances],
+                crucial.canonical_key())
+
+    plain = outcomes()
+    built = []
+    monkeypatch.setattr(instance_module, "_derived",
+                        _rebuilt_through_constructor(
+                            instance_module._derived, built))
+    assert outcomes() == plain
+    assert built
