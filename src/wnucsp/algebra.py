@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -28,6 +28,9 @@ DEFAULT_DOMAIN_CAP = 6
 
 # Guard for the layered image computation; generous for desk scale.
 _STATE_CAP = 500_000
+
+# Ordered m-tuples of value vectors one pointwise closure may apply w to.
+_CLOSURE_BUDGET = 80_000_000
 
 # Canonical entries tuple of every table built in this process.
 _TABLES = {}
@@ -784,7 +787,7 @@ def _kernel_compatible(alg: Algebra, kernel) -> bool:
 
 
 @lru_cache(maxsize=None)
-def all_congruences(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
+def all_congruences(alg: Algebra):
     """All congruences of the algebra, canonically sorted.
 
     Enumerates every partition of the carrier (Bell(6) = 203 at the cap) and
@@ -792,8 +795,9 @@ def all_congruences(alg: Algebra, cap=DEFAULT_DOMAIN_CAP):
     """
 
     n = alg.size
-    if n > cap:
-        raise SizeError("carrier above congruence cap (%d > %d)" % (n, cap))
+    if n > DEFAULT_DOMAIN_CAP:
+        raise SizeError("carrier above congruence cap (%d > %d)"
+                        % (n, DEFAULT_DOMAIN_CAP))
     elems = alg.elements
     out = []
     for rgs in _restricted_growth_strings(n):
@@ -862,98 +866,62 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 # pointwise closures of derived operations (unary / binary / ternary terms)
 
 
-def _is_symmetric(table: OperationTable) -> bool:
-    """Invariance under every swap of adjacent arguments, which generate
-    all permutations."""
+def _vector_round(old, frontier, entries, n, m):
+    """The distinct rows of one closure round, as tuples.
 
-    n, m = table.domain_size, table.arity
-    cube = np.asarray(table.entries).reshape((n,) * m)
-    return all(np.array_equal(cube, np.swapaxes(cube, i, i + 1))
-               for i in range(m - 1))
+    ``old`` and ``frontier`` are arrays of value vectors, one per row, and
+    ``entries`` is the flat table of the m-ary WNU.  The round applies w,
+    cell by cell, to every m-tuple of rows of old + frontier that uses a
+    frontier row, each once: split by the position k of its first frontier
+    row, it takes old rows before k and any rows after k.
+    """
 
-
-def _frontier_combos(old, fresh, m, symmetric):
-    """All m-tuples over old+fresh touching at least one fresh element, each
-    exactly once (up to order when the operation is symmetric)."""
-
-    if symmetric:
-        for k in range(1, m + 1):
-            for f_part in itertools.combinations_with_replacement(fresh, k):
-                for o_part in itertools.combinations_with_replacement(old, m - k):
-                    yield f_part + o_part
-        return
-    for mask in range(1, 1 << m):
-        pools = [fresh if (mask >> i) & 1 else old for i in range(m)]
-        yield from itertools.product(*pools)
-
-
-_VECTOR_THRESHOLD = 50_000
-
-
-def _vector_round(pools_np, entries_np, n, current, budget_left):
-    """One closure round over the pool pattern products, vectorized.  Returns
-    (fresh rows, combos spent) or None when the budget ran out."""
-
-    m = len(pools_np[0])
-    fresh = []
-    spent = 0
-    for mask in range(1, 1 << m):
-        pools = [pools_np[(mask >> i) & 1][i] for i in range(m)]
-        sizes = [p.shape[0] for p in pools]
-        total = 1
-        for s in sizes:
-            total *= s
-        if total == 0:
-            continue
-        spent += total
-        if spent > budget_left:
-            return None, spent
-        chunk = 1 << 18
+    every = np.concatenate([old, frontier])
+    ncells = every.shape[1]
+    chunk = max(1, (1 << 21) // ncells)
+    packed = n ** ncells <= (1 << 62)
+    powers = n ** np.arange(ncells, dtype=np.int64)
+    codes = []
+    rows = set()
+    for k in range(m):
+        pools = [old] * k + [frontier] + [every] * (m - 1 - k)
+        sizes = [len(p) for p in pools]
+        total = prod(sizes)
         for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            rem = idx
-            digits = [None] * m
-            for k in range(m - 1, -1, -1):
-                digits[k] = rem % sizes[k]
-                rem = rem // sizes[k]
-            flat = np.zeros((idx.shape[0], pools[0].shape[1]), dtype=np.int64)
-            for k in range(m):
-                flat = flat * n + pools[k][digits[k]]
-            vals = entries_np[flat]
-            ncells = vals.shape[1]
-            if n ** ncells <= (1 << 62):
+            rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            flat = 0
+            for j in range(m - 1, -1, -1):
+                flat = flat + pools[j][rem % sizes[j]] * n ** (m - 1 - j)
+                rem = rem // sizes[j]
+            vals = entries[flat]
+            if packed:
                 # pack rows into single ints so unique is one-dimensional
-                powers = n ** np.arange(ncells, dtype=np.int64)
-                codes = np.unique(vals @ powers)
-                rem = codes
-                cols = []
-                for _ in range(ncells):
-                    cols.append(rem % n)
-                    rem = rem // n
-                rows = np.stack(cols, axis=1).tolist()
+                codes.append(np.unique(vals @ powers))
             else:
-                rows = {tuple(r) for r in vals.tolist()}
-            for row in map(tuple, rows):
-                if row not in current:
-                    current.add(row)
-                    fresh.append(row)
-    return fresh, spent
+                rows.update(map(tuple, vals.tolist()))
+    if packed:
+        codes = np.unique(np.concatenate(codes))
+        rows = map(tuple, (codes[:, None] // powers % n).tolist())
+    return list(rows)
 
 
-def _pointwise_closure(alg: Algebra, seed, early_stop=None, budget=80_000_000,
-                       size_cap=None):
-    """Close a set of position-space value vectors under pointwise application
-    of the WNU.  ``early_stop(set)`` may end the iteration; returns
-    (frozenset, complete flag).  The flag is False when a cap was hit.
+def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
+    """Close a set of value vectors under the WNU applied cell by cell.
 
-    Small rounds run in plain Python; large rounds vectorize the pattern
-    products over the table.
+    The vectors are equal-length tuples over positions, one cell per
+    argument tuple of a derived operation.  Each round maps the set T to
+    T + w(T^m), semi-naively: ``_vector_round`` applies w only to the
+    m-tuples that use a row added by the previous round.  Abelian group
+    sums take the coset closure instead.
+
+    Returns (frozenset, complete flag).  The flag is False when the next
+    round would take the m-tuples applied past ``_CLOSURE_BUDGET``, or when
+    a round leaves more than ``size_cap`` vectors; the set is then the one
+    after the last whole round.  ``early_stop(set)``, asked of the seed and
+    after each round, ends the closure with the flag True.
     """
 
     m = alg.arity
-    n = alg.size
-    table = alg.wnu
-    apply = table.apply
     current = set(seed)
     if early_stop and early_stop(current):
         return frozenset(current), True
@@ -964,67 +932,25 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, budget=80_000_000,
         # closure in the product group
         closed = _coset_closure([group] * ncells, list(current))
         return frozenset(map(tuple, closed)), True
-    symmetric = _is_symmetric(table)
-    cells = range(ncells)
-    entries_np = np.asarray(table.entries, dtype=np.int64)
-    spent = 0
-    old = []
-    frontier = sorted(current)
-    while frontier:
-        if symmetric:
-            round_size = sum(
-                _multichoose(len(frontier), k) * _multichoose(len(old), m - k)
-                for k in range(1, m + 1)
-            )
-        else:
-            round_size = sum(
-                _pattern_count(len(old), len(frontier), m, mask)
-                for mask in range(1, 1 << m)
-            )
-        if spent + round_size > budget:
+    entries = np.asarray(alg.wnu.entries, dtype=np.int64)
+    old = np.empty((0, ncells), dtype=np.int64)
+    frontier = np.array(list(current), dtype=np.int64)
+    while True:
+        # after this round w has met every m-tuple over old + frontier once
+        if (len(old) + len(frontier)) ** m > _CLOSURE_BUDGET:
             return frozenset(current), False
-        if round_size >= _VECTOR_THRESHOLD:
-            pools_np = (
-                [np.array(old, dtype=np.int64).reshape(len(old), ncells)] * m,
-                [np.array(frontier, dtype=np.int64)] * m,
-            )
-            fresh, used = _vector_round(pools_np, entries_np, n, current,
-                                        budget - spent)
-            if fresh is None:
-                return frozenset(current), False
-            spent += used
-        else:
-            fresh = []
-            for combo in _frontier_combos(old, frontier, m, symmetric):
-                spent += 1
-                new = tuple(apply([t[c] for t in combo]) for c in cells)
-                if new not in current:
-                    current.add(new)
-                    fresh.append(new)
+        fresh = [row for row in _vector_round(old, frontier, entries,
+                                              alg.size, m)
+                 if row not in current]
         if not fresh:
             return frozenset(current), True
+        current.update(fresh)
         if size_cap is not None and len(current) > size_cap:
             return frozenset(current), False
         if early_stop and early_stop(current):
             return frozenset(current), True
-        old = sorted(set(old) | set(frontier))
-        frontier = sorted(fresh)
-    return frozenset(current), True
-
-
-def _pattern_count(n_old, n_fresh, m, mask):
-    out = 1
-    for i in range(m):
-        out *= n_fresh if (mask >> i) & 1 else n_old
-    return out
-
-
-def _multichoose(pool, take):
-    if take == 0:
-        return 1
-    if pool == 0:
-        return 0
-    return comb(pool + take - 1, take)
+        old = np.concatenate([old, frontier])
+        frontier = np.array(fresh, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

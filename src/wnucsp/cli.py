@@ -98,6 +98,13 @@ def _check_domain_cap(parsed, args):
                               % (dom, size, cap))
 
 
+def _center_cap(domain_size):
+    """The center-search arity cap that keeps the search complete on a
+    domain of this size."""
+
+    return max(3, domain_size - 1)
+
+
 def _trace_sink(stream):
     def sink(ev):
         print("[trace] step %s (depth %d, t3 %d): %s"
@@ -124,7 +131,7 @@ def cmd_solve(args):
         return EXIT_NONE
     inst = build_instance(parsed, extra)
     # completeness of the center search must cover the largest domain
-    center_cap = max(3, max(parsed.domains.values()) - 1)
+    center_cap = _center_cap(max(parsed.domains.values()))
     cfg = SolverConfig(center_arity_cap=center_cap, trace=args.trace,
                        trace_sink=_trace_sink(sys.stderr) if args.trace else None)
     t0 = time.perf_counter()
@@ -182,7 +189,7 @@ def cmd_classify(args):
             results[dom] = "trivial (one element)"
             continue
         alg = make_algebra(range(size), wnus[dom])
-        results[dom] = _report_line(classify_domain(alg, arity_cap=max(3, size - 1)))
+        results[dom] = _report_line(classify_domain(alg, arity_cap=_center_cap(size)))
     if args.json:
         _emit_json({"command": "classify", "domains": results})
     else:
@@ -267,7 +274,8 @@ def cmd_gen(args):
 
 
 def cmd_difftest(args):
-    report = differential_test(args.n, _gen_params(args))
+    cfg = SolverConfig(center_arity_cap=_center_cap(args.domain_size))
+    report = differential_test(args.n, _gen_params(args), config=cfg)
     if args.json:
         _emit_json({
             "command": "difftest",

@@ -18,6 +18,7 @@ from wnucsp.algebra import (
     quotient_algebra,
     search_special_wnu,
     subuniverse_closure,
+    unary_polynomial_closure,
     sum_table,
     verify_linear_iso,
     verify_special_wnu,
@@ -241,9 +242,9 @@ def test_congruences_dd3_match_oracle(dd3):
     assert got == direct_congruences(dd3)
 
 
-def test_congruences_cap(dd3):
+def test_congruences_cap():
     with pytest.raises(SizeError):
-        all_congruences(dd3, cap=2)
+        all_congruences(make_algebra(range(7), dual_discriminator_table(7)))
 
 
 def test_one_element_algebra_congruences():
@@ -558,32 +559,103 @@ def test_quotient_rejects_representative_dependence(monkeypatch, dd3):
         quotient_algebra(dd3, cong)
 
 
-def symmetric_by_swaps(table):
-    n, m = table.domain_size, table.arity
-    for args in itertools.product(range(n), repeat=m):
-        value = table.apply(args)
-        for i in range(m - 1):
-            swapped = list(args)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if table.apply(swapped) != value:
-                return False
-    return True
+# --- pointwise closure rounds against T -> T | w(T^m) ---------------------------
 
 
-def test_is_symmetric_matches_swapping():
-    from wnucsp.algebra import _is_symmetric
+# A random special WNU on three elements (from the seeded sweep in
+# test_classify) whose binary terms close in three rounds: 2, 4, 10, 20.
+TWENTY_TERMS = (0, 1, 2, 1, 0, 1, 2, 0, 2, 1, 0, 0, 0, 1, 0, 2, 0, 1, 2, 2,
+                2, 1, 0, 1, 2, 1, 2)
 
-    skewed = list(sum_table(3, 3).entries)
-    skewed[1 * 9 + 2 * 3 + 2] = 0   # w(1,2,2) no longer equals w(2,2,1)
-    tables = [sum_table(2, 3), sum_table(4, 5), sum_table(6, 7),
-              search_special_wnu(3, [], 3).table,
-              search_special_wnu(4, [], 3).table,
-              majority_table(), dual_discriminator_table(),
-              proj_table(2, 3, 2), proj_table(3, 1, 0),
-              OperationTable(3, 3, tuple(skewed))]
-    verdicts = [_is_symmetric(t) for t in tables]
-    assert verdicts == [symmetric_by_swaps(t) for t in tables]
-    assert verdicts[0] and not verdicts[-1]
+
+def naive_iterates(alg, seed):
+    """T, T | w(T^m), ... up to the fixpoint, with ``alg.wnu.apply`` applied
+    cell by cell to every m-tuple of vectors."""
+
+    apply = alg.wnu.apply
+    current = frozenset(seed)
+    out = [current]
+    while True:
+        step = current | {
+            tuple(apply(col) for col in zip(*rows))
+            for rows in itertools.product(current, repeat=alg.arity)}
+        if step == current:
+            return out
+        current = frozenset(step)
+        out.append(current)
+
+
+def binary_seed(n):
+    cells = list(itertools.product(range(n), repeat=2))
+    return {tuple(c[0] for c in cells), tuple(c[1] for c in cells)}
+
+
+def closure_algebras(dd3, maj2):
+    # dd6 last: its 36-cell rows are too long to pack into one int64
+    return [dd3, maj2, searched3(),
+            make_algebra(range(3), OperationTable(3, 3, TWENTY_TERMS)),
+            make_algebra(range(6), dual_discriminator_table(6))]
+
+
+def test_binary_terms_match_naive_rounds(monkeypatch, dd3, maj2):
+    import wnucsp.algebra as algebra_mod
+
+    default_cap = algebra_mod._BINARY_TERMS_CAP
+    for alg in closure_algebras(dd3, maj2):
+        iterates = naive_iterates(alg, binary_seed(alg.size))
+        full = iterates[-1]
+        # a cap below the closure returns the first iterate above it
+        for cap in [*range(2, len(full) + 1), default_cap]:
+            monkeypatch.setattr(algebra_mod, "_BINARY_TERMS_CAP", cap)
+            binary_terms.cache_clear()
+            terms = binary_terms(alg)
+            want = next((t for t in iterates if len(t) > cap), full)
+            assert {t.entries for t in terms.tables} == want
+            assert terms.complete == (len(full) <= cap)
+
+
+def test_closure_budget_stops_between_rounds(monkeypatch):
+    import wnucsp.algebra as algebra_mod
+
+    alg = make_algebra(range(3), OperationTable(3, 3, TWENTY_TERMS))
+    iterates = naive_iterates(alg, binary_seed(3))
+    assert [len(t) for t in iterates] == [2, 4, 10, 20]
+    for budget in (7, 8, 27, 100, 20 ** 3 - 1, 20 ** 3):
+        monkeypatch.setattr(algebra_mod, "_CLOSURE_BUDGET", budget)
+        closed, complete = algebra_mod._pointwise_closure(alg, binary_seed(3))
+        # a round runs only if every m-tuple over its start set fits
+        want = next((t for t in iterates if len(t) ** 3 > budget), None)
+        assert closed == (iterates[-1] if want is None else want)
+        assert complete == (want is None)
+
+
+def test_vector_round_applies_every_tuple_with_a_frontier_row():
+    import numpy as np
+
+    from wnucsp.algebra import _vector_round
+
+    rng = random.Random(5)
+    # packed rows (3^5), unpacked rows (3^40 > 2^62), and an empty old set
+    for n, m, ncells, n_old in ((3, 3, 5, 4), (3, 4, 40, 3), (2, 3, 4, 0)):
+        table = OperationTable(m, n, tuple(rng.randrange(n)
+                                           for _ in range(n ** m)))
+        rows = list({tuple(rng.randrange(n) for _ in range(ncells))
+                     for _ in range(n_old + 3)})
+        old, frontier = rows[:n_old], rows[n_old:]
+        want = {tuple(table.apply(col) for col in zip(*combo))
+                for combo in itertools.product(rows, repeat=m)
+                if any(r in frontier for r in combo)}
+        got = _vector_round(np.array(old, dtype=np.int64).reshape(-1, ncells),
+                            np.array(frontier, dtype=np.int64),
+                            np.array(table.entries, dtype=np.int64), n, m)
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_unary_polynomial_closure_matches_naive_rounds(dd3, maj2):
+    for alg in closure_algebras(dd3, maj2)[:4]:
+        n = alg.size
+        seed = {tuple(range(n))} | {(c,) * n for c in range(n)}
+        assert unary_polynomial_closure(alg) == naive_iterates(alg, seed)[-1]
 
 
 def test_equal_tables_share_entries_and_compare_equal():

@@ -269,6 +269,16 @@ def test_difftest_command():
     assert "10/10 agreements" in out
 
 
+def test_difftest_six_element_domain_uses_complete_center_search():
+    # the default center cap of 3 is too small for a 6-element domain
+    code, out, err = run_cli([
+        "difftest", "--n", "1", "--seed", "100013", "--domain-size", "6",
+        "--wnu", "sum", "--wnu-arity", "7", "--vars", "6", "--constraints",
+        "6", "--sat-bias"])
+    assert code == 0, err
+    assert "1/1 agreements" in out
+
+
 def test_usage_error_exit():
     code, _, _ = run_cli(["solve", "/nonexistent/file.csp"])
     assert code == 3
