@@ -437,16 +437,16 @@ def abelian_sum_structure(alg: Algebra):
         if inverse[x] is None:
             return None
 
-    def fold(args):
-        acc = args[0]
-        for a in args[1:]:
-            acc = b[acc][a]
-        return acc
-
-    shift = b[alg.wnu.apply([e] * m)][inverse[fold([e] * m)]]
-    for args in itertools.product(range(n), repeat=m):
-        if table.apply(args) != b[fold(args)][shift]:
-            return None
+    # the group fold of every argument tuple, in table order (first
+    # argument most significant), checked against the table in one pass
+    add = np.array(b, dtype=np.int64)
+    fold = np.arange(n, dtype=np.int64)
+    for _ in range(m - 1):
+        fold = add[fold[:, None], np.arange(n)[None, :]].ravel()
+    shift = b[table.apply([e] * m)][inverse[int(fold[0])]]
+    if not np.array_equal(add[fold, shift],
+                          np.asarray(table.entries, dtype=np.int64)):
+        return None
     return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse), shift)
 
 

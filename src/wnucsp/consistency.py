@@ -8,8 +8,8 @@ congruences with a solver callback for the class-reduced sub-instances.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import maximal_congruences
 from .errors import ArgumentError, InternalError
@@ -24,126 +24,184 @@ from .instance import (
 
 @dataclass
 class PairNetwork:
-    """Binary relations per ordered variable pair; transposes are derived."""
+    """Binary relations on every ordered variable pair, stored as bit rows.
+
+    Values are positions in each variable's base carrier.  ``domains[i]``
+    is the bitmask of variable i's values; ``rows[i][j][a]`` is the bitmask
+    of the values b with (a, b) in R_ij, and ``rows[j][i]`` holds the
+    transpose.  ``get`` and ``pairs`` decode to sets of element pairs."""
 
     variables: tuple
-    pairs: dict = field(default_factory=dict)  # (i, j) with i < j -> set
+    elements: tuple   # base carrier per variable
+    domains: list     # bitmask per variable
+    rows: list        # rows[i][j]: list of bitmasks, None when i == j
 
     def get(self, i, j):
-        if i < j:
-            return self.pairs[(i, j)]
-        return {(b, a) for a, b in self.pairs[(j, i)]}
+        ei, ej = self.elements[i], self.elements[j]
+        return {(ei[a], ej[b])
+                for a, row in enumerate(self.rows[i][j]) for b in _BITS[row]}
 
-    def set(self, i, j, value):
-        if i < j:
-            self.pairs[(i, j)] = set(value)
-        else:
-            self.pairs[(j, i)] = {(b, a) for a, b in value}
+    @property
+    def pairs(self):
+        n = len(self.variables)
+        return {(i, j): self.get(i, j)
+                for i in range(n) for j in range(i + 1, n)}
+
+
+class _BitTable(dict):
+    """mask -> ascending tuple of its set bit positions, filled on demand."""
+
+    def __missing__(self, mask):
+        bits = tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+        self[mask] = bits
+        return bits
+
+
+_BITS = _BitTable()
 
 
 @dataclass(frozen=True)
 class PropagationResult:
     status: str  # "ok" | "nosolution" | "reduce"
     network: PairNetwork | None = None
-    var: str | None = None
-    subset: frozenset | None = None
+    reduction: dict = field(default_factory=dict)  # var -> frozenset
+
+
+@lru_cache(maxsize=None)
+def _positions(alg):
+    return {e: p for p, e in enumerate(alg.elements)}
+
+
+@lru_cache(maxsize=65536)
+def _domain_mask(alg, dom):
+    pos = _positions(alg)
+    return sum(1 << pos[e] for e in dom)
 
 
 def build_pair_network(inst: Instance) -> PairNetwork:
-    """Initial network: intersections of constraint projections onto each
-    pair; a constraint containing only one of the pair contributes its unary
-    projection cylindered with the other domain.  Pairs with no common
-    constraint start full."""
+    """Initial network: each domain is intersected with the unary
+    projections of its constraints, every constraint over both variables
+    of a pair cuts the pair to its binary projection, and pairs with no
+    common constraint start as the product of their domains.  Projections
+    are taken over the tuples inside the current domains."""
 
     n = len(inst.variables)
-    net = PairNetwork(inst.variables)
-    doms = inst.current_domains
-    for i in range(n):
-        for j in range(i + 1, n):
-            net.pairs[(i, j)] = set(itertools.product(doms[i], doms[j]))
+    bases = inst.base_algebras
+    positions = [_positions(alg) for alg in bases]
+    sizes = [len(alg.elements) for alg in bases]
+    current = [_domain_mask(alg, dom)
+               for alg, dom in zip(bases, inst.current_domains)]
+    domains = list(current)
+    rows = [[None] * n for _ in range(n)]
     for c in inst.constraints:
-        eff = inst.effective(c)
-        positions = {v: k for k, v in enumerate(c.scope)}
-        for i in range(n):
-            in_i = inst.variables[i] in positions
-            for j in range(i + 1, n):
-                in_j = inst.variables[j] in positions
-                if not in_i and not in_j:
-                    continue
-                if in_i and in_j:
-                    pi, pj = positions[inst.variables[i]], positions[inst.variables[j]]
-                    proj = {(t[pi], t[pj]) for t in eff.tuples}
-                elif in_i:
-                    pi = positions[inst.variables[i]]
-                    vals = {t[pi] for t in eff.tuples}
-                    proj = set(itertools.product(vals, doms[j]))
-                else:
-                    pj = positions[inst.variables[j]]
-                    vals = {t[pj] for t in eff.tuples}
-                    proj = set(itertools.product(doms[i], vals))
-                net.pairs[(i, j)] &= proj
-    return net
+        ks = [inst.index(v) for v in c.scope]
+        arity = len(ks)
+        pos = [positions[k] for k in ks]
+        unary = [0] * arity
+        binary = {(p, q): [0] * sizes[ks[p]]
+                  for p in range(arity) for q in range(arity) if p != q}
+        for t in c.relation.tuples:
+            at = [pos[p][t[p]] for p in range(arity)]
+            for k, a in zip(ks, at):
+                if not current[k] >> a & 1:
+                    break
+            else:
+                for p in range(arity):
+                    unary[p] |= 1 << at[p]
+                    for q in range(arity):
+                        if q != p:
+                            binary[(p, q)][at[p]] |= 1 << at[q]
+        for k, mask in zip(ks, unary):
+            domains[k] &= mask
+        for (p, q), proj in binary.items():
+            old = rows[ks[p]][ks[q]]
+            rows[ks[p]][ks[q]] = proj if old is None else [
+                x & y for x, y in zip(old, proj)]
+    for i in range(n):
+        di = domains[i]
+        for j in range(n):
+            if j == i:
+                continue
+            dj = domains[j]
+            row = rows[i][j]
+            rows[i][j] = [(dj if row is None else row[a] & dj)
+                          if di >> a & 1 else 0
+                          for a in range(sizes[i])]
+    return PairNetwork(inst.variables, tuple(alg.elements for alg in bases),
+                       domains, rows)
+
+
+def _revise(rows, n, i, j):
+    """Apply the triangle rule to R_ij through every other variable k: a
+    pair (a, b) stays if some c has (a, c) in R_ik and (c, b) in R_kj.
+    Returns whether R_ij shrank."""
+
+    ri, rij, rji = rows[i], rows[i][j], rows[j][i]
+    paths = [(ri[k], rows[k][j]) for k in range(n) if k != i and k != j]
+    changed = False
+    for a, row in enumerate(rij):
+        if not row:
+            continue
+        keep = row
+        for rik, rkj in paths:
+            support = 0
+            for c in _BITS[rik[a]]:
+                support |= rkj[c]
+            keep &= support
+            if not keep:
+                break
+        if keep != row:
+            rij[a] = keep
+            clear = ~(1 << a)
+            for b in _BITS[row & ~keep]:
+                rji[b] &= clear
+            changed = True
+    return changed
 
 
 def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
-    """Fixpoint of the triangle rule; empty pair means no solution, a
-    non-subdirect pair yields a domain reduction for the solver to apply."""
-
-    n = len(inst.variables)
-    if n == 0:
-        return PropagationResult("ok", PairNetwork(inst.variables))
-    if n == 1:
-        good = set(inst.current_domains[0])
-        for c in inst.constraints:
-            eff = inst.effective(c)
-            good &= {t[0] for t in eff.tuples}
-        if not good:
-            return PropagationResult("nosolution")
-        if good != inst.current_domains[0]:
-            return PropagationResult("reduce", var=inst.variables[0],
-                                     subset=frozenset(good))
-        return PropagationResult("ok", PairNetwork(inst.variables))
+    """Fixpoint of the triangle rule on the pair network.  An empty pair or
+    domain means no solution; otherwise every variable whose projection is
+    smaller than its current domain is reduced to it, all at once."""
 
     net = build_pair_network(inst)
-    dirty = set(net.pairs)
-    while dirty:
-        i, j = dirty.pop()
-        rel = net.pairs[(i, j)]
-        for k in range(n):
-            if k == i or k == j:
+    n = len(inst.variables)
+    rows = net.rows
+    if n >= 3 and all(net.domains):
+        queue = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        queued = set(queue)
+        while queue:
+            pair = queue.pop()
+            queued.discard(pair)
+            i, j = pair
+            if not _revise(rows, n, i, j):
                 continue
-            rik = net.get(i, k)
-            rkj = net.get(k, j)
-            by_start = {}
-            for a, cmid in rik:
-                by_start.setdefault(a, set()).add(cmid)
-            by_end = {}
-            for cmid, b in rkj:
-                by_end.setdefault(b, set()).add(cmid)
-            keep = {
-                (a, b) for a, b in rel
-                if by_start.get(a, set()) & by_end.get(b, set())
-            }
-            if keep != rel:
-                rel = keep
-                net.pairs[(i, j)] = keep
-                for other in range(n):
-                    if other != i and other != j:
-                        dirty.add(tuple(sorted((i, other))))
-                        dirty.add(tuple(sorted((j, other))))
-        net.pairs[(i, j)] = rel
-
-    for (i, j), rel in sorted(net.pairs.items()):
-        if not rel:
+            if not any(rows[i][j]):
+                return PropagationResult("nosolution")
+            for k in range(n):
+                if k != i and k != j:
+                    for dirty in ((min(i, k), max(i, k)),
+                                  (min(j, k), max(j, k))):
+                        if dirty not in queued:
+                            queued.add(dirty)
+                            queue.append(dirty)
+    reduction = {}
+    for i, var in enumerate(inst.variables):
+        if n == 1:
+            proj = net.domains[i]
+        else:
+            proj = 0
+            for a, row in enumerate(rows[i][1 if i == 0 else 0]):
+                if row:
+                    proj |= 1 << a
+        if not proj:
             return PropagationResult("nosolution")
-        pi = {a for a, _ in rel}
-        if pi != inst.current_domains[i]:
-            return PropagationResult("reduce", var=inst.variables[i],
-                                     subset=frozenset(pi))
-        pj = {b for _, b in rel}
-        if pj != inst.current_domains[j]:
-            return PropagationResult("reduce", var=inst.variables[j],
-                                     subset=frozenset(pj))
+        if proj != _domain_mask(inst.base_algebras[i],
+                                inst.current_domains[i]):
+            elems = net.elements[i]
+            reduction[var] = frozenset(elems[a] for a in _BITS[proj])
+    if reduction:
+        return PropagationResult("reduce", reduction=reduction)
     return PropagationResult("ok", net)
 
 

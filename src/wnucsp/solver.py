@@ -173,9 +173,10 @@ class Solver:
                 self._emit("1", "propagation emptied a pair", 1, depth, t3)
                 return False, None
             if prop.status == "reduce":
-                self._emit("1", "reduce %s to %s" % (prop.var, sorted(prop.subset)),
-                           1, depth, t3)
-                inst = apply_reduction(inst, {prop.var: prop.subset})
+                self._emit("1", "reduce " + ", ".join(
+                    "%s to %s" % (var, sorted(subset))
+                    for var, subset in prop.reduction.items()), 1, depth, t3)
+                inst = apply_reduction(inst, prop.reduction)
                 continue
 
             # not linked: solve per linked component (type 2); the

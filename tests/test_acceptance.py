@@ -233,7 +233,7 @@ def test_criterion_7_propagation_properties():
             original = inst
             result = enforce_cycle_consistency(inst)
             while result.status == "reduce":
-                inst = apply_reduction(inst, {result.var: result.subset})
+                inst = apply_reduction(inst, result.reduction)
                 result = enforce_cycle_consistency(inst)
             solutions = brute_force(original, "all")
             if result.status == "nosolution":

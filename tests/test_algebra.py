@@ -7,6 +7,7 @@ from wnucsp.algebra import (
     Algebra,
     Congruence,
     OperationTable,
+    abelian_sum_structure,
     all_congruences,
     binary_terms,
     dual_discriminator_table,
@@ -673,3 +674,35 @@ def test_equal_tables_share_entries_and_compare_equal():
     assert c == a and c != OperationTable(3, 3, (0,) * 27)
     with pytest.raises(FormatError):
         OperationTable(3, 2, a.entries[:8])
+
+
+def per_tuple_group_sum_holds(alg, g):
+    """w(x1..xm) == x1 + ... + xm + shift for every argument tuple, folded
+    one tuple at a time."""
+
+    for args in itertools.product(range(alg.size), repeat=alg.arity):
+        acc = args[0]
+        for a in args[1:]:
+            acc = g.add[acc][a]
+        if alg.wnu.apply(args) != g.add[acc][g.shift]:
+            return False
+    return True
+
+
+def test_abelian_sum_structure_matches_per_tuple_reference(z2min, z4):
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    for alg in (z2min, z4, z6):
+        g = abelian_sum_structure(alg)
+        assert g is not None
+        assert per_tuple_group_sum_holds(alg, g)
+
+
+def test_abelian_sum_structure_rejects_non_sums(dd3, z4):
+    entries = list(z4.wnu.entries)
+    pos = 0  # table position of (1, 2, 3, 1, 2), first argument high
+    for a in (1, 2, 3, 1, 2):
+        pos = pos * 4 + a
+    entries[pos] = (entries[pos] + 1) % 4
+    changed = Algebra(range(4), OperationTable(5, 4, tuple(entries)))
+    for alg in (dd3, searched3(), changed):
+        assert abelian_sum_structure(alg) is None

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from wnucsp.algebra import majority_table, make_algebra
+from wnucsp.algebra import (
+    conjunction_table,
+    dual_discriminator_table,
+    majority_table,
+    make_algebra,
+    minority_table,
+    search_special_wnu,
+    sum_table,
+    wnu_closure,
+)
 from wnucsp.consistency import (
     build_pair_network,
     check_irreducibility,
@@ -15,7 +24,7 @@ from wnucsp.errors import ArgumentError
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp.instance import Constraint, Instance, apply_reduction
 from wnucsp.relation import Relation, full_relation
-from wnucsp.solver import Solver
+from wnucsp.solver import Solver, SolverConfig
 
 from conftest import linear_relation
 
@@ -51,7 +60,7 @@ def test_cc_chain_propagates_pin(z2min):
     ))
     result = enforce_cycle_consistency(inst)
     assert result.status == "reduce"
-    assert result.subset == frozenset({0})
+    assert result.reduction == {v: frozenset({0}) for v in ("x", "y", "z")}
 
 
 def test_cc_unary_only_instance(z2min):
@@ -59,7 +68,8 @@ def test_cc_unary_only_instance(z2min):
     inst = Instance(("x",), (z2min,), (frozenset({0, 1}),),
                     (Constraint(pin, ("x",)),))
     result = enforce_cycle_consistency(inst)
-    assert result.status == "reduce" and result.subset == frozenset({1})
+    assert result.status == "reduce"
+    assert result.reduction == {"x": frozenset({1})}
 
 
 def test_cc_fixpoint_and_triangle_properties(z2min, z4):
@@ -82,7 +92,7 @@ def test_cc_fixpoint_and_triangle_properties(z2min, z4):
             original = inst
             result = enforce_cycle_consistency(inst)
             while result.status == "reduce":
-                inst = apply_reduction(inst, {result.var: result.subset})
+                inst = apply_reduction(inst, result.reduction)
                 result = enforce_cycle_consistency(inst)
             # propagation never eliminates a value used by any solution
             for sol in brute_force(original, "all"):
@@ -121,6 +131,222 @@ def test_cc_fixpoint_and_triangle_properties(z2min, z4):
                                     sol[inst.variables[j1]])
                             assert pair in net.get(i1, j1)
     assert checked >= 30
+
+
+def test_cc_chain_reduces_in_one_step1_event(z2min):
+    eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
+    pin = Relation(1, (z2min,), {(0,)})
+    inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3, (
+        Constraint(eq, ("x", "y")),
+        Constraint(eq, ("y", "z")),
+        Constraint(pin, ("z",)),
+    ))
+    solver = Solver(SolverConfig(trace=True))
+    outcome = solver.solve(inst)
+    assert outcome.assignment == {"x": 0, "y": 0, "z": 0}
+    reduces = [ev for ev in solver.trace
+               if ev.step == "1" and ev.detail.startswith("reduce")]
+    assert len(reduces) == 1
+    assert reduces[0].detail == "reduce x to [0], y to [0], z to [0]"
+
+
+# --- Step 1 against the set-based reference ---------------------------------
+
+
+def reference_cycle_consistency(inst):
+    """The triangle-rule fixpoint on sets of element pairs, reducing one
+    variable per round.  Returns (status, instance, pairs), the pairs
+    keyed by (i, j) with i < j."""
+
+    while True:
+        n = len(inst.variables)
+        doms = inst.current_domains
+        effs = [(c.scope, inst.effective(c).tuples) for c in inst.constraints]
+        if n == 1:
+            good = set(doms[0])
+            for _, tuples in effs:
+                good &= {t[0] for t in tuples}
+            if not good:
+                return "nosolution", inst, None
+            if good != doms[0]:
+                inst = apply_reduction(inst, {inst.variables[0]: good})
+                continue
+            return "ok", inst, {}
+        pairs = {}
+        for i, j in itertools.combinations(range(n), 2):
+            vi, vj = inst.variables[i], inst.variables[j]
+            rel = set(itertools.product(doms[i], doms[j]))
+            for scope, tuples in effs:
+                if vi in scope:
+                    rel = {(a, b) for a, b in rel
+                           if a in {t[scope.index(vi)] for t in tuples}}
+                if vj in scope:
+                    rel = {(a, b) for a, b in rel
+                           if b in {t[scope.index(vj)] for t in tuples}}
+                if vi in scope and vj in scope:
+                    rel &= {(t[scope.index(vi)], t[scope.index(vj)])
+                            for t in tuples}
+            pairs[(i, j)] = rel
+
+        def get(i, j):
+            if i < j:
+                return pairs[(i, j)]
+            return {(b, a) for a, b in pairs[(j, i)]}
+
+        changed = True
+        while changed:
+            changed = False
+            for (i, j), rel in pairs.items():
+                for k in range(n):
+                    if k in (i, j):
+                        continue
+                    rik, rkj = get(i, k), get(k, j)
+                    keep = {(a, b) for a, b in rel
+                            if any((a, c) in rik and (c, b) in rkj
+                                   for c in doms[k])}
+                    if keep != rel:
+                        pairs[(i, j)] = rel = keep
+                        changed = True
+        if not all(pairs.values()):
+            return "nosolution", inst, None
+        reduced = False
+        for (i, j), rel in sorted(pairs.items()):
+            for k, proj in ((i, {a for a, _ in rel}), (j, {b for _, b in rel})):
+                if proj != doms[k]:
+                    inst = apply_reduction(inst, {inst.variables[k]: proj})
+                    reduced = True
+                    break
+            if reduced:
+                break
+        if not reduced:
+            return "ok", inst, pairs
+
+
+def full_cycle_consistency(inst):
+    """``enforce_cycle_consistency`` with every reduction applied at once,
+    until it stops reducing.  Returns (result, instance, rounds)."""
+
+    rounds = 0
+    result = enforce_cycle_consistency(inst)
+    while result.status == "reduce":
+        rounds += 1
+        inst = apply_reduction(inst, result.reduction)
+        result = enforce_cycle_consistency(inst)
+    return result, inst, rounds
+
+
+def assert_matches_reference(inst):
+    """The same final status; at "ok" the same domains and pair relations.
+    (At "nosolution" the domains reached depend on the order of the
+    reductions, so only the status is compared.)"""
+
+    status, ref_inst, ref_pairs = reference_cycle_consistency(inst)
+    result, got_inst, rounds = full_cycle_consistency(inst)
+    assert result.status == status
+    if status == "ok":
+        assert got_inst.current_domains == ref_inst.current_domains
+        assert result.network.pairs == ref_pairs
+    return result.status, rounds
+
+
+def random_mixed_instance(rng, algebras, n_variables, n_constraints,
+                          max_arity, plant, closed):
+    """Variables over algebras picked from ``algebras``.  A constraint is
+    the WNU closure of a few random tuples when ``closed`` (so invariant),
+    else a random subset of its product; the second needs conservative
+    algebras, whose subsets are all subuniverses, so that every reduction
+    is valid.  With ``plant`` every constraint holds the projection of one
+    random assignment."""
+
+    variables = tuple("v%d" % i for i in range(n_variables))
+    bases = tuple(rng.choice(algebras) for _ in variables)
+    planted = [rng.choice(alg.elements) for alg in bases]
+    constraints = []
+    for _ in range(n_constraints):
+        arity = rng.randint(1, min(max_arity, n_variables))
+        idx = rng.sample(range(n_variables), arity)
+        coords = tuple(bases[i] for i in idx)
+        if closed:
+            tuples = {tuple(rng.choice(alg.elements) for alg in coords)
+                      for _ in range(rng.randint(1, 3))}
+        else:
+            tuples = {t for t in itertools.product(
+                *(alg.elements for alg in coords)) if rng.random() < 0.6}
+        if plant:
+            tuples.add(tuple(planted[i] for i in idx))
+        if closed:
+            tuples = wnu_closure(coords, tuples)
+        constraints.append(Constraint(Relation(arity, coords, tuples),
+                                      tuple(variables[i] for i in idx)))
+    return Instance(variables, bases,
+                    tuple(frozenset(alg.elements) for alg in bases),
+                    tuple(constraints))
+
+
+def test_cc_matches_reference_on_families():
+    families = [
+        (2, 3, minority_table()),
+        (2, 3, majority_table()),
+        (2, 3, conjunction_table(3)),
+        (3, 3, dual_discriminator_table()),
+        (4, 5, sum_table(4, 5)),
+        (3, 3, None),   # the searched special WNUs
+        (4, 3, None),
+    ]
+    statuses = set()
+    for n, m, wnu in families:
+        for i in range(12):
+            params = GenParams(n, m, 5, 5, 3, 300_000 + i,
+                               satisfiable_bias=bool(i % 2), wnu=wnu)
+            inst, _ = random_instance(params)
+            statuses.add(assert_matches_reference(inst)[0])
+    assert statuses == {"ok", "nosolution"}
+
+
+def test_cc_matches_reference_on_mixed_carriers(maj2, z2min, dd3):
+    """Conservative algebras of sizes 2, 3 and 4, one of them over the
+    element ids (3, 7, 9), with invariant and with arbitrary relations."""
+
+    odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    rng = random.Random(17)
+    statuses = set()
+    for algebras, n_variables in (
+            ((maj2, dd3), 5),
+            ((z2min, dd3, dd4), 4),
+            ((odd_ids,), 4),
+            ((odd_ids, maj2, dd4), 5),
+            ((maj2, dd3), 2),
+            ((odd_ids, dd4), 2)):
+        for i in range(40):
+            inst = random_mixed_instance(
+                rng, algebras, n_variables, n_variables, 3,
+                plant=i % 4 != 0, closed=i % 2 == 0)
+            statuses.add(assert_matches_reference(inst)[0])
+    assert statuses == {"ok", "nosolution"}
+
+
+def test_cc_ternary_instance_needs_two_rounds(maj2):
+    """x + y + z = 1 over {0, 1} with y = 0 and z = w, w = 0: the first
+    round reduces y, z and w; only then does the ternary constraint lose
+    the tuples that supported x = 0 through the pair network."""
+
+    one_hot = Relation(3, (maj2,) * 3, {(1, 0, 0), (0, 1, 0), (0, 0, 1)})
+    y_zero = Relation(2, (maj2,) * 2, {(0, 0), (1, 0)})
+    eq = Relation(2, (maj2,) * 2, {(0, 0), (1, 1)})
+    pin = Relation(1, (maj2,), {(0,)})
+    inst = Instance(("x", "y", "z", "w"), (maj2,) * 4,
+                    (frozenset({0, 1}),) * 4, (
+                        Constraint(one_hot, ("x", "y", "z")),
+                        Constraint(y_zero, ("x", "y")),
+                        Constraint(eq, ("z", "w")),
+                        Constraint(pin, ("w",)),
+                    ))
+    first = enforce_cycle_consistency(inst)
+    assert first.reduction == {v: frozenset({0}) for v in ("y", "z", "w")}
+    assert assert_matches_reference(inst) == ("ok", 2)
+    result, reduced, _ = full_cycle_consistency(inst)
+    assert reduced.current_domains == (frozenset({1}),) + (frozenset({0}),) * 3
 
 
 def test_linked_components_equality(z2min):
