@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
+from operator import getitem
 
 import numpy as np
 
@@ -536,15 +537,14 @@ def wnu_image(coords, tuples):
     for c, alg in enumerate(coords):
         pos = _pos_map(alg)
         cols.append([pos[t[c]] for t in tuples])
-    nt = len(tuples)
+    points = list(zip(*cols))  # each tuple as element positions
     states = {(0,) * r}
     for level in range(m):
         trans = [autos[c][0][level] for c in range(r)]
         new = set()
         for st in states:
             rows = [trans[c][st[c]] for c in range(r)]
-            for ti in range(nt):
-                new.add(tuple(rows[c][cols[c][ti]] for c in range(r)))
+            new.update(tuple(map(getitem, rows, p)) for p in points)
             if len(new) > _STATE_CAP:
                 raise SizeError("image state explosion")
         states = new

@@ -297,32 +297,27 @@ def _propagate_congruence(inst: Instance, start, sigma_start):
                         for e in block:
                             kern_i[e] = bi
                     dom_j = sorted(inst.domain(vj))
-                    related = set()
-                    for (x1, y1) in delta:
-                        for (x2, y2) in delta:
-                            if x1 in kern_i and x2 in kern_i \
-                                    and kern_i[x1] == kern_i[x2]:
-                                related.add((y1, y2))
-                    # equivalence test
-                    if not all((y, y) in related for y in dom_j):
+                    # the transported relation is the union of the squares
+                    # of the images of the classes; rows[y] is y's row
+                    images = {}
+                    for x, y in delta:
+                        if x in kern_i:
+                            images.setdefault(kern_i[x], set()).add(y)
+                    rows = {}
+                    for img in images.values():
+                        for y in img:
+                            rows.setdefault(y, set()).update(img)
+                    # equivalence test: reflexive on dom_j, and transitive,
+                    # i.e. every value in a row has the same row
+                    if not all(y in rows for y in dom_j):
                         continue
-                    if not all((b, a) in related for a, b in related):
-                        continue
-                    ok = True
-                    for a, b in related:
-                        for bb, cc in related:
-                            if b == bb and (a, cc) not in related:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
+                    if any(rows[b] != row for row in rows.values()
+                           for b in row):
                         continue
                     blocks_j = []
                     left = set(dom_j)
                     while left:
-                        a = min(left)
-                        blk = {b for b in dom_j if (a, b) in related}
+                        blk = rows[min(left)]
                         blocks_j.append(tuple(sorted(blk)))
                         left -= blk
                     if len(blocks_j) < 2:

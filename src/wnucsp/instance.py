@@ -1,9 +1,11 @@
 """CSP instances: variables, shrinking domains, shared constraint relations.
 
 Reductions are domain masks; relation tables are stored once and membership
-tests intersect with the current domains.  ``Instance(...)`` checks its
-fields; instances derived from a valid one are built by ``_derived`` and
-trusted (weakenings and projections over the current-domain algebras).
+tests intersect with the current domains.  Each instance computes its
+domain algebras and effective relations once, on first read.
+``Instance(...)`` checks its fields; instances derived from a valid one are
+built by ``_derived`` and trusted (weakenings and projections over the
+current-domain algebras).
 """
 
 from __future__ import annotations
@@ -99,15 +101,36 @@ class Instance:
     def domain(self, var):
         return self.current_domains[self.index(var)]
 
+    def domain_algebras(self) -> tuple:
+        """The subalgebras on the current domains, aligned with the
+        variables; computed once per instance."""
+        algs = self.__dict__.get("_algebras")
+        if algs is None:
+            algs = tuple(map(restrict_algebra, self.base_algebras,
+                             self.current_domains))
+            object.__setattr__(self, "_algebras", algs)
+        return algs
+
     def domain_algebra(self, var) -> Algebra:
-        i = self.index(var)
-        return restrict_algebra(self.base_algebras[i],
-                                self.current_domains[i])
+        return self.domain_algebras()[self.index(var)]
 
     def effective(self, constraint: Constraint) -> Relation:
-        coords = tuple(self.domain_algebra(v) for v in constraint.scope)
-        doms = tuple(self.domain(v) for v in constraint.scope)
-        return _effective(constraint.relation, coords, doms)
+        """The constraint's relation restricted to the current domains,
+        computed once per instance and constraint.  Entries are keyed by
+        ``id`` and hold the constraint, so a hit is checked by identity."""
+        cache = self.__dict__.get("_effs")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_effs", cache)
+        entry = cache.get(id(constraint))
+        if entry is not None and entry[0] is constraint:
+            return entry[1]
+        idx = [self.index(v) for v in constraint.scope]
+        algs = self.domain_algebras()
+        eff = _effective(constraint.relation, tuple(algs[i] for i in idx),
+                         tuple(self.current_domains[i] for i in idx))
+        cache[id(constraint)] = (constraint, eff)
+        return eff
 
     def canonical_key(self):
         k = self.__dict__.get("_key")
@@ -131,9 +154,10 @@ class Instance:
         for i, var in enumerate(self.variables):
             if assignment[var] not in self.current_domains[i]:
                 return False
+        # with every value in its domain, membership in the relation is
+        # membership in the effective relation
         for c in self.constraints:
-            eff = self.effective(c)
-            if tuple(assignment[v] for v in c.scope) not in eff.tuples:
+            if tuple(assignment[v] for v in c.scope) not in c.relation.tuples:
                 return False
         return True
 
@@ -272,8 +296,8 @@ def project_instance(inst: Instance, variables) -> Instance:
             continue
         seen.add(key)
         constraints.append(Constraint(proj, scope))
-    return _derived(inst, variables,
-                    tuple(inst.domain_algebra(v) for v in variables),
+    algs = inst.domain_algebras()
+    return _derived(inst, variables, tuple(algs[i] for i in idx),
                     tuple(inst.current_domains[i] for i in idx),
                     tuple(constraints))
 
@@ -403,8 +427,7 @@ def weaken_all(inst: Instance) -> Instance:
             new_constraints[(scope, rel.tuples)] = Constraint(rel, scope)
     constraints = tuple(sorted(new_constraints.values(),
                                key=Constraint.sort_key))
-    return _derived(inst, inst.variables,
-                    tuple(inst.domain_algebra(v) for v in inst.variables),
+    return _derived(inst, inst.variables, inst.domain_algebras(),
                     inst.current_domains, constraints)
 
 

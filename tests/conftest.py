@@ -10,8 +10,10 @@ from wnucsp.algebra import (
     minority_table,
     sum_table,
 )
+from wnucsp.harness import GenParams, random_instance
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation
+from wnucsp.solver import Solver
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +65,38 @@ def z4_example(z4):
         Constraint(linear_relation(z4, (1, 1, 2, 2), 0), vs),
     )
     return Instance(vs, (z4,) * 4, (frozenset(range(4)),) * 4, constraints)
+
+
+@pytest.fixture(scope="session")
+def solver_instances():
+    """Every instance ``Solver._solve`` is called on while solving eight
+    seeded desk-size instances (6 variables, 6 constraints) of each family
+    below, half of them planted: reduced, projected and weakened instances
+    as well as the generated ones."""
+
+    # (domain size, WNU arity, WNU table); None is the canonical searched
+    # special WNU
+    families = (
+        (2, 3, minority_table()),
+        (2, 3, majority_table()),
+        (2, 3, conjunction_table(3)),
+        (3, 3, dual_discriminator_table()),
+        (4, 5, sum_table(4, 5)),
+        (3, 3, None),
+        (4, 3, None),
+    )
+    seen = []
+    original = Solver._solve
+
+    def recording(self, inst, depth, t3):
+        seen.append(inst)
+        return original(self, inst, depth, t3)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Solver, "_solve", recording)
+        for n, m, wnu in families:
+            for i in range(8):
+                params = GenParams(n, m, 6, 6, 3, 400_000 + i,
+                                   satisfiable_bias=bool(i % 2), wnu=wnu)
+                Solver().solve(random_instance(params)[0])
+    return tuple(seen)

@@ -23,6 +23,7 @@ from wnucsp.algebra import (
     sum_table,
     verify_linear_iso,
     verify_special_wnu,
+    wnu_image,
 )
 from wnucsp.errors import FormatError, InvariantError, SizeError
 
@@ -186,6 +187,29 @@ def test_closure_operator_laws(z4, dd3, maj2):
             assert a <= subuniverse_closure(alg, bigger)  # monotone
             assert subuniverse_closure(alg, a) == a  # idempotent
             assert a <= carrier
+
+
+def test_wnu_image_matches_coordinatewise_definition(z4, dd3, maj2, z2min,
+                                                     and3):
+    """The image is w applied coordinatewise to every m-tuple of tuples;
+    element ids (3, 7, 9) check the position maps."""
+
+    searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
+    searched4 = make_algebra(range(4), search_special_wnu(4, [], 3).table)
+    odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
+    rng = random.Random(29)
+    for pool in ((z4,), (dd3, maj2, z2min, and3, searched3, searched4,
+                         odd_ids)):
+        for _ in range(60):
+            coords = tuple(rng.choice(pool)
+                           for _ in range(rng.randint(1, 3)))
+            tuples = {tuple(rng.choice(alg.elements) for alg in coords)
+                      for _ in range(rng.randint(1, 5))}
+            want = {tuple(alg.op([t[c] for t in args])
+                          for c, alg in enumerate(coords))
+                    for args in itertools.product(tuples,
+                                                  repeat=coords[0].arity)}
+            assert wnu_image(coords, tuples) == want
 
 
 # --- congruences --------------------------------------------------------------

@@ -8,12 +8,14 @@ from wnucsp.algebra import (
     dual_discriminator_table,
     majority_table,
     make_algebra,
+    maximal_congruences,
     minority_table,
     search_special_wnu,
     sum_table,
     wnu_closure,
 )
 from wnucsp.consistency import (
+    _propagate_congruence,
     build_pair_network,
     check_irreducibility,
     enforce_cycle_consistency,
@@ -448,3 +450,80 @@ def test_irreducibility_class_conflict(z4):
 
 def test_irreducibility_golden_instance_passes(z4_example):
     assert check_irreducibility(z4_example, _solver_callback()).status == "ok"
+
+
+def reference_propagate_congruence(inst, start, sigma_start):
+    """Step 2's congruence propagation with the transported relation built
+    pair by pair and tested for transitivity over all pairs of pairs."""
+
+    sigmas = {start: sigma_start}
+    corr = {start: {ci: set(block) for ci, block in enumerate(sigma_start)}}
+    changed = True
+    while changed:
+        changed = False
+        for c in inst.constraints:
+            scope_in = [v for v in c.scope if v in sigmas]
+            scope_out = [v for v in c.scope if v not in sigmas]
+            if not scope_in or not scope_out:
+                continue
+            eff = inst.effective(c)
+            for vi in scope_in:
+                for vj in scope_out:
+                    pi, pj = c.scope.index(vi), c.scope.index(vj)
+                    delta = {(t[pi], t[pj]) for t in eff.tuples}
+                    kern_i = {e: bi for bi, block in enumerate(sigmas[vi])
+                              for e in block}
+                    dom_j = sorted(inst.domain(vj))
+                    related = {(y1, y2) for x1, y1 in delta
+                               for x2, y2 in delta
+                               if x1 in kern_i and x2 in kern_i
+                               and kern_i[x1] == kern_i[x2]}
+                    if not all((y, y) in related for y in dom_j):
+                        continue
+                    if not all((b, a) in related for a, b in related):
+                        continue
+                    if any(b == bb and (a, cc) not in related
+                           for a, b in related for bb, cc in related):
+                        continue
+                    blocks_j = []
+                    left = set(dom_j)
+                    while left:
+                        a = min(left)
+                        blk = {b for b in dom_j if (a, b) in related}
+                        blocks_j.append(tuple(sorted(blk)))
+                        left -= blk
+                    if len(blocks_j) < 2:
+                        continue
+                    sigmas[vj] = tuple(blocks_j)
+                    corr[vj] = {
+                        ci: {y for x, y in delta
+                             if x in corr[vi].get(ci, set())}
+                        for ci in range(len(sigma_start))}
+                    changed = True
+            if changed:
+                break
+    return sigmas, corr
+
+
+def test_propagate_congruence_matches_pairwise_reference(solver_instances,
+                                                         maj2, dd3):
+    """On the solver's instances of the seeded families, and on random
+    relations over conservative algebras, whose class images overlap in
+    part, so that the transported relation is often not transitive."""
+
+    rng = random.Random(23)
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    arbitrary = [random_mixed_instance(rng, (maj2, dd3, dd4), 4, 4, 3,
+                                       plant=True, closed=False)
+                 for _ in range(60)]
+    grown = 0
+    for inst in solver_instances + tuple(arbitrary):
+        for var, dom in zip(inst.variables, inst.current_domains):
+            if len(dom) < 2:
+                continue
+            for sigma in maximal_congruences(inst.domain_algebra(var)):
+                got = _propagate_congruence(inst, var, sigma.blocks)
+                assert got == reference_propagate_congruence(
+                    inst, var, sigma.blocks)
+                grown += len(got[0]) > 1
+    assert grown

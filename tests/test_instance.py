@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import prod
 
 import pytest
 
@@ -9,6 +11,7 @@ from wnucsp.algebra import (
     dual_discriminator_table,
     majority_table,
     minority_table,
+    restrict_algebra,
     search_special_wnu,
     sum_table,
 )
@@ -32,7 +35,13 @@ from wnucsp.instance import (
     weaken_all,
 )
 from wnucsp.linsolve import LinearSystem
-from wnucsp.relation import Relation, factorize, full_relation
+from wnucsp.relation import (
+    Relation,
+    factorize,
+    full_relation,
+    minimal_weaker_relations,
+    restrict_relation,
+)
 from wnucsp.solver import Solver
 
 from conftest import linear_relation
@@ -414,3 +423,105 @@ def test_derived_instances_pass_the_constructor_checks(monkeypatch,
                             instance_module._derived, built))
     assert outcomes() == plain
     assert built
+
+
+# --- derived data read from the instance ----------------------------------------
+
+
+def reference_effective(inst, c):
+    """The constraint restricted to the current domains, built afresh."""
+
+    idx = [inst.index(v) for v in c.scope]
+    return restrict_relation(
+        c.relation,
+        tuple(restrict_algebra(inst.base_algebras[i], inst.current_domains[i])
+              for i in idx),
+        tuple(inst.current_domains[i] for i in idx))
+
+
+def test_cached_reads_match_reference_on_solver_instances(solver_instances):
+    """The instances were read by the solver already, so cached entries are
+    what is checked; weaker candidates are constraints not in the
+    instance."""
+
+    reduced = 0
+    for inst in solver_instances:
+        for var, base, dom in zip(inst.variables, inst.base_algebras,
+                                  inst.current_domains):
+            assert inst.domain_algebra(var) == restrict_algebra(base, dom)
+        reduced += any(len(d) < b.size for d, b in
+                       zip(inst.current_domains, inst.base_algebras))
+        for c in inst.constraints:
+            eff = inst.effective(c)
+            assert eff == reference_effective(inst, c)
+            for sub, rel in minimal_weaker_relations(eff):
+                cand = Constraint(rel, tuple(c.scope[i] for i in sub))
+                assert inst.effective(cand) == reference_effective(inst, cand)
+    assert reduced and len(solver_instances) > reduced
+
+
+def test_effective_of_temporary_constraints_with_reused_ids(z4):
+    """Many constraints are made and dropped; a freed constraint's id is
+    soon reused by a new one, which must not get the old relation."""
+
+    vs = ("a", "b", "c")
+    inst = apply_reduction(
+        Instance(vs, (z4,) * 3, (frozenset(range(4)),) * 3, ()),
+        {"a": {0, 2}, "c": {1, 3}})
+    rng = random.Random(11)
+    for _ in range(400):
+        scope = tuple(rng.sample(vs, 2))
+        tuples = {t for t in itertools.product(range(4), repeat=2)
+                  if rng.random() < 0.5}
+        c = Constraint(Relation(2, (z4, z4), tuples), scope)
+        assert inst.effective(c) == reference_effective(inst, c)
+        del c
+
+
+def test_effective_after_reduction_reads_new_domains(z4_example):
+    fields = (z4_example.variables, z4_example.base_algebras,
+              z4_example.current_domains, z4_example.constraints)
+    inst, unread = Instance(*fields), Instance(*fields)
+    c = inst.constraints[2]   # x1 + x2 = 2 over Z4
+    before = inst.effective(c)
+    whole = inst.domain_algebra("x1")
+    reduced = apply_reduction(inst, {"x1": {0, 2}})
+    after = reduced.effective(c)
+    assert after == reference_effective(reduced, c)
+    assert after.tuples == {(0, 2), (2, 0)} < before.tuples
+    assert reduced.domain_algebra("x1").elements == (0, 2)
+    assert inst.effective(c) is before
+    assert inst.domain_algebra("x1") is whole
+    # what an instance keeps takes no part in equality, hash or memo key
+    assert inst == unread and hash(inst) == hash(unread)
+    assert inst.canonical_key() == unread.canonical_key()
+
+
+def effective_satisfies(inst, assignment):
+    """``assignment_satisfies`` as membership in the effective relations."""
+
+    if any(assignment[v] not in inst.domain(v) for v in inst.variables):
+        return False
+    return all(tuple(assignment[v] for v in c.scope) in
+               inst.effective(c).tuples for c in inst.constraints)
+
+
+def test_assignment_satisfies_matches_effective_membership(solver_instances):
+    """Every full assignment over the base carriers, values outside the
+    current domains included, on the desk-size instances with at most
+    4 096 such assignments."""
+
+    outcomes = set()
+    reduced = 0
+    for inst in solver_instances:
+        carriers = [b.elements for b in inst.base_algebras]
+        if len(carriers) != 6 or prod(map(len, carriers)) > 4096:
+            continue
+        reduced += any(len(d) < b.size for d, b in
+                       zip(inst.current_domains, inst.base_algebras))
+        for values in itertools.product(*carriers):
+            assignment = dict(zip(inst.variables, values))
+            want = effective_satisfies(inst, assignment)
+            assert inst.assignment_satisfies(assignment) == want
+            outcomes.add(want)
+    assert reduced and outcomes == {True, False}
