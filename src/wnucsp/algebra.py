@@ -624,6 +624,14 @@ def subuniverse_closure(alg: Algebra, seed):
     return frozenset(t[0] for t in closed)
 
 
+@lru_cache(maxsize=65536)
+def is_subuniverse(alg: Algebra, subset: frozenset) -> bool:
+    """Whether ``subset``, a subset of the carrier, is closed under the
+    WNU of ``alg``."""
+
+    return is_closed((alg,), {(e,) for e in subset})
+
+
 @lru_cache(maxsize=None)
 def all_subuniverses(alg: Algebra):
     """Every nonempty subset closed under the WNU, sorted by (size, elements)."""
@@ -632,8 +640,9 @@ def all_subuniverses(alg: Algebra):
     elems = alg.elements
     for size in range(1, len(elems) + 1):
         for subset in itertools.combinations(sorted(elems), size):
-            if is_closed((alg,), {(e,) for e in subset}):
-                out.append(frozenset(subset))
+            subset = frozenset(subset)
+            if is_subuniverse(alg, subset):
+                out.append(subset)
     return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
@@ -647,7 +656,7 @@ def restrict_algebra(alg: Algebra, subset: frozenset) -> Algebra:
     elems = tuple(sorted(subset))
     if elems == alg.elements:
         return alg
-    if not is_closed((alg,), {(e,) for e in elems}):
+    if not is_subuniverse(alg, subset):
         raise InvariantError("subset is not a subuniverse")
     k = len(elems)
     m = alg.arity

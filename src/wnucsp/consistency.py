@@ -67,15 +67,27 @@ class PropagationResult:
     reduction: dict = field(default_factory=dict)  # var -> frozenset
 
 
+# Keyed by carriers, not algebras: positions depend on the carrier alone,
+# and element tuples compare in C where equal algebras built apart would
+# compare their tables in Python.
 @lru_cache(maxsize=None)
-def _positions(alg):
-    return {e: p for p, e in enumerate(alg.elements)}
+def _positions(elements):
+    return {e: p for p, e in enumerate(elements)}
 
 
 @lru_cache(maxsize=65536)
-def _domain_mask(alg, dom):
-    pos = _positions(alg)
+def _domain_mask(elements, dom):
+    pos = _positions(elements)
     return sum(1 << pos[e] for e in dom)
+
+
+@lru_cache(maxsize=65536)
+def _encoded(rel, carriers):
+    """The relation's tuples as positions in ``carriers``, the carriers of
+    the scope's base algebras."""
+
+    pos = [_positions(elements) for elements in carriers]
+    return tuple(tuple(p[e] for p, e in zip(pos, t)) for t in rel.tuples)
 
 
 def build_pair_network(inst: Instance) -> PairNetwork:
@@ -86,37 +98,38 @@ def build_pair_network(inst: Instance) -> PairNetwork:
     are taken over the tuples inside the current domains."""
 
     n = len(inst.variables)
-    bases = inst.base_algebras
-    positions = [_positions(alg) for alg in bases]
-    sizes = [len(alg.elements) for alg in bases]
-    current = [_domain_mask(alg, dom)
-               for alg, dom in zip(bases, inst.current_domains)]
+    elements = tuple(alg.elements for alg in inst.base_algebras)
+    sizes = [len(elems) for elems in elements]
+    current = [_domain_mask(elems, dom)
+               for elems, dom in zip(elements, inst.current_domains)]
     domains = list(current)
     rows = [[None] * n for _ in range(n)]
     for c in inst.constraints:
         ks = [inst.index(v) for v in c.scope]
         arity = len(ks)
-        pos = [positions[k] for k in ks]
+        cur = [current[k] for k in ks]
         unary = [0] * arity
-        binary = {(p, q): [0] * sizes[ks[p]]
-                  for p in range(arity) for q in range(arity) if p != q}
-        for t in c.relation.tuples:
-            at = [pos[p][t[p]] for p in range(arity)]
-            for k, a in zip(ks, at):
-                if not current[k] >> a & 1:
+        # both orientations of each unordered coordinate pair
+        cells = [(p, q, [0] * sizes[ks[p]], [0] * sizes[ks[q]])
+                 for p in range(arity) for q in range(p + 1, arity)]
+        for at in _encoded(c.relation, tuple([elements[k] for k in ks])):
+            for d, a in zip(cur, at):
+                if not d >> a & 1:
                     break
             else:
                 for p in range(arity):
                     unary[p] |= 1 << at[p]
-                    for q in range(arity):
-                        if q != p:
-                            binary[(p, q)][at[p]] |= 1 << at[q]
+                for p, q, fwd, bwd in cells:
+                    a, b = at[p], at[q]
+                    fwd[a] |= 1 << b
+                    bwd[b] |= 1 << a
         for k, mask in zip(ks, unary):
             domains[k] &= mask
-        for (p, q), proj in binary.items():
-            old = rows[ks[p]][ks[q]]
-            rows[ks[p]][ks[q]] = proj if old is None else [
-                x & y for x, y in zip(old, proj)]
+        for p, q, fwd, bwd in cells:
+            for i, j, proj in ((ks[p], ks[q], fwd), (ks[q], ks[p], bwd)):
+                old = rows[i][j]
+                rows[i][j] = proj if old is None else [
+                    x & y for x, y in zip(old, proj)]
     for i in range(n):
         di = domains[i]
         for j in range(n):
@@ -127,8 +140,7 @@ def build_pair_network(inst: Instance) -> PairNetwork:
             rows[i][j] = [(dj if row is None else row[a] & dj)
                           if di >> a & 1 else 0
                           for a in range(sizes[i])]
-    return PairNetwork(inst.variables, tuple(alg.elements for alg in bases),
-                       domains, rows)
+    return PairNetwork(inst.variables, elements, domains, rows)
 
 
 def _revise(rows, n, i, j):
@@ -196,9 +208,8 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
                     proj |= 1 << a
         if not proj:
             return PropagationResult("nosolution")
-        if proj != _domain_mask(inst.base_algebras[i],
-                                inst.current_domains[i]):
-            elems = net.elements[i]
+        elems = net.elements[i]
+        if proj != _domain_mask(elems, inst.current_domains[i]):
             reduction[var] = frozenset(elems[a] for a in _BITS[proj])
     if reduction:
         return PropagationResult("reduce", reduction=reduction)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Algebra, is_closed, restrict_algebra
+from .algebra import Algebra, is_subuniverse, restrict_algebra
 from .classify import ConLinResult, con_lin
 from .errors import (
     ArgumentError,
@@ -80,7 +80,7 @@ class Instance:
                 raise FormatError("empty current domain")
             if not dom <= set(alg.elements):
                 raise FormatError("domain outside base carrier")
-            if not is_closed((alg,), {(e,) for e in dom}):
+            if not is_subuniverse(alg, dom):
                 raise FormatError("current domain is not a subuniverse")
         for c in self.constraints:
             if len(set(c.scope)) != len(c.scope):
@@ -140,7 +140,7 @@ class Instance:
                 self.base_algebras,
                 tuple(tuple(sorted(d)) for d in self.current_domains),
                 tuple(sorted(
-                    (c.scope, c.relation.arity, tuple(sorted(c.relation.tuples)))
+                    (c.scope, c.relation.arity, c.relation.sort_key()[2])
                     for c in self.constraints
                 )),
             )
@@ -219,7 +219,7 @@ def apply_reduction(inst: Instance, reduction) -> Instance:
             raise ReductionError("empty reduction for %s" % var)
         if not subset <= inst.current_domains[i]:
             raise ReductionError("reduction outside the current domain")
-        if not is_closed((inst.base_algebras[i],), {(e,) for e in subset}):
+        if not is_subuniverse(inst.base_algebras[i], subset):
             raise ReductionError("reduction of %s is not a subuniverse" % var)
         new_domains[i] = subset
     return _derived(inst, inst.variables, inst.base_algebras,

@@ -11,12 +11,15 @@ from wnucsp.algebra import (
     all_congruences,
     binary_terms,
     dual_discriminator_table,
+    is_closed,
     is_polynomially_complete,
+    is_subuniverse,
     linear_structure,
     majority_table,
     make_algebra,
     minority_table,
     quotient_algebra,
+    restrict_algebra,
     search_special_wnu,
     subuniverse_closure,
     unary_polynomial_closure,
@@ -187,6 +190,27 @@ def test_closure_operator_laws(z4, dd3, maj2):
             assert a <= subuniverse_closure(alg, bigger)  # monotone
             assert subuniverse_closure(alg, a) == a  # idempotent
             assert a <= carrier
+
+
+def test_is_subuniverse_matches_is_closed_on_solver_algebras(
+        solver_instances):
+    """Every subset of every base algebra and current-domain subalgebra the
+    solver meets, asked twice, so the second answer comes from the cache."""
+
+    pairs = {(base, dom) for inst in solver_instances
+             for base, dom in zip(inst.base_algebras, inst.current_domains)}
+    assert any(1 < len(dom) < base.size for base, dom in pairs)
+    algebras = {alg for base, dom in pairs
+                for alg in (base, restrict_algebra(base, dom))}
+    verdicts = set()
+    for alg in algebras:
+        for size in range(alg.size + 1):
+            for subset in itertools.combinations(alg.elements, size):
+                want = is_closed((alg,), {(e,) for e in subset})
+                assert is_subuniverse(alg, frozenset(subset)) == want
+                assert is_subuniverse(alg, frozenset(subset)) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_wnu_image_matches_coordinatewise_definition(z4, dd3, maj2, z2min,

@@ -151,9 +151,7 @@ def test_roundtrip_serialization():
         again = parse_instance(text)
         # identical modulo variable/relation naming of equal content
         assert len(again.variables) == len(inst.variables)
-        assert again.canonical_key()[2:] == tuple(
-            (tuple(sorted(d)) for d in inst.current_domains),
-        ) + inst.canonical_key()[3:] or True
+        assert again.canonical_key()[2:] == inst.canonical_key()[2:]
         assert sorted(
             (c.scope, tuple(sorted(c.relation.tuples)))
             for c in again.constraints

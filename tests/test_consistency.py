@@ -10,6 +10,7 @@ from wnucsp.algebra import (
     make_algebra,
     maximal_congruences,
     minority_table,
+    restrict_algebra,
     search_special_wnu,
     sum_table,
     wnu_closure,
@@ -326,6 +327,76 @@ def test_cc_matches_reference_on_mixed_carriers(maj2, z2min, dd3):
                 plant=i % 4 != 0, closed=i % 2 == 0)
             statuses.add(assert_matches_reference(inst)[0])
     assert statuses == {"ok", "nosolution"}
+
+
+def reference_pair_network(inst):
+    """The initial network built tuple by tuple from element ids: every
+    constraint tuple inside the current domains is encoded afresh on each
+    call.  Returns (domains, rows) as ``build_pair_network`` stores them."""
+
+    n = len(inst.variables)
+    bases = inst.base_algebras
+    positions = [{e: p for p, e in enumerate(alg.elements)} for alg in bases]
+    sizes = [len(alg.elements) for alg in bases]
+    current = [sum(1 << positions[i][e] for e in dom)
+               for i, dom in enumerate(inst.current_domains)]
+    domains = list(current)
+    rows = [[None] * n for _ in range(n)]
+    for c in inst.constraints:
+        ks = [inst.index(v) for v in c.scope]
+        arity = len(ks)
+        unary = [0] * arity
+        binary = {(p, q): [0] * sizes[ks[p]]
+                  for p in range(arity) for q in range(arity) if p != q}
+        for t in c.relation.tuples:
+            at = [positions[k][e] for k, e in zip(ks, t)]
+            if not all(current[k] >> a & 1 for k, a in zip(ks, at)):
+                continue
+            for p in range(arity):
+                unary[p] |= 1 << at[p]
+                for q in range(arity):
+                    if q != p:
+                        binary[(p, q)][at[p]] |= 1 << at[q]
+        for k, mask in zip(ks, unary):
+            domains[k] &= mask
+        for (p, q), proj in binary.items():
+            old = rows[ks[p]][ks[q]]
+            rows[ks[p]][ks[q]] = proj if old is None else [
+                x & y for x, y in zip(old, proj)]
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                row = rows[i][j]
+                rows[i][j] = [(domains[j] if row is None
+                               else row[a] & domains[j])
+                              if domains[i] >> a & 1 else 0
+                              for a in range(sizes[i])]
+    return domains, rows
+
+
+def test_pair_network_matches_per_tuple_reference(solver_instances):
+    for inst in solver_instances:
+        net = build_pair_network(inst)
+        assert (net.domains, net.rows) == reference_pair_network(inst)
+
+
+def test_pair_network_reads_positions_per_scope_bases(z4):
+    """One relation object under two scopes: over the full Z4 base, element
+    2 is position 2; over the subalgebra on {0, 2} it is position 1.  The
+    cached positions must follow the scope's base algebras."""
+
+    even = restrict_algebra(z4, frozenset({0, 2}))
+    rel = Relation(2, (even, even), {(0, 2), (2, 0), (2, 2)})
+    over_full = Instance(("x", "y"), (z4, z4), (frozenset(range(4)),) * 2,
+                         (Constraint(rel, ("x", "y")),))
+    over_even = Instance(("x", "y"), (even, even), (frozenset({0, 2}),) * 2,
+                         (Constraint(rel, ("x", "y")),))
+    for inst in (over_full, over_even, over_full):
+        net = build_pair_network(inst)
+        assert (net.domains, net.rows) == reference_pair_network(inst)
+        assert net.get(0, 1) == set(rel.tuples)
+    assert build_pair_network(over_full).domains == [0b101, 0b101]
+    assert build_pair_network(over_even).domains == [0b11, 0b11]
 
 
 def test_cc_ternary_instance_needs_two_rounds(maj2):

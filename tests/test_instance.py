@@ -9,7 +9,9 @@ from wnucsp.algebra import (
     Congruence,
     conjunction_table,
     dual_discriminator_table,
+    is_subuniverse,
     majority_table,
+    make_algebra,
     minority_table,
     restrict_algebra,
     search_special_wnu,
@@ -78,6 +80,25 @@ def test_identity_reduction_equal(z4_example):
 def test_reduction_rejects_non_subuniverse(z4_example):
     with pytest.raises(ReductionError):
         apply_reduction(z4_example, {"x1": {1, 2}})
+
+
+def test_reduction_rejects_non_subuniverse_from_cache():
+    """{0, 1} is not closed under Z4 sum-of-5: the verdict is the same on
+    the first call, on a repeated call and for an equal, newly built
+    algebra, which hits the cached verdict."""
+
+    first, fresh = (make_algebra(range(4), sum_table(4, 5))
+                    for _ in range(2))
+    assert first == fresh and first is not fresh
+    instances = [Instance(("x", "y"), (alg,) * 2, (frozenset(range(4)),) * 2,
+                          ()) for alg in (first, fresh)]
+    is_subuniverse.cache_clear()
+    for inst in instances:
+        for _ in range(2):
+            with pytest.raises(ReductionError, match="not a subuniverse"):
+                apply_reduction(inst, {"x": {0, 1}})
+    info = is_subuniverse.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_reduction_rejects_unknown_variable(z4_example):
@@ -458,6 +479,22 @@ def test_cached_reads_match_reference_on_solver_instances(solver_instances):
                 cand = Constraint(rel, tuple(c.scope[i] for i in sub))
                 assert inst.effective(cand) == reference_effective(inst, cand)
     assert reduced and len(solver_instances) > reduced
+
+
+def test_canonical_key_matches_sort_per_instance(solver_instances):
+    """The memo key reads each relation's cached sorted tuples; it equals
+    the key that sorts every constraint's tuples for each instance."""
+
+    for inst in solver_instances:
+        want = (
+            inst.variables,
+            inst.base_algebras,
+            tuple(tuple(sorted(d)) for d in inst.current_domains),
+            tuple(sorted(
+                (c.scope, c.relation.arity, tuple(sorted(c.relation.tuples)))
+                for c in inst.constraints)),
+        )
+        assert inst.canonical_key() == want
 
 
 def test_effective_of_temporary_constraints_with_reused_ids(z4):
