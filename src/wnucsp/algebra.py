@@ -230,8 +230,6 @@ def search_special_wnu(domain_size, relations, arity, budget=500_000) -> WnuSear
         if group_of[i] >= 0:
             members[group_of[i]].append(i)
     group_key = {gid: key for key, gid in groups.items()}
-    last_cell = {gid: index[tuple([key[0]] * (m - 1) + [key[1]])]
-                 for key, gid in groups.items()}
 
     # relation preservation constraints, deduplicated on their cell tuple
     constraints = []
@@ -565,29 +563,12 @@ def _group_coords(coords):
     return groups
 
 
-def group_context(coords):
-    """(GroupSum list, position maps) when every coordinate algebra is an
-    abelian m-ary sum, else None.  Lets relation-level code run coset
-    arithmetic in position space."""
-
-    groups = _group_coords(coords)
-    if groups is None:
-        return None
-    return groups, [_pos_map(alg) for alg in coords]
-
-
 def is_closed(coords, tuples) -> bool:
+    """Whether ``tuples`` is closed under the coordinatewise WNU; the
+    closure contains the set, since w is idempotent."""
+
     tset = set(map(tuple, tuples))
-    if not tset:
-        return True
-    groups = _group_coords(coords)
-    if groups is not None:
-        maps = [_pos_map(alg) for alg in coords]
-        pos_seed = [tuple(maps[c][t[c]] for c in range(len(coords)))
-                    for t in tset]
-        closed = _coset_closure(groups, pos_seed)
-        return len(closed) == len(tset)
-    return wnu_image(coords, tset) <= tset
+    return wnu_closure(coords, tset) == tset
 
 
 def wnu_closure(coords, seed):
@@ -610,6 +591,39 @@ def wnu_closure(coords, seed):
         if img <= current:
             return frozenset(current)
         current |= img
+
+
+def upper_covers(coords, tuples):
+    """closure(tuples ∪ {t}) for every absent tuple t, deduplicated.  Every
+    closed set strictly containing the closed set ``tuples`` contains one
+    of them.
+
+    On group-sum coordinates ``tuples`` is a coset t0 + H, and every u in
+    t + H gives the cover of t, so each coset of H is closed once."""
+
+    tuples = frozenset(tuples)
+    r = len(coords)
+    groups = _group_coords(coords) if tuples else None
+    if groups is not None:
+        maps = [_pos_map(alg) for alg in coords]
+        pos = [tuple(maps[c][t[c]] for c in range(r)) for t in tuples]
+        t0 = pos[0]
+        diffs = [tuple(groups[c].sub(p[c], t0[c]) for c in range(r))
+                 for p in pos]
+    covered = set(tuples)
+    out = set()
+    for t in itertools.product(*(alg.elements for alg in coords)):
+        if t in covered:
+            continue
+        out.add(wnu_closure(coords, tuples | {t}))
+        if groups is not None:
+            pt = tuple(maps[c][t[c]] for c in range(r))
+            covered.update(
+                tuple(coords[c].elements[groups[c].add[pt[c]][d[c]]]
+                      for c in range(r))
+                for d in diffs
+            )
+    return out
 
 
 def subuniverse_closure(alg: Algebra, seed):
@@ -962,7 +976,6 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
         frontier = np.array(fresh, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
 def unary_polynomial_closure(alg: Algebra):
     """All unary polynomial operations, as position-space value vectors."""
 
@@ -1097,10 +1110,7 @@ def linear_structure(alg: Algebra):
     # torsion decomposition: per prime, a basis of the p-component
     primes = []
     basis = []
-    proj = []  # per basis slot: CRT multiplier isolating its prime component
     for p in sorted(set(prime_factors(exponent))):
-        cofactor = exponent // p
-        mult = cofactor * pow(cofactor, -1, p) % exponent
         component = sorted(x for x in range(n) if group.power(x, p) == group.identity)
         span = {group.identity}
         for x in component:
@@ -1108,7 +1118,6 @@ def linear_structure(alg: Algebra):
                 continue
             basis.append(x)
             primes.append(p)
-            proj.append(mult)
             span = {group.add[s][group.power(x, k)]
                     for s in span for k in range(p)}
             if len(span) == len(component):

@@ -125,7 +125,6 @@ def _closed_sets_above(space, base, close):
     return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-@lru_cache(maxsize=None)
 def reflexive_invariant_binaries(alg: Algebra):
     """All invariant binary relations containing the diagonal, canonically
     sorted."""

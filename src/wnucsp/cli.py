@@ -20,7 +20,6 @@ from .algebra import (
     minority_table,
     search_special_wnu,
     sum_table,
-    verify_special_wnu,
 )
 from .classify import classify_domain
 from .errors import (

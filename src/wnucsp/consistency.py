@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import maximal_congruences
-from .errors import ArgumentError, InternalError
+from .errors import ArgumentError
 from .instance import (
     Instance,
     apply_reduction,

@@ -26,7 +26,7 @@ from .algebra import (
     verify_special_wnu,
 )
 from .errors import FormatError, WnuInvalid
-from .instance import Constraint, Instance, normalize_scope
+from .instance import Instance, normalize_scope
 from .relation import Relation, is_invariant
 
 
@@ -200,31 +200,29 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
                 itertools.product(range(size), repeat=arity)))
             algebras[dom] = Algebra(tuple(range(size)), proj)
             placeholders.add(dom)
+    relations = {}
     for name, (doms, tuples) in parsed.relations.items():
-        if all(d in algebras and d not in placeholders for d in doms):
-            rel = Relation(len(doms), tuple(algebras[d] for d in doms), tuples)
-            if not is_invariant(rel):
-                raise WnuInvalid("relation %s is not preserved by the WNU"
-                                 % name, witness=name)
+        if not all(d in algebras for d in doms):
+            continue
+        rel = Relation(len(doms), tuple(algebras[d] for d in doms), tuples)
+        if placeholders.isdisjoint(doms) and not is_invariant(rel):
+            raise WnuInvalid("relation %s is not preserved by the WNU"
+                             % name, witness=name)
+        relations[name] = rel
     if not parsed.variables:
         raise FormatError("no variables declared")
     for var, dom in parsed.variables:
         if dom not in algebras:
             raise FormatError("domain %s of %s has no WNU" % (dom, var))
+    var_dom = dict(parsed.variables)
     constraints = []
     for relname, scope in parsed.constraints:
-        doms, tuples = parsed.relations[relname]
-        var_dom = dict(parsed.variables)
-        for v, d in zip(scope, doms):
+        for v, d in zip(scope, parsed.relations[relname][0]):
             if var_dom[v] != d:
                 raise FormatError(
                     "variable %s has domain %s but %s expects %s"
                     % (v, var_dom[v], relname, d))
-        if len(scope) != len(doms):
-            raise FormatError("constraint on %s has wrong scope length"
-                              % relname)
-        rel = Relation(len(doms), tuple(algebras[d] for d in doms), tuples)
-        constraints.append(normalize_scope(rel, scope))
+        constraints.append(normalize_scope(relations[relname], scope))
     variables = tuple(v for v, _ in parsed.variables)
     bases = tuple(algebras[d] for _, d in parsed.variables)
     domains = tuple(frozenset(a.elements) for a in bases)

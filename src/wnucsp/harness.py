@@ -8,14 +8,13 @@ from dataclasses import dataclass, replace
 from math import prod
 
 from .algebra import (
-    Algebra,
     OperationTable,
     make_algebra,
     search_special_wnu,
     wnu_closure,
 )
 from .errors import ArgumentError, InternalError, SizeError
-from .instance import Constraint, Instance, normalize_scope
+from .instance import Instance, normalize_scope
 from .relation import Relation, is_invariant
 from .solver import Solver, SolverConfig
 

@@ -10,14 +10,12 @@ current-domain algebras).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Algebra, is_subuniverse, restrict_algebra
 from .classify import ConLinResult, con_lin
 from .errors import (
-    ArgumentError,
     EmptyRelationError,
     FormatError,
     InternalError,
@@ -28,6 +26,7 @@ from .errors import (
 from .linsolve import Equation, LinearSystem, nullspace_mod_p, rref_mod_p
 from .relation import (
     Relation,
+    cylinder_implies,
     factorize,
     minimal_weaker_relations,
     project,
@@ -371,7 +370,6 @@ def relation_to_equations(rel: Relation, isos):
 
     if rel.is_empty:
         raise EmptyRelationError("cannot linearize an empty relation")
-    widths = [len(iso.primes) for iso in isos]
     primes_flat = [p for iso in isos for p in iso.primes]
     vectors = []
     for t in sorted(rel.tuples):
@@ -414,6 +412,18 @@ def relation_to_equations(rel: Relation, isos):
 # weakening and crucial instances
 
 
+# Constraint replacements make_crucial tries before it gives up.
+MAX_CRUCIAL_ROUNDS = 10_000
+
+
+def _weaker_constraints(inst: Instance, c: Constraint):
+    """The constraints of ``minimal_weaker_relations`` for ``c``, over the
+    current domain algebras, on sub-scopes of ``c``."""
+
+    return [Constraint(rel, tuple(c.scope[i] for i in sub))
+            for sub, rel in minimal_weaker_relations(inst.effective(c))]
+
+
 def weaken_all(inst: Instance) -> Instance:
     """Replace every constraint by its minimal strictly weaker constraints
     (dummy-free, sub-scopes allowed), deduplicated.  The solution set is that
@@ -422,9 +432,8 @@ def weaken_all(inst: Instance) -> Instance:
 
     new_constraints = {}
     for c in inst.constraints:
-        for sub, rel in minimal_weaker_relations(inst.effective(c)):
-            scope = tuple(c.scope[i] for i in sub)
-            new_constraints[(scope, rel.tuples)] = Constraint(rel, scope)
+        for w in _weaker_constraints(inst, c):
+            new_constraints[(w.scope, w.relation.tuples)] = w
     constraints = tuple(sorted(new_constraints.values(),
                                key=Constraint.sort_key))
     return _derived(inst, inst.variables, inst.domain_algebras(),
@@ -444,11 +453,7 @@ def constraint_weaker(inst: Instance, ca: Constraint, cb: Constraint) -> bool:
         if tuple(t[i] for i in positions) not in ea.tuples:
             return False  # not implied
     # strictness: the cylinder of ca over cb's scope must not sit inside cb
-    doms = [inst.domain(v) for v in cb.scope]
-    for t in itertools.product(*doms):
-        if tuple(t[i] for i in positions) in ea.tuples and t not in eb.tuples:
-            return True
-    return False
+    return not cylinder_implies(ea, positions, eb)
 
 
 def prune_weaker(inst: Instance, constraints):
@@ -466,7 +471,7 @@ def prune_weaker(inst: Instance, constraints):
     return tuple(keep)
 
 
-def make_crucial(inst: Instance, unsat_oracle, max_rounds=10_000) -> Instance:
+def make_crucial(inst: Instance, unsat_oracle) -> Instance:
     """Weaken constraints until the instance is crucial for the oracle.
 
     First drops constraints weaker than others, then repeatedly replaces one
@@ -487,12 +492,10 @@ def make_crucial(inst: Instance, unsat_oracle, max_rounds=10_000) -> Instance:
         restart = False
         for c in sorted(current, key=Constraint.sort_key):
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > MAX_CRUCIAL_ROUNDS:
                 raise InternalError("crucial computation did not settle")
             replaced = [d for d in current if d is not c]
-            for sub, rel in minimal_weaker_relations(inst.effective(c)):
-                scope = tuple(c.scope[i] for i in sub)
-                replaced.append(Constraint(rel, scope))
+            replaced += _weaker_constraints(inst, c)
             candidate = prune_weaker(inst, replaced)
             if unsat_oracle(build(candidate)):
                 current = candidate

@@ -11,18 +11,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (
-    Algebra,
-    Congruence,
-    group_context,
-    is_closed,
-    quotient_algebra,
-    wnu_closure,
-)
+from .algebra import is_closed, quotient_algebra, upper_covers, wnu_closure
 from .errors import ArgumentError, InvariantError
 
 # Cap on invariant-superset enumerations; desk-scale lattices are tiny.
-DEFAULT_ENUM_CAP = 20_000
+ENUM_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -169,123 +162,44 @@ def dummy_coordinates(rel: Relation):
     return tuple(i for i in range(rel.arity) if _coordinate_dummy(rel, i))
 
 
-def _coset_supersets(rel: Relation, ctx):
-    """Invariant supersets when every coordinate is an abelian sum: the
-    cosets of subgroups above the base subgroup, enumerated bottom-up."""
-
-    groups, maps = ctx
-    r = rel.arity
-    pos = [tuple(maps[c][t[c]] for c in range(r)) for t in sorted(rel.tuples)]
-    t0 = pos[0]
-
-    def padd(a, b):
-        return tuple(groups[c].add[a[c]][b[c]] for c in range(r))
-
-    def psub(a, b):
-        return tuple(groups[c].sub(a[c], b[c]) for c in range(r))
-
-    ident = tuple(g.identity for g in groups)
-    base = {ident}
-    frontier = [psub(t, t0) for t in pos[1:]]
-    for g in frontier:
-        if g not in base:
-            base.add(g)
-    pend = [g for g in base if g != ident]
-    while pend:
-        nxt = []
-        for g in pend:
-            for h in list(base):
-                s = padd(g, h)
-                if s not in base:
-                    base.add(s)
-                    nxt.append(s)
-        pend = nxt
-    space = list(itertools.product(*(range(alg.size) for alg in rel.coords)))
-    found = {frozenset(base): base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            # extending by any d' in the coset d+sub yields the same subgroup
-            coset_seen = set(sub)
-            for d in space:
-                if d in coset_seen:
-                    continue
-                coset_seen.update(padd(d, h) for h in sub)
-                grown = set(sub)
-                mult = d
-                shifts = []
-                while mult not in sub:
-                    shifts.append(mult)
-                    mult = padd(mult, d)
-                for s in shifts:
-                    grown.update(padd(s, h) for h in sub)
-                key = frozenset(grown)
-                if key not in found:
-                    found[key] = grown
-                    nxt.append(grown)
-        frontier = nxt
-    out = []
-    for sub in found.values():
-        if len(sub) == len(pos):
-            continue
-        tuples = frozenset(
-            tuple(rel.coords[c].elements[v[c]] for c in range(r))
-            for v in (padd(t0, h) for h in sub)
-        )
-        out.append(tuples)
-    return out
-
-
 @lru_cache(maxsize=65536)
-def invariant_supersets(rel: Relation, cap=DEFAULT_ENUM_CAP):
+def invariant_supersets(rel: Relation):
     """All invariant relations strictly containing ``rel`` on its coordinates.
 
-    Group-sum coordinates enumerate the subgroup lattice directly; otherwise
-    an upward BFS closes (current ∪ {t}) for every absent tuple t and
-    deduplicates.  Returns (tuple of Relations in canonical order, complete
-    flag).
+    An upward BFS closes (current ∪ {t}) for every absent tuple t and
+    deduplicates, stopping after ``ENUM_CAP`` relations.  Returns (tuple of
+    Relations in canonical order, complete flag).
     """
 
     coords = rel.coords
+    space = list(itertools.product(*(alg.elements for alg in coords)))
+    seen = {rel.tuples}
+    frontier = [rel.tuples]
     complete = True
-    ctx = group_context(coords) if rel.tuples else None
-    if ctx is not None:
-        found = set(_coset_supersets(rel, ctx))
-    else:
-        space = list(itertools.product(*(alg.elements for alg in coords)))
-        seen = {rel.tuples}
-        frontier = [rel.tuples]
-        found = set()
-        while frontier:
-            nxt = []
-            for base in frontier:
-                for t in space:
-                    if t in base:
-                        continue
-                    closed = wnu_closure(coords, set(base) | {t})
-                    if closed in seen:
-                        continue
-                    seen.add(closed)
-                    found.add(closed)
-                    nxt.append(closed)
-                    if len(seen) > cap:
-                        complete = False
-                        nxt = []
-                        frontier = []
-                        break
-                if not complete:
-                    break
-            frontier = nxt
+    while frontier and complete:
+        nxt = []
+        for base, t in itertools.product(frontier, space):
+            if t in base:
+                continue
+            closed = wnu_closure(coords, set(base) | {t})
+            if closed in seen:
+                continue
+            seen.add(closed)
+            nxt.append(closed)
+            if len(seen) > ENUM_CAP:
+                complete = False
+                break
+        frontier = nxt
+    seen.remove(rel.tuples)
     rels = sorted(
-        (Relation(rel.arity, coords, ts) for ts in found),
+        (Relation(rel.arity, coords, ts) for ts in seen),
         key=lambda r: (len(r.tuples), tuple(sorted(r.tuples))),
     )
     return tuple(rels), complete
 
 
 @lru_cache(maxsize=65536)
-def weaker_relations(rel: Relation, cap=DEFAULT_ENUM_CAP):
+def weaker_relations(rel: Relation):
     """All strictly weaker dummy-free constraints on sub-scopes.
 
     Yields (coordinate index subset, Relation) pairs: every invariant
@@ -302,7 +216,7 @@ def weaker_relations(rel: Relation, cap=DEFAULT_ENUM_CAP):
         subsets.extend(itertools.combinations(range(n), size))
     for sub in subsets:
         proj = project(rel, sub)
-        sups, comp = invariant_supersets(proj, cap)
+        sups, comp = invariant_supersets(proj)
         if not comp:
             complete = False
         # the projection itself is a candidate: strictness lives at the
@@ -310,42 +224,10 @@ def weaker_relations(rel: Relation, cap=DEFAULT_ENUM_CAP):
         for cand in (proj,) + sups:
             if dummy_coordinates(cand):
                 continue
-            if _cylinder_implies(cand, sub, rel):
+            if cylinder_implies(cand, sub, rel):
                 continue
             out.append((sub, cand))
     return tuple(out), complete
-
-
-def _upper_covers(rel: Relation):
-    """closure(rel ∪ {t}) for every absent tuple t, deduplicated.  Every
-    invariant relation strictly containing ``rel`` contains one of them.
-
-    On group-sum coordinates ``rel`` is a coset t0 + H, and every u in
-    t + H gives the cover of t, so each coset of H is closed once."""
-
-    coords = rel.coords
-    r = rel.arity
-    ctx = group_context(coords) if rel.tuples else None
-    if ctx is not None:
-        groups, maps = ctx
-        pos = [tuple(maps[c][t[c]] for c in range(r)) for t in rel.tuples]
-        t0 = pos[0]
-        diffs = [tuple(groups[c].sub(p[c], t0[c]) for c in range(r))
-                 for p in pos]
-    covered = set(rel.tuples)
-    out = set()
-    for t in itertools.product(*(alg.elements for alg in coords)):
-        if t in covered:
-            continue
-        out.add(wnu_closure(coords, rel.tuples | {t}))
-        if ctx is not None:
-            pt = tuple(maps[c][t[c]] for c in range(r))
-            covered.update(
-                tuple(coords[c].elements[groups[c].add[pt[c]][d[c]]]
-                      for c in range(r))
-                for d in diffs
-            )
-    return out
 
 
 @lru_cache(maxsize=65536)
@@ -367,7 +249,7 @@ def minimal_weaker_relations(rel: Relation):
     for size in range(1, n + 1):
         for sub in itertools.combinations(range(n), size):
             proj = project(rel, sub)
-            if not _cylinder_implies(proj, sub, rel):
+            if not cylinder_implies(proj, sub, rel):
                 # with dummy coordinates, the sub-scope without them gives
                 # the same constraint
                 if not dummy_coordinates(proj):
@@ -376,7 +258,7 @@ def minimal_weaker_relations(rel: Relation):
             # here rel is the cylinder of proj, so the covers are needed even
             # when proj has dummy coordinates: x = 0 on (x, y) under majority
             # weakens to x <= y and not(x and y), which no sub-scope gives
-            for cover in _upper_covers(proj):
+            for cover in upper_covers(proj.coords, proj.tuples):
                 cand = Relation(size, proj.coords, cover)
                 dummies = dummy_coordinates(cand)
                 if len(dummies) == size:
@@ -387,7 +269,7 @@ def minimal_weaker_relations(rel: Relation):
                                             p[1].sort_key())))
 
 
-def _cylinder_implies(cand: Relation, sub, rel: Relation) -> bool:
+def cylinder_implies(cand: Relation, sub, rel: Relation) -> bool:
     """Whether the constraint (sub, cand) implies ``rel`` on the full scope,
     i.e. the cylinder of cand over the full coordinates sits inside rel."""
 

@@ -17,10 +17,9 @@ strictly-decreasing constraint order plus a configured depth cap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
-from .algebra import Algebra
 from .classify import (
     StructureReport,
     find_binary_absorbing,
@@ -37,7 +36,6 @@ from .consistency import (
 from .errors import (
     AffineStructureViolation,
     ConfigError,
-    CspError,
     EmptyRelationError,
     InternalError,
 )
@@ -59,12 +57,14 @@ from .linsolve import (
 )
 
 
+# Largest parameter space the linear phase enumerates points of.
+MAX_PHI_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     center_arity_cap: int = 3
     max_type3_depth: int = 64
-    max_phi_points: int = 4096
-    max_crucial_rounds: int = 10_000
     trace: bool = False
     trace_sink: object = None
 
@@ -370,7 +370,7 @@ class Solver:
                 reduced = self._point_reduction(inst, factors, res.assignment)
                 return self._solve(reduced, depth + 1, t3)
             param = res.param
-            if param.space_size() > self.config.max_phi_points:
+            if param.space_size() > MAX_PHI_POINTS:
                 raise ConfigError("parameter space exceeds the point cap")
             zero = tuple([0] * len(param.free_vars))
             ok, a = self._solve_at_point(inst, factors, param, zero, depth, t3)
@@ -380,8 +380,7 @@ class Solver:
                 return True, a
 
             oracle = self._unsat_somewhere_oracle(factors, param, depth, t3)
-            theta_p = make_crucial(inst, oracle,
-                                   max_rounds=self.config.max_crucial_rounds)
+            theta_p = make_crucial(inst, oracle)
             self._emit("10", "crucial instance with %d constraints"
                        % len(theta_p.constraints), 3, depth, t3)
 

@@ -24,8 +24,10 @@ from wnucsp.algebra import (
     subuniverse_closure,
     unary_polynomial_closure,
     sum_table,
+    upper_covers,
     verify_linear_iso,
     verify_special_wnu,
+    wnu_closure,
     wnu_image,
 )
 from wnucsp.errors import FormatError, InvariantError, SizeError
@@ -754,3 +756,50 @@ def test_abelian_sum_structure_rejects_non_sums(dd3, z4):
     changed = Algebra(range(4), OperationTable(5, 4, tuple(entries)))
     for alg in (dd3, searched3(), changed):
         assert abelian_sum_structure(alg) is None
+
+
+# --- upper covers and closedness on group and non-group coordinates ----------
+
+
+def coordinate_cases(z2min, z4, dd3, maj2):
+    """Coordinate tuples: abelian sums (Z2 minority, Z4 sum-of-5, Z6
+    sum-of-7, Z2 and Z4 under one 5-ary sum) and non-group algebras."""
+
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    z2sum5 = make_algebra(range(2), sum_table(2, 5))
+    return [(z2min,) * 3, (z4,) * 2, (z4,) * 3, (z6,) * 2,
+            (z2sum5, z4), (z4, z2sum5, z4), (dd3,) * 2, (maj2,) * 3,
+            (searched3(),) * 2]
+
+
+def test_upper_covers_match_one_closure_per_absent_tuple(z2min, z4, dd3,
+                                                         maj2):
+    """The coset dedup closes one tuple per coset; the result must be the
+    closure of T plus each absent tuple, on closed T of every size."""
+
+    rng = random.Random(41)
+    for coords in coordinate_cases(z2min, z4, dd3, maj2):
+        space = list(itertools.product(*(alg.elements for alg in coords)))
+        closed_sets = {frozenset()}
+        for _ in range(12):
+            seed = rng.sample(space, rng.randint(1, 3))
+            closed_sets.add(wnu_closure(coords, seed))
+        for tset in closed_sets:
+            want = {wnu_closure(coords, tset | {t})
+                    for t in space if t not in tset}
+            assert upper_covers(coords, tset) == want
+
+
+def test_is_closed_matches_image_containment(z2min, z4, dd3, maj2):
+    rng = random.Random(43)
+    verdicts = set()
+    for coords in coordinate_cases(z2min, z4, dd3, maj2):
+        space = list(itertools.product(*(alg.elements for alg in coords)))
+        for _ in range(25):
+            tuples = set(rng.sample(space, rng.randint(0, len(space))))
+            if rng.random() < 0.5:
+                tuples = set(wnu_closure(coords, tuples))
+            want = wnu_image(coords, tuples) <= tuples
+            assert is_closed(coords, tuples) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
