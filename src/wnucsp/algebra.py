@@ -10,7 +10,7 @@ on small carriers (default cap 6 elements).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm, prod
 from operator import getitem
@@ -33,8 +33,8 @@ _STATE_CAP = 500_000
 # Ordered m-tuples of value vectors one pointwise closure may apply w to.
 _CLOSURE_BUDGET = 80_000_000
 
-# Canonical entries tuple of every table built in this process.
-_TABLES = {}
+# The one live Algebra per (carrier, table), see ``Algebra.__new__``.
+_ALGEBRAS = {}
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class OperationTable:
             )
         if min(self.entries) < 0 or max(self.entries) >= self.domain_size:
             raise FormatError("table entry out of range")
-        # one entries tuple per distinct table: equal tables then compare
-        # by identity instead of element by element
-        object.__setattr__(self, "entries",
-                           _TABLES.setdefault(self.entries, self.entries))
 
     def apply(self, args):
         idx = 0
@@ -72,40 +68,44 @@ class OperationTable:
             idx = idx * self.domain_size + a
         return self.entries[idx]
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.arity, self.domain_size, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
 
-    def __eq__(self, other):
-        if not isinstance(other, OperationTable):
-            return NotImplemented
-        return (self.arity == other.arity
-                and self.domain_size == other.domain_size
-                and (self.entries is other.entries
-                     or self.entries == other.entries))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Algebra:
     """An ordered carrier of element ids plus a WNU table over positions.
 
     The table is indexed by positions into ``elements``; ``op`` translates
-    between element ids and positions so callers only see ids.
+    between element ids and positions so callers only see ids.  Algebras
+    are interned: equal (carrier, table) pairs give one object, so
+    algebras compare by identity.
     """
 
     elements: tuple
     wnu: OperationTable
+    positions: dict = field(init=False, repr=False)  # element id -> position
 
-    def __post_init__(self):
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
-        if len(set(self.elements)) != len(self.elements):
-            raise FormatError("duplicate element ids")
-        if len(self.elements) != self.wnu.domain_size:
-            raise FormatError("table size does not match carrier")
+    def __new__(cls, elements, wnu):
+        elements = tuple(elements)
+        key = (elements, wnu)
+        alg = _ALGEBRAS.get(key)
+        if alg is None:
+            if len(set(elements)) != len(elements):
+                raise FormatError("duplicate element ids")
+            if len(elements) != wnu.domain_size:
+                raise FormatError("table size does not match carrier")
+            alg = object.__new__(cls)
+            object.__setattr__(alg, "elements", elements)
+            object.__setattr__(alg, "wnu", wnu)
+            object.__setattr__(alg, "positions",
+                               {e: i for i, e in enumerate(elements)})
+            object.__setattr__(alg, "_hash", hash(key))
+            _ALGEBRAS[key] = alg
+        return alg
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Algebra, (self.elements, self.wnu)
 
     @property
     def size(self):
@@ -115,36 +115,16 @@ class Algebra:
     def arity(self):
         return self.wnu.arity
 
-    def position(self, element):
-        return _pos_map(self)[element]
-
     def op(self, args):
-        pos = _pos_map(self)
+        pos = self.positions
         return self.elements[self.wnu.apply([pos[a] for a in args])]
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.elements, self.wnu))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __eq__(self, other):
-        if not isinstance(other, Algebra):
-            return NotImplemented
-        return self.elements == other.elements and self.wnu == other.wnu
-
-
-@lru_cache(maxsize=None)
-def _pos_map(alg: Algebra):
-    return {e: i for i, e in enumerate(alg.elements)}
 
 
 def make_algebra(elements, table: OperationTable) -> Algebra:
     violations = verify_special_wnu(table)
     if violations:
         raise InvariantError("not a special WNU: %s" % (violations[0],))
-    return Algebra(tuple(elements), table)
+    return Algebra(elements, table)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +513,7 @@ def wnu_image(coords, tuples):
     autos = [_slice_automaton(alg) for alg in coords]
     cols = []
     for c, alg in enumerate(coords):
-        pos = _pos_map(alg)
+        pos = alg.positions
         cols.append([pos[t[c]] for t in tuples])
     points = list(zip(*cols))  # each tuple as element positions
     states = {(0,) * r}
@@ -580,7 +560,7 @@ def wnu_closure(coords, seed):
     groups = _group_coords(coords)
     if groups is not None:
         r = len(coords)
-        maps = [_pos_map(alg) for alg in coords]
+        maps = [alg.positions for alg in coords]
         pos_seed = [tuple(maps[c][t[c]] for c in range(r)) for t in current]
         closed = _coset_closure(groups, pos_seed)
         return frozenset(
@@ -605,7 +585,7 @@ def upper_covers(coords, tuples):
     r = len(coords)
     groups = _group_coords(coords) if tuples else None
     if groups is not None:
-        maps = [_pos_map(alg) for alg in coords]
+        maps = [alg.positions for alg in coords]
         pos = [tuple(maps[c][t[c]] for c in range(r)) for t in tuples]
         t0 = pos[0]
         diffs = [tuple(groups[c].sub(p[c], t0[c]) for c in range(r))
@@ -783,7 +763,7 @@ def _kernel_compatible(alg: Algebra, kernel) -> bool:
         return True
     group = abelian_sum_structure(alg)
     if group is not None:
-        pos = _pos_map(alg)
+        pos = alg.positions
         base = classes[kernel[elems[group.identity]]]
         base_pos = {pos[e] for e in base}
         sizes = {len(c) for c in classes.values()}
@@ -1133,7 +1113,7 @@ def linear_structure(alg: Algebra):
         coords[x] = vec
     if len(coords) != n:
         raise InvariantError("torsion basis is not independent")
-    pos = _pos_map(alg)
+    pos = alg.positions
     forward = tuple((e, coords[pos[e]]) for e in alg.elements)
     # the map is a group isomorphism by construction; confirm on pairs
     fwd = dict(forward)

@@ -75,7 +75,7 @@ def find_binary_absorbing(alg: Algebra):
     and nothing was found."""
 
     terms = binary_terms(alg)
-    pos = {e: i for i, e in enumerate(alg.elements)}
+    pos = alg.positions
     carrier = alg.elements
     for b_set in all_subuniverses(alg):
         if len(b_set) == alg.size:

@@ -353,14 +353,14 @@ def build_parser():
     p = sub.add_parser("gen", help="write a seeded random instance")
     gen_common(p)
     p.add_argument("--out")
-    common(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("difftest", help="solver vs brute force on seeded "
                                         "instances")
     p.add_argument("--n", type=int, required=True)
     gen_common(p)
-    common(p)
+    p.add_argument("--json", action="store_true",
+                   help="one machine-readable JSON object on stdout")
     p.set_defaults(fn=cmd_difftest)
     return parser
 

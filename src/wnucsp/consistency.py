@@ -67,26 +67,18 @@ class PropagationResult:
     reduction: dict = field(default_factory=dict)  # var -> frozenset
 
 
-# Keyed by carriers, not algebras: positions depend on the carrier alone,
-# and element tuples compare in C where equal algebras built apart would
-# compare their tables in Python.
-@lru_cache(maxsize=None)
-def _positions(elements):
-    return {e: p for p, e in enumerate(elements)}
-
-
 @lru_cache(maxsize=65536)
-def _domain_mask(elements, dom):
-    pos = _positions(elements)
+def _domain_mask(alg, dom):
+    pos = alg.positions
     return sum(1 << pos[e] for e in dom)
 
 
 @lru_cache(maxsize=65536)
-def _encoded(rel, carriers):
-    """The relation's tuples as positions in ``carriers``, the carriers of
-    the scope's base algebras."""
+def _encoded(rel, bases):
+    """The relation's tuples as positions in ``bases``, the scope's base
+    algebras."""
 
-    pos = [_positions(elements) for elements in carriers]
+    pos = [alg.positions for alg in bases]
     return tuple(tuple(p[e] for p, e in zip(pos, t)) for t in rel.tuples)
 
 
@@ -98,10 +90,11 @@ def build_pair_network(inst: Instance) -> PairNetwork:
     are taken over the tuples inside the current domains."""
 
     n = len(inst.variables)
-    elements = tuple(alg.elements for alg in inst.base_algebras)
+    bases = inst.base_algebras
+    elements = tuple(alg.elements for alg in bases)
     sizes = [len(elems) for elems in elements]
-    current = [_domain_mask(elems, dom)
-               for elems, dom in zip(elements, inst.current_domains)]
+    current = [_domain_mask(alg, dom)
+               for alg, dom in zip(bases, inst.current_domains)]
     domains = list(current)
     rows = [[None] * n for _ in range(n)]
     for c in inst.constraints:
@@ -112,7 +105,7 @@ def build_pair_network(inst: Instance) -> PairNetwork:
         # both orientations of each unordered coordinate pair
         cells = [(p, q, [0] * sizes[ks[p]], [0] * sizes[ks[q]])
                  for p in range(arity) for q in range(p + 1, arity)]
-        for at in _encoded(c.relation, tuple([elements[k] for k in ks])):
+        for at in _encoded(c.relation, tuple([bases[k] for k in ks])):
             for d, a in zip(cur, at):
                 if not d >> a & 1:
                     break
@@ -209,7 +202,8 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
         if not proj:
             return PropagationResult("nosolution")
         elems = net.elements[i]
-        if proj != _domain_mask(elems, inst.current_domains[i]):
+        if proj != _domain_mask(inst.base_algebras[i],
+                                inst.current_domains[i]):
             reduction[var] = frozenset(elems[a] for a in _BITS[proj])
     if reduction:
         return PropagationResult("reduce", reduction=reduction)

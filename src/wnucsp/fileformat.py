@@ -260,7 +260,7 @@ def serialize_instance(inst: Instance) -> str:
     def emit_relation(bases, id_tuples):
         """Relation tuples carry element ids; files speak base positions."""
         mapped = frozenset(
-            tuple(bases[i].elements.index(t[i]) for i in range(len(t)))
+            tuple(alg.positions[e] for alg, e in zip(bases, t))
             for t in id_tuples
         )
         key = (bases, mapped)

@@ -11,7 +11,7 @@ learns one new equation per round.
 Recursion bookkeeping follows the four call types: single-domain reductions
 loop in place, linked components and parameter-point reductions strictly
 shrink domains, and weakened-instance descents are guarded by the
-strictly-decreasing constraint order plus a configured depth cap.
+strictly-decreasing constraint order plus a depth cap.
 """
 
 from __future__ import annotations
@@ -60,11 +60,13 @@ from .linsolve import (
 # Largest parameter space the linear phase enumerates points of.
 MAX_PHI_POINTS = 4096
 
+# Deepest nesting of weakened-instance (type-3) descents.
+MAX_TYPE3_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     center_arity_cap: int = 3
-    max_type3_depth: int = 64
     trace: bool = False
     trace_sink: object = None
 
@@ -252,7 +254,7 @@ class Solver:
 
     def _step3(self, inst: Instance, depth, t3):
         weakened = weaken_all(inst)
-        if t3 + 1 > self.config.max_type3_depth:
+        if t3 + 1 > MAX_TYPE3_DEPTH:
             raise InternalError("type-3 recursion exceeded its bound")
         self._check_type3_descent(inst, weakened)
         for i, var in enumerate(inst.variables):
@@ -370,8 +372,6 @@ class Solver:
                 reduced = self._point_reduction(inst, factors, res.assignment)
                 return self._solve(reduced, depth + 1, t3)
             param = res.param
-            if param.space_size() > MAX_PHI_POINTS:
-                raise ConfigError("parameter space exceeds the point cap")
             zero = tuple([0] * len(param.free_vars))
             ok, a = self._solve_at_point(inst, factors, param, zero, depth, t3)
             self._emit("9", "zero point %s" % ("solved" if ok else "failed"),
@@ -379,6 +379,8 @@ class Solver:
             if ok:
                 return True, a
 
+            if param.space_size() > MAX_PHI_POINTS:
+                raise ConfigError("parameter space exceeds the point cap")
             oracle = self._unsat_somewhere_oracle(factors, param, depth, t3)
             theta_p = make_crucial(inst, oracle)
             self._emit("10", "crucial instance with %d constraints"

@@ -709,21 +709,41 @@ def test_unary_polynomial_closure_matches_naive_rounds(dd3, maj2):
         assert unary_polynomial_closure(alg) == naive_iterates(alg, seed)[-1]
 
 
-def test_equal_tables_share_entries_and_compare_equal():
+def test_equal_tables_compare_equal():
     import copy
 
     a = OperationTable(3, 3, [(x + y + z) % 3 for x, y, z in
                               itertools.product(range(3), repeat=3)])
     b = OperationTable(3, 3, tuple(sum_table(3, 3).entries))
     assert a == b and hash(a) == hash(b)
-    assert a.entries is b.entries
     c = copy.copy(a)
     assert c == a and hash(c) == hash(a)
-    # a copy holding its own entries tuple compares by value
-    object.__setattr__(c, "entries", tuple(list(a.entries)))
-    assert c == a and c != OperationTable(3, 3, (0,) * 27)
+    assert c != OperationTable(3, 3, (0,) * 27)
     with pytest.raises(FormatError):
         OperationTable(3, 2, a.entries[:8])
+
+
+def test_algebras_are_interned():
+    import copy
+    import pickle
+
+    t = sum_table(4, 5)
+    z4 = Algebra(range(4), t)
+    assert Algebra((0, 1, 2, 3), OperationTable(5, 4, list(t.entries))) is z4
+    assert make_algebra(range(4), sum_table(4, 5)) is z4
+    # the subalgebra on {0, 2} is the algebra built from an equal table
+    sub = restrict_algebra(z4, frozenset({0, 2}))
+    direct = Algebra((0, 2), OperationTable(5, 2, tuple(
+        (0, 2).index(z4.op(args))
+        for args in itertools.product((0, 2), repeat=5))))
+    assert sub is direct
+    assert copy.copy(z4) is z4 and copy.deepcopy(z4) is z4
+    assert pickle.loads(pickle.dumps(z4)) is z4
+    assert hash(z4) == hash((z4.elements, z4.wnu))
+    with pytest.raises(FormatError, match="duplicate"):
+        Algebra((0, 0, 1, 2), t)
+    with pytest.raises(FormatError, match="size"):
+        Algebra(range(3), t)
 
 
 def per_tuple_group_sum_holds(alg, g):

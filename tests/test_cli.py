@@ -259,6 +259,13 @@ def test_gen_and_solve_roundtrip(tmp_path):
     assert (code == 0) == (code2 == 0)
 
 
+def test_gen_rejects_options_it_does_not_read():
+    code, _, _ = run_cli([
+        "gen", "--seed", "4", "--domain-size", "2", "--wnu", "minority",
+        "--max-nodes", "5"])
+    assert code == 3
+
+
 def test_difftest_command():
     code, out, _ = run_cli([
         "difftest", "--n", "10", "--seed", "0", "--domain-size", "2",

@@ -16,6 +16,7 @@ from wnucsp.classify import verify_structure_report
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation, full_relation
+from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
 
 from conftest import linear_relation
@@ -264,19 +265,19 @@ def test_six_element_mixed_prime_domain():
         assert outcome.satisfiable == bool(brute_force(inst, "decision"))
 
 
-def test_type3_descent_guard(z2min):
+def test_type3_descent_guard(z2min, monkeypatch):
     # an instance that survives propagation reaches the weakened-instance
-    # checks, which must respect the configured type-3 depth bound
-    cfg = SolverConfig(max_type3_depth=0)
+    # checks, which must respect the type-3 depth cap
     odd = Relation(3, (z2min,) * 3, {
         t for t in itertools.product(range(2), repeat=3) if sum(t) % 2 == 1})
     inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
                     (Constraint(odd, ("x", "y", "z")),))
     from wnucsp.errors import InternalError
-    solver = Solver(cfg)
-    with pytest.raises(InternalError):
-        solver.solve(inst)
-    assert solve(inst).satisfiable  # default config handles it
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "MAX_TYPE3_DEPTH", 0)
+        with pytest.raises(InternalError):
+            Solver().solve(inst)
+    assert solve(inst).satisfiable  # the default cap handles it
 
 
 class _WallBound(BaseException):
@@ -325,5 +326,16 @@ def test_z6_sum_of_seven_file_seed_100013_within_wall_bound():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    assert outcome.satisfiable
+    assert inst.assignment_satisfies(outcome.assignment)
+
+
+def test_z4_sum_of_five_seed_100016_large_parameter_space_sat():
+    # the system over 24 variables has more parameter points than the cap,
+    # but the zero point solves it, so no point is enumerated
+    params = GenParams(4, 5, 24, 24, 3, 100016, satisfiable_bias=True,
+                       wnu=sum_table(4, 5))
+    inst, _ = random_instance(params)
+    outcome = Solver(SolverConfig(center_arity_cap=3)).solve(inst)
     assert outcome.satisfiable
     assert inst.assignment_satisfies(outcome.assignment)
