@@ -700,15 +700,8 @@ class Congruence:
             return NotImplemented
         return self.blocks == other.blocks
 
-    def block_index(self, element):
-        return self.kernel()[element]
-
     def block_of(self, element):
         return self.blocks[self.kernel()[element]]
-
-    def related(self, a, b):
-        k = self.kernel()
-        return k[a] == k[b]
 
     @property
     def is_equality(self):
@@ -977,8 +970,10 @@ def is_polynomially_complete(alg: Algebra) -> bool:
 
     For carriers of size >= 3 this holds iff every unary map is a polynomial
     (the operation is idempotent and essential, so the classical completeness
-    criterion applies).  On two elements it holds iff the polynomial closure
-    at arity <= 3 leaves both the monotone and the affine clones.
+    criterion applies).  On two elements, by Post's lattice: the constants
+    leave the clones T0, T1 and the self-dual one, so the WNU and both
+    constants generate every operation iff the WNU is neither monotone nor
+    affine.
     """
 
     n = alg.size
@@ -988,26 +983,14 @@ def is_polynomially_complete(alg: Algebra) -> bool:
         return True
     if n >= 3:
         return len(unary_polynomial_closure(alg)) == n ** n
-    # n == 2: ternary polynomial closure, early exit once witnesses exist
-    cube = list(itertools.product(range(2), repeat=3))
-    proj = [tuple(p[i] for p in cube) for i in range(3)]
-    seed = set(proj) | {(0,) * 8, (1,) * 8}
-    affine = set()
-    for c0, c1, c2, c3 in itertools.product(range(2), repeat=4):
-        affine.add(tuple((c0 ^ (c1 & x) ^ (c2 & y) ^ (c3 & z)) for x, y, z in cube))
-    pairs = [(i, j) for i in range(8) for j in range(8)
-             if all(cube[i][k] <= cube[j][k] for k in range(3))]
-
-    def monotone(f):
-        return all(f[i] <= f[j] for i, j in pairs)
-
-    def decided(s):
-        return any(not monotone(f) for f in s) and any(f not in affine for f in s)
-
-    closed, complete = _pointwise_closure(alg, seed, early_stop=decided)
-    if not complete:
-        raise SizeError("ternary polynomial closure budget exceeded")
-    return decided(closed)
+    # argument tuples x below x | b, for each bit b of the table index
+    e = alg.wnu.entries
+    flips = [(x, x | b) for b in (1 << i for i in range(alg.arity))
+             for x in range(len(e)) if not x & b]
+    monotone = all(e[x] <= e[y] for x, y in flips)
+    # affine over GF(2): every derivative f(x + b) - f(x) is constant
+    affine = all(e[x] ^ e[y] == e[0] ^ e[x ^ y] for x, y in flips)
+    return not monotone and not affine
 
 
 # ---------------------------------------------------------------------------

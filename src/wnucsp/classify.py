@@ -281,34 +281,20 @@ def find_center(alg: Algebra, arity_cap=DEFAULT_CENTER_ARITY_CAP) -> CenterSearc
 
 @lru_cache(maxsize=None)
 def pc_structure(alg: Algebra):
-    """Congruences whose quotient is polynomially complete with at least two
-    classes, plus their blockwise intersection.  When the list is empty the
-    returned intersection is the equality congruence with degenerate=True."""
+    """The congruences whose quotient is polynomially complete with at least
+    two classes."""
 
-    pc_congs = []
-    for cong in all_congruences(alg):
-        if len(cong.blocks) < 2:
-            continue
-        quotient, _ = quotient_algebra(alg, cong)
-        if is_polynomially_complete(quotient):
-            pc_congs.append(cong)
-    if not pc_congs:
-        equality = Congruence(tuple((e,) for e in alg.elements))
-        return tuple(pc_congs), equality, True
-    kernels = [c.kernel() for c in pc_congs]
-    blocks = {}
-    for e in alg.elements:
-        key = tuple(k[e] for k in kernels)
-        blocks.setdefault(key, []).append(e)
-    conpc = Congruence(tuple(map(tuple, blocks.values())))
-    return tuple(pc_congs), conpc, False
+    return tuple(
+        cong for cong in all_congruences(alg)
+        if len(cong.blocks) >= 2
+        and is_polynomially_complete(quotient_algebra(alg, cong)[0]))
 
 
 def pc_congruence(alg: Algebra):
     """The congruence a PC-class reduction uses: the first maximal one
     among those with polynomially complete quotient, or None."""
 
-    pc_congs, _, _ = pc_structure(alg)
+    pc_congs = pc_structure(alg)
     return maximal_among(pc_congs)[0] if pc_congs else None
 
 
@@ -316,7 +302,6 @@ def pc_congruence(alg: Algebra):
 class ConLinResult:
     congruence: Congruence
     quotient: Algebra
-    block_index: tuple  # pairs (element, block index)
     iso: LinearIso
 
 
@@ -327,10 +312,10 @@ def con_lin(alg: Algebra) -> ConLinResult:
 
     candidates = []
     for cong in all_congruences(alg):
-        quotient, kmap = quotient_algebra(alg, cong)
+        quotient, _ = quotient_algebra(alg, cong)
         iso = linear_structure(quotient)
         if iso is not None:
-            candidates.append((cong, quotient, kmap, iso))
+            candidates.append((cong, quotient, iso))
     least = None
     for item in candidates:
         if all(item[0].refines(other[0]) for other in candidates):
@@ -338,8 +323,7 @@ def con_lin(alg: Algebra) -> ConLinResult:
             break
     if least is None:
         raise InvariantError("linear congruences have no least element")
-    cong, quotient, kmap, iso = least
-    return ConLinResult(cong, quotient, tuple(sorted(kmap.items())), iso)
+    return ConLinResult(*least)
 
 
 # ---------------------------------------------------------------------------

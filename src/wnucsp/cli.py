@@ -88,7 +88,7 @@ def _search_missing_wnus(parsed, arities, budget):
 
 
 def _check_domain_cap(parsed, args):
-    cap = getattr(args, "max_domain", None)
+    cap = args.max_domain
     if cap is None:
         return
     for dom, size in parsed.domains.items():
@@ -304,40 +304,39 @@ def build_parser():
                     "special weak near-unanimity operation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="one machine-readable JSON object on stdout")
-        p.add_argument("--max-nodes", type=int, default=500_000,
-                       help="node budget for WNU searches")
-        p.add_argument("--max-domain", type=int, default=None,
-                       help="reject files whose domains exceed this size")
-        p.add_argument("--wnu-arities", default="3",
-                       help="comma list of arities tried when no WNU is given")
+    options = {
+        "--json": dict(action="store_true",
+                       help="one machine-readable JSON object on stdout"),
+        "--max-nodes": dict(type=int, default=500_000,
+                            help="node budget for WNU searches"),
+        "--max-domain": dict(type=int, default=None,
+                             help="reject files whose domains exceed this size"),
+        "--wnu-arities": dict(default="3", help="comma list of arities tried "
+                                                "when no WNU is given"),
+    }
 
-    p = sub.add_parser("solve", help="decide an instance file")
-    p.add_argument("file")
+    def file_command(name, fn, summary, *names):
+        """A command on an instance file with ``--json`` and the options
+        ``names``, each of which it reads."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        for opt in ("--json",) + names:
+            p.add_argument(opt, **options[opt])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = file_command("solve", cmd_solve, "decide an instance file",
+                     "--max-nodes", "--max-domain", "--wnu-arities")
     p.add_argument("--trace", action="store_true",
                    help="step-by-step trace on stderr")
-    common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("classify", help="classify each declared domain")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("wnu", help="search a special WNU preserving the file's "
-                                   "relations")
-    p.add_argument("file")
+    file_command("classify", cmd_classify, "classify each declared domain",
+                 "--max-nodes", "--max-domain", "--wnu-arities")
+    p = file_command("wnu", cmd_wnu, "search a special WNU preserving the "
+                                     "file's relations", "--max-nodes")
     p.add_argument("--arity", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_wnu)
-
-    p = sub.add_parser("oracle", help="brute-force the instance")
-    p.add_argument("file")
+    p = file_command("oracle", cmd_oracle, "brute-force the instance",
+                     "--max-domain")
     p.add_argument("--all", action="store_true", help="list every solution")
-    common(p)
-    p.set_defaults(fn=cmd_oracle)
 
     def gen_common(p):
         p.add_argument("--seed", type=int, required=True)
@@ -359,8 +358,7 @@ def build_parser():
                                         "instances")
     p.add_argument("--n", type=int, required=True)
     gen_common(p)
-    p.add_argument("--json", action="store_true",
-                   help="one machine-readable JSON object on stdout")
+    p.add_argument("--json", **options["--json"])
     p.set_defaults(fn=cmd_difftest)
     return parser
 

@@ -227,17 +227,11 @@ def linked_components(inst: Instance):
 def is_linked(inst: Instance) -> bool:
     """Every value pair of every constrained variable is path-connected."""
 
-    return components_linked(inst, value_components(inst))
-
-
-def components_linked(inst: Instance, comps) -> bool:
-    """``is_linked`` given ``comps = value_components(inst)``."""
-
     constrained = {v for c in inst.constraints for v in c.scope}
     if not constrained:
         return True
     nodes = {}
-    for ci, comp in enumerate(comps):
+    for ci, comp in enumerate(value_components(inst)):
         for v, a in comp:
             nodes[(v, a)] = ci
     for v in constrained:

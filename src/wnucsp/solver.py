@@ -28,7 +28,6 @@ from .classify import (
 )
 from .consistency import (
     check_irreducibility,
-    components_linked,
     enforce_cycle_consistency,
     is_linked,
     value_components,
@@ -145,20 +144,21 @@ class Solver:
 
     def _solve_main(self, inst: Instance, depth, t3):
         frags = fragment_variable_sets(inst)
-        if len(frags) > 1:
+        if len(frags) > 1 or not inst.constraints:
+            # a variable in no constraint takes its least value; only the
+            # fragments that hold a constraint are solved as sub-instances
+            constrained = {v for c in inst.constraints for v in c.scope}
             assignment = {}
             for frag in frags:
+                if frag[0] not in constrained:
+                    assignment[frag[0]] = min(inst.domain(frag[0]))
+                    continue
                 sub = restrict_to_variables(inst, frag)
                 ok, a = self._solve(sub, depth + 1, t3)
                 if not ok:
                     return False, None
                 assignment.update(a)
             return True, assignment
-        if not inst.constraints:
-            return True, {
-                v: min(inst.current_domains[i])
-                for i, v in enumerate(inst.variables)
-            }
 
         while True:
             if inst.all_singleton():
@@ -181,10 +181,12 @@ class Solver:
                 inst = apply_reduction(inst, prop.reduction)
                 continue
 
-            # not linked: solve per linked component (type 2); the
-            # instance is not fragmented, as checked on entry
+            # not linked: solve per linked component (type 2).  Every
+            # variable is constrained, the scopes connect them all and every
+            # value has support in each of its constraints, so the instance
+            # is linked exactly when its values form one component
             comps = value_components(inst)
-            if not components_linked(inst, comps):
+            if len(comps) > 1:
                 return self._solve_unlinked(inst, comps, depth, t3)
 
             # Step 2: irreducibility
@@ -235,17 +237,11 @@ class Solver:
         self._emit("2", "%d linked components" % len(comps), 2, depth, t3)
         for comp in comps:
             reduction = {}
-            usable = True
             for i, var in enumerate(inst.variables):
                 vals = frozenset(a for v, a in comp if v == var)
-                if not vals:
-                    usable = False
-                    break
-                if len(comps) > 1 and vals == inst.current_domains[i]:
+                if vals == inst.current_domains[i]:
                     raise InternalError("linked component does not shrink %s" % var)
                 reduction[var] = vals
-            if not usable:
-                continue
             sub = apply_reduction(inst, reduction)
             ok, a = self._solve(sub, depth + 1, t3)
             if ok:
@@ -257,6 +253,9 @@ class Solver:
         if t3 + 1 > MAX_TYPE3_DEPTH:
             raise InternalError("type-3 recursion exceeded its bound")
         self._check_type3_descent(inst, weakened)
+        if not weakened.constraints:
+            # every pinned value of an unconstrained instance is solvable
+            return None
         for i, var in enumerate(inst.variables):
             good = set()
             for b in sorted(inst.current_domains[i]):

@@ -13,6 +13,7 @@ from wnucsp.algebra import (
 from wnucsp.harness import GenParams, random_instance
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation
+from wnucsp import solver as solver_module
 from wnucsp.solver import Solver
 
 
@@ -68,11 +69,12 @@ def z4_example(z4):
 
 
 @pytest.fixture(scope="session")
-def solver_instances():
-    """Every instance ``Solver._solve`` is called on while solving eight
-    seeded desk-size instances (6 variables, 6 constraints) of each family
-    below, half of them planted: reduced, projected and weakened instances
-    as well as the generated ones."""
+def solver_recording():
+    """Solve eight seeded desk-size instances (6 variables, 6 constraints)
+    of each family below, half of them planted.  Returns every instance
+    ``Solver._solve`` is called on (reduced, projected and weakened
+    instances as well as the generated ones) and every instance
+    ``Solver._solve_main`` tests for linkedness."""
 
     # (domain size, WNU arity, WNU table); None is the canonical searched
     # special WNU
@@ -85,18 +87,40 @@ def solver_instances():
         (3, 3, None),
         (4, 3, None),
     )
-    seen = []
+    seen, linked = [], []
     original = Solver._solve
+    components = solver_module.value_components
 
     def recording(self, inst, depth, t3):
         seen.append(inst)
         return original(self, inst, depth, t3)
 
+    def recording_components(inst):
+        linked.append(inst)
+        return components(inst)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Solver, "_solve", recording)
+        mp.setattr(solver_module, "value_components", recording_components)
         for n, m, wnu in families:
             for i in range(8):
                 params = GenParams(n, m, 6, 6, 3, 400_000 + i,
                                    satisfiable_bias=bool(i % 2), wnu=wnu)
                 Solver().solve(random_instance(params)[0])
-    return tuple(seen)
+    return tuple(seen), tuple(linked)
+
+
+@pytest.fixture(scope="session")
+def solver_instances(solver_recording):
+    """Every instance ``Solver._solve`` is called on while building
+    ``solver_recording``."""
+
+    return solver_recording[0]
+
+
+@pytest.fixture(scope="session")
+def linked_checks(solver_recording):
+    """Every instance ``Solver._solve_main`` tests for linkedness while
+    building ``solver_recording``."""
+
+    return solver_recording[1]

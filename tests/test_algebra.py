@@ -388,6 +388,45 @@ def test_pc_all_arity3_two_element_wnus():
         assert is_polynomially_complete(alg) == brute_pc_2(table)
 
 
+def pc_by_ternary_closure_2(alg):
+    """Reference for |A|=2: the ternary polynomial closure leaves both the
+    monotone and the affine clones."""
+
+    import wnucsp.algebra as algebra_mod
+
+    cube = list(itertools.product(range(2), repeat=3))
+    seed = {tuple(p[i] for p in cube) for i in range(3)}
+    seed |= {(0,) * 8, (1,) * 8}
+    affine = {tuple(c0 ^ (c1 & x) ^ (c2 & y) ^ (c3 & z) for x, y, z in cube)
+              for c0, c1, c2, c3 in itertools.product(range(2), repeat=4)}
+    pairs = [(i, j) for i in range(8) for j in range(8)
+             if all(cube[i][k] <= cube[j][k] for k in range(3))]
+
+    def decided(s):
+        return (any(any(f[i] > f[j] for i, j in pairs) for f in s)
+                and any(f not in affine for f in s))
+
+    closed, complete = algebra_mod._pointwise_closure(alg, seed,
+                                                      early_stop=decided)
+    assert complete
+    return decided(closed)
+
+
+@pytest.mark.parametrize("arity,count,complete", [(3, 4, 0), (4, 256, 190)])
+def test_pc_two_element_matches_ternary_closure(arity, count, complete):
+    seen = decided = 0
+    for entries in itertools.product(range(2), repeat=2 ** arity):
+        table = OperationTable(arity, 2, entries)
+        if not special_wnu_by_definition(table):
+            continue
+        alg = make_algebra(range(2), table)
+        pc = is_polynomially_complete(alg)
+        assert pc == pc_by_ternary_closure_2(alg)
+        seen += 1
+        decided += pc
+    assert (seen, decided) == (count, complete)
+
+
 def test_pc_dual_discriminator(dd3):
     assert is_polynomially_complete(dd3)
 

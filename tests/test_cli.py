@@ -259,11 +259,18 @@ def test_gen_and_solve_roundtrip(tmp_path):
     assert (code == 0) == (code2 == 0)
 
 
-def test_gen_rejects_options_it_does_not_read():
+def test_gen_rejects_options_it_does_not_read(z4_file):
     code, _, _ = run_cli([
         "gen", "--seed", "4", "--domain-size", "2", "--wnu", "minority",
         "--max-nodes", "5"])
     assert code == 3
+    # the file commands take only the options they read
+    for argv in (["wnu", z4_file, "--arity", "3", "--max-domain", "1"],
+                 ["wnu", z4_file, "--arity", "3", "--wnu-arities", "3"],
+                 ["oracle", z4_file, "--max-nodes", "5"],
+                 ["oracle", z4_file, "--wnu-arities", "9"]):
+        code, out, _ = run_cli(argv)
+        assert (code, out) == (3, ""), argv
 
 
 def test_difftest_command():

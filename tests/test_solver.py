@@ -13,8 +13,9 @@ from wnucsp.algebra import (
     sum_table,
 )
 from wnucsp.classify import verify_structure_report
+from wnucsp.consistency import value_components
 from wnucsp.harness import GenParams, brute_force, random_instance
-from wnucsp.instance import Constraint, Instance
+from wnucsp.instance import Constraint, Instance, weaken_all
 from wnucsp.relation import Relation, full_relation
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
@@ -88,6 +89,59 @@ def test_fragmented_instances_merge(z2min, maj2):
     )
     outcome = solve(inst)
     assert outcome.assignment == {"a": 0, "b": 0, "c": 1}
+
+
+def test_free_variable_takes_least_value_without_a_sub_instance(z2min, dd3):
+    eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
+    inst = Instance(("a", "b", "z"), (z2min, z2min, dd3),
+                    (frozenset({0, 1}),) * 2 + (frozenset({1, 2}),),
+                    (Constraint(eq, ("a", "b")),))
+    solver = Solver()
+    outcome = solver.solve(inst)
+    assert outcome.assignment == {"a": 0, "b": 0, "z": 1}
+    # memo keys start with the instance's variables
+    assert ("a", "b") in {key[0] for key in solver.memo}
+    assert all(key[0] != ("z",) for key in solver.memo)
+
+
+def test_step3_solves_no_pinned_instance_of_an_empty_weakening(z2min,
+                                                               monkeypatch):
+    # the only constraint weaker than equality on Z2 is the full relation,
+    # so the weakened instance has no constraint
+    eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
+    inst = Instance(("x", "y"), (z2min,) * 2, (frozenset({0, 1}),) * 2,
+                    (Constraint(eq, ("x", "y")),))
+    assert weaken_all(inst).constraints == ()
+    pinned = []
+    original = Solver._solve
+
+    def recording(self, sub, depth, t3):
+        pinned.append(sub)
+        return original(self, sub, depth, t3)
+
+    monkeypatch.setattr(Solver, "_solve", recording)
+    assert Solver()._step3(inst, 0, 0) is None
+    assert pinned == []
+
+
+def components_linked_reference(inst, comps):
+    """Whether the values of every constrained variable lie in one of
+    ``comps``, the linked components of ``inst``."""
+
+    constrained = {v for c in inst.constraints for v in c.scope}
+    component = {node: ci for ci, comp in enumerate(comps) for node in comp}
+    return all(len({component[(v, a)] for a in inst.domain(v)}) == 1
+               for v in constrained)
+
+
+def test_one_component_is_linked_where_the_solver_asks(linked_checks):
+    unlinked = 0
+    for inst in linked_checks:
+        comps = value_components(inst)
+        linked = components_linked_reference(inst, comps)
+        assert (len(comps) == 1) == linked
+        unlinked += not linked
+    assert 0 < unlinked < len(linked_checks)
 
 
 def test_solution_postcheck_holds_on_random(z4, dd3):
