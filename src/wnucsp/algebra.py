@@ -429,6 +429,18 @@ def abelian_sum_structure(alg: Algebra):
     return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse), shift)
 
 
+def is_affine(alg: Algebra) -> bool:
+    """Whether the WNU is an abelian group sum x1 + ... + xm.
+
+    Idempotence forces (m-1)y = 0, so w(x, y, ..., y, z) = x - y + z is a
+    Mal'tsev term, and every term operation is an affine combination
+    a1 x1 + ... + ak xk with a1 + ... + ak = 1.  Subalgebras (cosets) and
+    quotients of an affine algebra are affine again.
+    """
+
+    return abelian_sum_structure(alg) is not None
+
+
 def _coset_closure(groups, positions_seed):
     """Least coset of a subgroup of the product group containing the seed
     (tuples of positions).  Generators extend the subgroup one at a time by
@@ -862,6 +874,16 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 # pointwise closures of derived operations (unary / binary / ternary terms)
 
 
+def _sorted_distinct(codes):
+    """The distinct values of a 1-d array, ascending, as ``np.unique`` gives
+    them, without the ``numpy.ma`` import ``np.unique`` costs on first use."""
+
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def _vector_round(old, frontier, entries, n, m):
     """The distinct rows of one closure round, as tuples.
 
@@ -891,12 +913,12 @@ def _vector_round(old, frontier, entries, n, m):
                 rem = rem // sizes[j]
             vals = entries[flat]
             if packed:
-                # pack rows into single ints so unique is one-dimensional
-                codes.append(np.unique(vals @ powers))
+                # pack rows into single ints so dedup is one-dimensional
+                codes.append(_sorted_distinct(vals @ powers))
             else:
                 rows.update(map(tuple, vals.tolist()))
     if packed:
-        codes = np.unique(np.concatenate(codes))
+        codes = _sorted_distinct(np.concatenate(codes))
         rows = map(tuple, (codes[:, None] // powers % n).tolist())
     return list(rows)
 

@@ -20,6 +20,7 @@ from .algebra import (
     all_congruences,
     all_subuniverses,
     binary_terms,
+    is_affine,
     is_polynomially_complete,
     linear_structure,
     maximal_among,
@@ -72,7 +73,20 @@ class CenterSearch:
 def find_binary_absorbing(alg: Algebra):
     """Least proper subuniverse B with a binary term t such that t(B,A) and
     t(A,B) stay in B, or None.  ConfigError when the term closure was capped
-    and nothing was found."""
+    and nothing was found.
+
+    An affine algebra has none: a binary term is t = ax + by with a + b = 1,
+    and B is a coset c + H.  If t absorbs B, t(c, A) and t(A, c) lie in B,
+    so a(A) and b(A) lie in H, and A = (a + b)(A) lies in H: B is all of A.
+    """
+
+    if is_affine(alg):
+        return None
+    return _search_binary_absorbing(alg)
+
+
+def _search_binary_absorbing(alg: Algebra):
+    """The general search behind ``find_binary_absorbing``."""
 
     terms = binary_terms(alg)
     pos = alg.positions
@@ -225,7 +239,22 @@ def find_center(alg: Algebra, arity_cap=DEFAULT_CENTER_ARITY_CAP) -> CenterSearc
     min(|A|-1, cap), then lifts through maximal nontrivial congruences.
 
     Callers must have ruled out binary absorption first.
+
+    An affine algebra has no center, at any cap.  With the Mal'tsev term m,
+    a reflexive invariant binary relation is a congruence, and the only
+    antisymmetric one, the equality, has no least element.  If a totally
+    reflexive invariant relation R has a in its center, then for every a'
+    and every tuple r, m((a',...,a'), (a,a',...,a'), (a,r)) = (a',r) lies
+    in R, so R is full.  Quotients are affine again, so no center lifts.
     """
+
+    if is_affine(alg):
+        return CenterSearch(None, None, True)
+    return _search_center(alg, arity_cap)
+
+
+def _search_center(alg: Algebra, arity_cap) -> CenterSearch:
+    """The general search behind ``find_center``."""
 
     if find_binary_absorbing(alg) is not None:
         raise ArgumentError("center search requires no binary absorption")
@@ -282,7 +311,20 @@ def find_center(alg: Algebra, arity_cap=DEFAULT_CENTER_ARITY_CAP) -> CenterSearc
 @lru_cache(maxsize=None)
 def pc_structure(alg: Algebra):
     """The congruences whose quotient is polynomially complete with at least
-    two classes."""
+    two classes.
+
+    An affine algebra has none, since its quotients are affine.  On two
+    elements Post's criterion rejects affine operations; on three or more, a
+    unary map constant on all but one point is no polynomial x -> ax + c.
+    """
+
+    if is_affine(alg):
+        return ()
+    return _search_pc(alg)
+
+
+def _search_pc(alg: Algebra):
+    """The general search behind ``pc_structure``."""
 
     return tuple(
         cong for cong in all_congruences(alg)

@@ -360,13 +360,18 @@ def build_parser():
     gen_common(p)
     p.add_argument("--json", **options["--json"])
     p.set_defaults(fn=cmd_difftest)
+    # an option a command does not take is reported with its own usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def execute_command(argv):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_SAT
     try:

@@ -1,7 +1,13 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import wnucsp
 
 from wnucsp.algebra import (
     Algebra,
@@ -581,6 +587,22 @@ def test_binary_terms_majority_only_projections(maj2):
     terms = binary_terms(maj2)
     assert terms.complete
     assert {t.entries for t in terms.tables} == {(0, 0, 1, 1), (0, 1, 0, 1)}
+
+
+def test_binary_term_closure_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, about 12 ms in a fresh process
+    code = ("import sys\n"
+            "from wnucsp.algebra import binary_terms, "
+            "dual_discriminator_table, make_algebra\n"
+            "terms = binary_terms(make_algebra(range(3), "
+            "dual_discriminator_table()))\n"
+            "assert terms.complete\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = str(pathlib.Path(wnucsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_binary_terms_one_element():

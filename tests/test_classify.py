@@ -6,7 +6,11 @@ import pytest
 from wnucsp.algebra import (
     Congruence,
     OperationTable,
+    all_congruences,
+    all_subuniverses,
     conjunction_table,
+    is_affine,
+    minority_table,
     make_algebra,
     quotient_algebra,
     restrict_algebra,
@@ -14,7 +18,11 @@ from wnucsp.algebra import (
     sum_table,
 )
 from wnucsp.classify import (
+    CenterSearch,
     _central_relations,
+    _search_binary_absorbing,
+    _search_center,
+    _search_pc,
     classify_domain,
     con_lin,
     find_binary_absorbing,
@@ -99,6 +107,39 @@ def test_pc_structure_z4_empty(z4):
 def test_pc_structure_one_element():
     alg = make_algebra([0], OperationTable(3, 1, (0,)))
     assert pc_structure(alg) == ()
+
+
+def _affine_family():
+    """Z2 minority, Z3 sum-of-4, Z4 sum-of-5 and Z6 sum-of-7, each with
+    its subalgebras on subuniverses and their quotients."""
+
+    algs = []
+    for n, table in ((2, minority_table()), (3, sum_table(3, 4)),
+                     (4, sum_table(4, 5)), (6, sum_table(6, 7))):
+        alg = make_algebra(range(n), table)
+        for sub in all_subuniverses(alg):
+            part = restrict_algebra(alg, sub)
+            algs.append(part)
+            algs.extend(quotient_algebra(part, cong)[0]
+                        for cong in all_congruences(part)
+                        if not cong.is_equality)
+    return algs
+
+
+def test_affine_early_returns_match_the_general_searches():
+    algs = _affine_family()
+    assert len(algs) > 30
+    for alg in algs:
+        assert is_affine(alg)
+        assert _search_binary_absorbing(alg) is None
+        assert find_binary_absorbing(alg) is None
+        general = _search_center(alg, 5)
+        assert general.center is None
+        assert general.complete == (alg.size - 1 <= 5)
+        for cap in (2, 3, 5):
+            assert find_center(alg, cap) == CenterSearch(None, None, True)
+        assert _search_pc(alg) == ()
+        assert pc_structure(alg) == ()
 
 
 def test_con_lin_z4(z4):

@@ -260,17 +260,21 @@ def test_gen_and_solve_roundtrip(tmp_path):
 
 
 def test_gen_rejects_options_it_does_not_read(z4_file):
-    code, _, _ = run_cli([
+    code, _, err = run_cli([
         "gen", "--seed", "4", "--domain-size", "2", "--wnu", "minority",
         "--max-nodes", "5"])
     assert code == 3
+    assert err.startswith("usage: wnucsp gen "), err
     # the file commands take only the options they read
     for argv in (["wnu", z4_file, "--arity", "3", "--max-domain", "1"],
                  ["wnu", z4_file, "--arity", "3", "--wnu-arities", "3"],
                  ["oracle", z4_file, "--max-nodes", "5"],
                  ["oracle", z4_file, "--wnu-arities", "9"]):
-        code, out, _ = run_cli(argv)
+        code, out, err = run_cli(argv)
         assert (code, out) == (3, ""), argv
+        # the usage printed is the command's own
+        assert err.startswith("usage: wnucsp %s " % argv[0]), err
+        assert "unrecognized arguments: %s" % argv[-2] in err, err
 
 
 def test_difftest_command():

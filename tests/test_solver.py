@@ -319,19 +319,38 @@ def test_six_element_mixed_prime_domain():
         assert outcome.satisfiable == bool(brute_force(inst, "decision"))
 
 
-def test_type3_descent_guard(z2min, monkeypatch):
-    # an instance that survives propagation reaches the weakened-instance
-    # checks, which must respect the type-3 depth cap
+def _odd_parity_instance(z2min):
+    """x + y + z = 1 over Z2: it survives propagation and reaches the
+    weakened-instance checks."""
+
     odd = Relation(3, (z2min,) * 3, {
         t for t in itertools.product(range(2), repeat=3) if sum(t) % 2 == 1})
-    inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
+    return Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
                     (Constraint(odd, ("x", "y", "z")),))
+
+
+def test_type3_descent_guard(z2min, monkeypatch):
+    # the weakened-instance checks must respect the type-3 depth cap
+    inst = _odd_parity_instance(z2min)
     from wnucsp.errors import InternalError
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "MAX_TYPE3_DEPTH", 0)
         with pytest.raises(InternalError):
             Solver().solve(inst)
     assert solve(inst).satisfiable  # the default cap handles it
+
+
+def test_type3_descent_guard_rejects_a_weakening_that_is_not_below(
+        z2min, monkeypatch):
+    # a "weakening" that hands back the parent constraint itself is not
+    # strictly below it, and the descent check must refuse it
+    inst = _odd_parity_instance(z2min)
+    from wnucsp.errors import InternalError
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "weaken_all", lambda inst: inst)
+        with pytest.raises(InternalError, match="weakened constraint is not "
+                                                "strictly below any parent"):
+            Solver().solve(inst)
 
 
 class _WallBound(BaseException):
@@ -382,6 +401,20 @@ def test_z6_sum_of_seven_file_seed_100013_within_wall_bound():
         signal.signal(signal.SIGALRM, previous)
     assert outcome.satisfiable
     assert inst.assignment_satisfies(outcome.assignment)
+
+
+@pytest.mark.parametrize("seed", [100013, 100017, 100021, 100027])
+def test_default_center_cap_decides_z6_sum_of_seven(seed):
+    # an affine domain has no center at any cap, so the library default
+    # decides these as the complete search at cap 5 does
+    params = GenParams(6, 7, 6, 6, 3, seed, satisfiable_bias=seed % 2 == 1,
+                       wnu=sum_table(6, 7))
+    inst, _ = random_instance(params)
+    default, capped = Solver(), Solver(SolverConfig(center_arity_cap=5))
+    got, want = default.solve(inst), capped.solve(inst)
+    assert got.satisfiable and got == want
+    assert list(got.assignment) == list(want.assignment)
+    assert default.reports == capped.reports
 
 
 def test_z4_sum_of_five_seed_100016_large_parameter_space_sat():
