@@ -847,6 +847,9 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 
     if set(cong.carrier) != set(alg.elements):
         raise InvariantError("partition does not cover the carrier")
+    if cong.is_equality and list(alg.elements) == sorted(alg.elements):
+        # block i is the i-th element, so the induced table is the table
+        return Algebra(tuple(range(alg.size)), alg.wnu), dict(cong.kernel())
     if not _kernel_compatible(alg, cong.kernel()):
         raise InvariantError("partition is not compatible with the operation")
     k = len(cong.blocks)

@@ -4,7 +4,11 @@ Three procedures: the pairwise (2,3)-consistency fixpoint that establishes
 cycle-consistency, the decomposition of the (variable, value) pairs into
 linked components, and the irreducibility check driven by maximal
 congruences with a solver callback for the class-reduced sub-instances.
-"""
+The irreducibility check calls back only where the answer can change: a
+linked set of one variable is decided from its constraints' supports, a
+family of class reductions already checked in the same call is not checked
+again, and the transport of a congruence through a constraint projection
+is cached (see ``check_irreducibility``)."""
 
 from __future__ import annotations
 
@@ -265,18 +269,54 @@ class IrreducibilityResult:
     subset: frozenset | None = None
 
 
+@lru_cache(maxsize=65536)
+def _transport(eff, pi, pj, blocks):
+    """The congruence ``blocks`` of coordinate ``pi`` of the effective
+    relation ``eff`` carried to coordinate ``pj`` through their projection.
+
+    The transported relation is the union of the squares of the images of
+    the classes.  Returns its classes when it is a proper equivalence on the
+    domain of ``pj`` (the carrier of ``eff.coords[pj]``), else ``None``."""
+
+    kern = {e: bi for bi, block in enumerate(blocks) for e in block}
+    images = {}
+    for t in eff.tuples:
+        bi = kern.get(t[pi])
+        if bi is not None:
+            images.setdefault(bi, set()).add(t[pj])
+    # rows[y] is y's row of the transported relation
+    rows = {}
+    for img in images.values():
+        for y in img:
+            rows.setdefault(y, set()).update(img)
+    # equivalence test: reflexive on the domain, and transitive, i.e. every
+    # value in a row has the same row
+    dom = eff.coords[pj].elements
+    if not all(y in rows for y in dom):
+        return None
+    if any(rows[b] != row for row in rows.values() for b in row):
+        return None
+    blocks_j = []
+    left = set(dom)
+    while left:
+        blk = rows[min(left)]
+        blocks_j.append(tuple(sorted(blk)))
+        left -= blk
+    return tuple(blocks_j) if len(blocks_j) > 1 else None
+
+
 def _propagate_congruence(inst: Instance, start, sigma_start):
     """Grow the congruence-linked variable set from ``start``.
 
     Follows constraint pair projections: a projection transports the current
-    congruence to a new variable; the variable joins when the transported
-    relation is a proper equivalence.  Returns ({var: congruence blocks as
-    index map}, class correspondence per variable)."""
+    congruence to a new variable (``_transport``); the variable joins when
+    the transported relation is a proper equivalence.  Returns ({var:
+    congruence blocks}, {var: {start class index: the values of var it
+    reaches}})."""
 
     sigmas = {start: sigma_start}
-    # class correspondence: for each var, map start-class index -> var class
-    start_classes = sigma_start
     corr = {start: {ci: set(block) for ci, block in enumerate(sigma_start)}}
+    classes = range(len(sigma_start))
     changed = True
     while changed:
         changed = False
@@ -289,95 +329,102 @@ def _propagate_congruence(inst: Instance, start, sigma_start):
             for vi in scope_in:
                 for vj in scope_out:
                     pi, pj = c.scope.index(vi), c.scope.index(vj)
-                    delta = {(t[pi], t[pj]) for t in eff.tuples}
-                    blocks_i = sigmas[vi]
-                    kern_i = {}
-                    for bi, block in enumerate(blocks_i):
-                        for e in block:
-                            kern_i[e] = bi
-                    dom_j = sorted(inst.domain(vj))
-                    # the transported relation is the union of the squares
-                    # of the images of the classes; rows[y] is y's row
-                    images = {}
-                    for x, y in delta:
-                        if x in kern_i:
-                            images.setdefault(kern_i[x], set()).add(y)
-                    rows = {}
-                    for img in images.values():
-                        for y in img:
-                            rows.setdefault(y, set()).update(img)
-                    # equivalence test: reflexive on dom_j, and transitive,
-                    # i.e. every value in a row has the same row
-                    if not all(y in rows for y in dom_j):
+                    blocks_j = _transport(eff, pi, pj, sigmas[vi])
+                    if blocks_j is None:
                         continue
-                    if any(rows[b] != row for row in rows.values()
-                           for b in row):
-                        continue
-                    blocks_j = []
-                    left = set(dom_j)
-                    while left:
-                        blk = rows[min(left)]
-                        blocks_j.append(tuple(sorted(blk)))
-                        left -= blk
-                    if len(blocks_j) < 2:
-                        continue  # not proper
-                    sigmas[vj] = tuple(blocks_j)
-                    # transport class correspondence through delta; images of
-                    # subuniverses under invariant relations stay subuniverses
-                    corr_j = {}
-                    for ci_idx in range(len(start_classes)):
-                        src = corr[vi].get(ci_idx, set())
-                        img = {y for (x, y) in delta if x in src}
-                        corr_j[ci_idx] = img
-                    corr[vj] = corr_j
+                    sigmas[vj] = blocks_j
+                    # transport the class correspondence through the
+                    # projection; images of subuniverses under invariant
+                    # relations stay subuniverses
+                    succ = {}
+                    for t in eff.tuples:
+                        succ.setdefault(t[pi], set()).add(t[pj])
+                    corr_i = corr[vi]
+                    corr[vj] = {ci: set().union(*(succ.get(x, ())
+                                                  for x in corr_i[ci]))
+                                for ci in classes}
                     changed = True
             if changed:
                 break
     return sigmas, corr
 
 
+def _supported_values(inst: Instance, var) -> frozenset:
+    """The values of ``var`` that every constraint on it has an effective
+    tuple with."""
+
+    good = inst.domain(var)
+    for c in inst.constraints:
+        if var in c.scope:
+            p = c.scope.index(var)
+            good = good & {t[p] for t in inst.effective(c).tuples}
+    return good
+
+
 def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult:
     """For every variable and maximal congruence of its domain, grow the
     linked congruence set, then decide per value whether the projection onto
     those variables has a solution hitting it.  Empty projection solution
-    set means no solution; a non-subdirect one yields a reduction."""
+    set means no solution; a non-subdirect one yields a reduction.
 
+    Three rules skip work that cannot change the answer:
+
+    1. A linked set of one variable is decided without the callback.  The
+       constraints of its projection are the projections of the effective
+       relations of the constraints on the variable, so a value is good
+       exactly when each of those relations has a tuple with it.
+    2. A (variable, congruence) whose linked set and family of per-class
+       reductions equal those of a check already made in this call is
+       skipped: that check passed, else the call had returned.  The family
+       is compared as a set when the classes are disjoint on every member,
+       since each value then lies in one class and the order of the classes
+       does not matter, and class by class otherwise.  So the skipped check
+       would hand the callback the instances the earlier one did, in the
+       same order.
+    3. ``_transport`` caches the transport of a congruence through one
+       constraint projection, a pure function of its arguments."""
+
+    checked = set()
     for k, var in enumerate(inst.variables):
         if len(inst.current_domains[k]) < 2:
             continue
         alg = inst.domain_algebra(var)
         for sigma in maximal_congruences(alg):
             sigmas, corr = _propagate_congruence(inst, var, sigma.blocks)
+            if len(sigmas) == 1:
+                if (var,) in checked:
+                    continue
+                checked.add((var,))
+                good = _supported_values(inst, var)
+                if not good:
+                    return IrreducibilityResult("nosolution")
+                if good != inst.current_domains[k]:
+                    return IrreducibilityResult("reduce", var=var, subset=good)
+                continue
             members = sorted(sigmas)
+            # rows[ci][m]: the values of members[m] in class ci
+            rows = [tuple(frozenset(corr[vj][ci]) for vj in members)
+                    for ci in range(len(sigma.blocks))]
+            disjoint = all(sum(map(len, col)) == len(frozenset().union(*col))
+                           for col in zip(*rows))
+            family = (tuple(members),
+                      frozenset(rows) if disjoint else tuple(rows))
+            if family in checked:
+                continue
+            checked.add(family)
             proj = project_instance(inst, members)
-            for vi in members:
+            for m, vi in enumerate(members):
                 good = set()
                 for a in sorted(inst.domain(vi)):
-                    candidates = [
-                        ci for ci in range(len(sigma.blocks))
-                        if a in corr[vi].get(ci, set())
-                    ]
-                    solvable = False
-                    for ci in candidates:
-                        reduction = {}
-                        valid = True
-                        for vj in members:
-                            blk = frozenset(corr[vj].get(ci, set()))
-                            blk = blk & inst.domain(vj)
-                            if vj == vi:
-                                blk = frozenset({a})
-                            if not blk:
-                                valid = False
-                                break
-                            reduction[vj] = blk
-                        if not valid:
+                    # the classes that hold a, each pinned at a on vi
+                    for row in rows:
+                        if a not in row[m] or not all(row):
                             continue
-                        reduced = apply_reduction(proj, reduction)
-                        if solve_callback(reduced):
-                            solvable = True
+                        reduction = dict(zip(members, row))
+                        reduction[vi] = frozenset({a})
+                        if solve_callback(apply_reduction(proj, reduction)):
+                            good.add(a)
                             break
-                    if solvable:
-                        good.add(a)
                 if not good:
                     return IrreducibilityResult("nosolution")
                 if good != inst.domain(vi):

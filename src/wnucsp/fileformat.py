@@ -10,12 +10,15 @@ Grammar (whitespace separated, ``#`` starts a comment):
 
 Scopes with repeated variables are normalized at build time.  A declared
 WNU is verified (identities plus preservation of every relation touching
-its domain) before an instance is produced.
+its domain) before an instance is produced.  A relation that an earlier
+build already validated, on the same algebras with the same tuples, is
+reused rather than built and checked again.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -28,6 +31,13 @@ from .algebra import (
 from .errors import FormatError, WnuInvalid
 from .instance import Instance, normalize_scope
 from .relation import Relation, is_invariant
+
+
+# Relations built by ``build_instance`` that passed validation, one per
+# (coordinate algebras, tuple set) while some instance holds it.  Algebras
+# are interned, so a later parse of the same relation reuses it and skips
+# the invariance check.
+_PARSED_RELATIONS = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -204,10 +214,18 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
     for name, (doms, tuples) in parsed.relations.items():
         if not all(d in algebras for d in doms):
             continue
-        rel = Relation(len(doms), tuple(algebras[d] for d in doms), tuples)
-        if placeholders.isdisjoint(doms) and not is_invariant(rel):
-            raise WnuInvalid("relation %s is not preserved by the WNU"
-                             % name, witness=name)
+        coords = tuple(algebras[d] for d in doms)
+        if not placeholders.isdisjoint(doms):
+            relations[name] = Relation(len(doms), coords, tuples)
+            continue
+        key = (coords, tuples)
+        rel = _PARSED_RELATIONS.get(key)
+        if rel is None:
+            rel = Relation(len(doms), coords, tuples)
+            if not is_invariant(rel):
+                raise WnuInvalid("relation %s is not preserved by the WNU"
+                                 % name, witness=name)
+            _PARSED_RELATIONS[key] = rel
         relations[name] = rel
     if not parsed.variables:
         raise FormatError("no variables declared")

@@ -658,6 +658,27 @@ def test_quotient_matches_per_tuple_reference(z2min, dd3, z4):
         assert kmap == cong.kernel()
 
 
+def test_quotient_by_equality_equals_the_general_path(monkeypatch, z2min,
+                                                     maj2, and3, dd3, z4):
+    """The equality shortcut against the general table construction, which
+    runs when ``is_equality`` reads False; a carrier that is not ascending
+    keeps the general path."""
+
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    shuffled = Algebra((2, 0, 1), dd3.wnu)
+    algebras = (z2min, maj2, and3, dd3, z4, searched3(), z6,
+                restrict_algebra(dd3, frozenset({0, 2})), shuffled)
+    equalities = [Congruence(tuple((e,) for e in alg.elements))
+                  for alg in algebras]
+    fast = [quotient_algebra(alg, eq) for alg, eq in zip(algebras, equalities)]
+    monkeypatch.setattr(Congruence, "is_equality", property(lambda self: False))
+    for alg, eq, (quotient, kmap) in zip(algebras, equalities, fast):
+        general, general_map = quotient_algebra.__wrapped__(alg, eq)
+        assert quotient is general
+        assert kmap == general_map == eq.kernel()
+    assert fast[6][0] is Algebra(tuple(range(6)), z6.wnu)
+
+
 def test_quotient_rejects_representative_dependence(monkeypatch, dd3):
     # {0, 1} | {2} is no congruence of the dual discriminator; with the
     # blockwise compatibility test bypassed the table check must catch it

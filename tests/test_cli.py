@@ -134,6 +134,41 @@ def test_parse_rejects_unpreserved_relation():
         parse_instance(text)
 
 
+def test_parse_shares_validated_relations(monkeypatch):
+    from wnucsp import fileformat
+
+    checks = []
+    is_invariant = fileformat.is_invariant
+    monkeypatch.setattr(fileformat, "is_invariant",
+                        lambda rel: checks.append(rel) or is_invariant(rel))
+    text = z4_instance_text()
+    first = parse_instance(text)
+    checked = len(checks)
+    second = parse_instance(text)
+    for a, b in zip(first.constraints, second.constraints, strict=True):
+        assert a.relation is b.relation
+    # a relation an earlier test left alive is not checked even once
+    assert checked <= len(parse_instance_text(text).relations)
+    assert len(checks) == checked
+
+
+def test_parse_rejects_unpreserved_relation_every_time():
+    text = ("DOMAIN B 2\nWNU B 3 SUM\nVAR a B\nVAR b B\nVAR c B\n"
+            "REL NAE 3 B B B\n0 0 1\n0 1 0\n0 1 1\n1 0 0\n1 0 1\n1 1 0\n"
+            "END\nCON NAE a b c\n")
+    for _ in range(2):
+        with pytest.raises(WnuInvalid):
+            parse_instance(text)
+
+
+def test_parse_keeps_placeholder_relations_apart():
+    text = "DOMAIN B 2\nVAR x B\nREL R 1 B\n0\nEND\nCON R x\n"
+    first, second = (build_instance(parse_instance_text(text),
+                                    placeholder_ok=True) for _ in range(2))
+    assert first.constraints[0].relation == second.constraints[0].relation
+    assert first.constraints[0].relation is not second.constraints[0].relation
+
+
 def test_parse_normalizes_repeated_scope():
     text = ("DOMAIN B 2\nWNU B 3 SUM\nVAR x B\n"
             "REL R 2 B B\n0 0\n0 1\n1 0\n1 1\nEND\nCON R x x\n")

@@ -22,10 +22,16 @@ from wnucsp.consistency import (
     enforce_cycle_consistency,
     is_linked,
     linked_components,
+    value_components,
 )
 from wnucsp.errors import ArgumentError
 from wnucsp.harness import GenParams, brute_force, random_instance
-from wnucsp.instance import Constraint, Instance, apply_reduction
+from wnucsp.instance import (
+    Constraint,
+    Instance,
+    apply_reduction,
+    project_instance,
+)
 from wnucsp.relation import Relation, full_relation
 from wnucsp.solver import Solver, SolverConfig
 
@@ -598,3 +604,100 @@ def test_propagate_congruence_matches_pairwise_reference(solver_instances,
                     inst, var, sigma.blocks)
                 grown += len(got[0]) > 1
     assert grown
+
+
+def reference_check_irreducibility(inst, solve_callback):
+    """Step 2 with no skips: for every variable and maximal congruence, the
+    projection onto the linked set is built and solved per value, one
+    variable or many."""
+
+    for k, var in enumerate(inst.variables):
+        if len(inst.current_domains[k]) < 2:
+            continue
+        for sigma in maximal_congruences(inst.domain_algebra(var)):
+            sigmas, corr = reference_propagate_congruence(
+                inst, var, sigma.blocks)
+            members = sorted(sigmas)
+            proj = project_instance(inst, members)
+            for vi in members:
+                good = set()
+                for a in sorted(inst.domain(vi)):
+                    for ci in range(len(sigma.blocks)):
+                        if a not in corr[vi].get(ci, set()):
+                            continue
+                        reduction = {}
+                        for vj in members:
+                            blk = frozenset({a}) if vj == vi else (
+                                frozenset(corr[vj].get(ci, set()))
+                                & inst.domain(vj))
+                            if not blk:
+                                break
+                            reduction[vj] = blk
+                        else:
+                            if solve_callback(apply_reduction(proj,
+                                                              reduction)):
+                                good.add(a)
+                                break
+                if not good:
+                    return "nosolution", None, None
+                if good != inst.domain(vi):
+                    return "reduce", vi, frozenset(good)
+    return "ok", None, None
+
+
+def _no_single_variable_callback(solver):
+    def callback(sub):
+        if len(sub.variables) == 1:
+            pytest.fail("the callback was handed a one-variable instance")
+        return solver.solve(sub).satisfiable
+    return callback
+
+
+def test_irreducibility_equals_the_unskipped_loop(linked_checks,
+                                                  solver_instances):
+    """Where the solver runs Step 2 (one linked component), and on the
+    instances the solver is called on, before Step 1 has run, where
+    one-variable sets reduce."""
+
+    one_component = [inst for inst in linked_checks
+                     if len(value_components(inst)) == 1]
+    solver = Solver()
+    callback = _no_single_variable_callback(solver)
+    statuses = set()
+    for inst in one_component + list(solver_instances[::7]):
+        got = check_irreducibility(inst, callback)
+        want = reference_check_irreducibility(
+            inst, lambda sub: solver.solve(sub).satisfiable)
+        assert (got.status, got.var, got.subset) == want
+        statuses.add(got.status)
+    assert statuses == {"ok", "reduce", "nosolution"}
+
+
+def test_irreducibility_never_calls_back_on_one_variable_sets(linked_checks):
+    one_variable_sets = 0
+    solver = Solver()
+    callback = _no_single_variable_callback(solver)
+    for inst in linked_checks:
+        if len(value_components(inst)) > 1:
+            continue
+        for var, dom in zip(inst.variables, inst.current_domains):
+            if len(dom) > 1:
+                one_variable_sets += sum(
+                    len(_propagate_congruence(inst, var, sigma.blocks)[0]) == 1
+                    for sigma in maximal_congruences(
+                        inst.domain_algebra(var)))
+        assert check_irreducibility(inst, callback).status == "ok"
+    assert one_variable_sets
+
+
+def test_irreducibility_empty_relation_on_one_variable_set(z4):
+    eq = linear_relation(z4, (1, 3), 0)
+    inst = Instance(("x", "y"), (z4, z4),
+                    (frozenset({0, 2}), frozenset({1, 3})),
+                    (Constraint(eq, ("x", "y")),))
+    assert inst.effective(inst.constraints[0]).is_empty
+    assert len(_propagate_congruence(
+        inst, "x", maximal_congruences(inst.domain_algebra("x"))[0].blocks
+    )[0]) == 1
+    result = check_irreducibility(inst, _no_single_variable_callback(Solver()))
+    assert result.status == "nosolution"
