@@ -115,19 +115,24 @@ def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True))
 
 
+def _no_wnu(command, args, decisive):
+    """Report that some domain has no WNU up to the arity cap."""
+
+    if args.json:
+        _emit_json({"command": command, "decision": "no-wnu",
+                    "decisive": decisive})
+    else:
+        print("NO-WNU" + ("" if decisive else " (up to arity cap)"))
+    return EXIT_NONE
+
+
 def cmd_solve(args):
     parsed = parse_instance_text(_read(args.file))
     _check_domain_cap(parsed, args)
     arities = [int(a) for a in args.wnu_arities.split(",")]
     extra, decisive = _search_missing_wnus(parsed, arities, args.max_nodes)
     if extra is None:
-        note = "" if decisive else " (up to arity cap)"
-        if args.json:
-            _emit_json({"command": "solve", "decision": "no-wnu",
-                        "decisive": decisive})
-        else:
-            print("NO-WNU" + note)
-        return EXIT_NONE
+        return _no_wnu("solve", args, decisive)
     inst = build_instance(parsed, extra)
     # completeness of the center search must cover the largest domain
     center_cap = _center_cap(max(parsed.domains.values()))
@@ -174,10 +179,9 @@ def cmd_classify(args):
     parsed = parse_instance_text(_read(args.file))
     _check_domain_cap(parsed, args)
     arities = [int(a) for a in args.wnu_arities.split(",")]
-    extra, _ = _search_missing_wnus(parsed, arities, args.max_nodes)
+    extra, decisive = _search_missing_wnus(parsed, arities, args.max_nodes)
     if extra is None:
-        print("NO-WNU")
-        return EXIT_NONE
+        return _no_wnu("classify", args, decisive)
     wnus = dict(parsed.wnus)
     wnus.update(extra)
     results = {}

@@ -3,12 +3,11 @@
 Three procedures: the pairwise (2,3)-consistency fixpoint that establishes
 cycle-consistency, the decomposition of the (variable, value) pairs into
 linked components, and the irreducibility check driven by maximal
-congruences with a solver callback for the class-reduced sub-instances.
-The irreducibility check calls back only where the answer can change: a
-linked set of one variable is decided from its constraints' supports, a
-family of class reductions already checked in the same call is not checked
-again, and the transport of a congruence through a constraint projection
-is cached (see ``check_irreducibility``)."""
+congruences.  The irreducibility check solves each distinct linked set's
+projection once per call, with one solver callback per member and pinned
+value; a linked set of one variable is decided from its constraints'
+supports, and the transport of a congruence through a constraint
+projection is cached (see ``check_irreducibility``)."""
 
 from __future__ import annotations
 
@@ -310,13 +309,10 @@ def _propagate_congruence(inst: Instance, start, sigma_start):
 
     Follows constraint pair projections: a projection transports the current
     congruence to a new variable (``_transport``); the variable joins when
-    the transported relation is a proper equivalence.  Returns ({var:
-    congruence blocks}, {var: {start class index: the values of var it
-    reaches}})."""
+    the transported relation is a proper equivalence.  Returns {var:
+    congruence blocks}."""
 
     sigmas = {start: sigma_start}
-    corr = {start: {ci: set(block) for ci, block in enumerate(sigma_start)}}
-    classes = range(len(sigma_start))
     changed = True
     while changed:
         changed = False
@@ -328,25 +324,14 @@ def _propagate_congruence(inst: Instance, start, sigma_start):
             eff = inst.effective(c)
             for vi in scope_in:
                 for vj in scope_out:
-                    pi, pj = c.scope.index(vi), c.scope.index(vj)
-                    blocks_j = _transport(eff, pi, pj, sigmas[vi])
-                    if blocks_j is None:
-                        continue
-                    sigmas[vj] = blocks_j
-                    # transport the class correspondence through the
-                    # projection; images of subuniverses under invariant
-                    # relations stay subuniverses
-                    succ = {}
-                    for t in eff.tuples:
-                        succ.setdefault(t[pi], set()).add(t[pj])
-                    corr_i = corr[vi]
-                    corr[vj] = {ci: set().union(*(succ.get(x, ())
-                                                  for x in corr_i[ci]))
-                                for ci in classes}
-                    changed = True
+                    blocks_j = _transport(eff, c.scope.index(vi),
+                                          c.scope.index(vj), sigmas[vi])
+                    if blocks_j is not None:
+                        sigmas[vj] = blocks_j
+                        changed = True
             if changed:
                 break
-    return sigmas, corr
+    return sigmas
 
 
 def _supported_values(inst: Instance, var) -> frozenset:
@@ -363,72 +348,43 @@ def _supported_values(inst: Instance, var) -> frozenset:
 
 def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult:
     """For every variable and maximal congruence of its domain, grow the
-    linked congruence set, then decide per value whether the projection onto
-    those variables has a solution hitting it.  Empty projection solution
-    set means no solution; a non-subdirect one yields a reduction.
+    linked congruence set X, then decide per member and value whether the
+    projection onto X has a solution through it.  An empty projection
+    solution set means no solution; a non-subdirect one yields a reduction.
 
-    Three rules skip work that cannot change the answer:
+    Zhuk's Step 2 also restricts the projection to classes that correspond
+    through the projections linking X; leaving that out changes no answer.
+    Each member joins X through a constraint projection from a member
+    already in X, so by induction along those links a solution of the
+    projection with vi = a lies inside the class reductions of its start
+    value's class.  As the answer depends on X alone, each distinct X is
+    checked once per call.
 
-    1. A linked set of one variable is decided without the callback.  The
-       constraints of its projection are the projections of the effective
-       relations of the constraints on the variable, so a value is good
-       exactly when each of those relations has a tuple with it.
-    2. A (variable, congruence) whose linked set and family of per-class
-       reductions equal those of a check already made in this call is
-       skipped: that check passed, else the call had returned.  The family
-       is compared as a set when the classes are disjoint on every member,
-       since each value then lies in one class and the order of the classes
-       does not matter, and class by class otherwise.  So the skipped check
-       would hand the callback the instances the earlier one did, in the
-       same order.
-    3. ``_transport`` caches the transport of a congruence through one
-       constraint projection, a pure function of its arguments."""
+    A linked set of one variable is decided without the callback: a value
+    is good exactly when every effective relation on the variable has a
+    tuple with it."""
 
     checked = set()
     for k, var in enumerate(inst.variables):
         if len(inst.current_domains[k]) < 2:
             continue
-        alg = inst.domain_algebra(var)
-        for sigma in maximal_congruences(alg):
-            sigmas, corr = _propagate_congruence(inst, var, sigma.blocks)
-            if len(sigmas) == 1:
-                if (var,) in checked:
-                    continue
-                checked.add((var,))
-                good = _supported_values(inst, var)
-                if not good:
-                    return IrreducibilityResult("nosolution")
-                if good != inst.current_domains[k]:
-                    return IrreducibilityResult("reduce", var=var, subset=good)
+        for sigma in maximal_congruences(inst.domain_algebra(var)):
+            members = tuple(sorted(_propagate_congruence(inst, var,
+                                                         sigma.blocks)))
+            if members in checked:
                 continue
-            members = sorted(sigmas)
-            # rows[ci][m]: the values of members[m] in class ci
-            rows = [tuple(frozenset(corr[vj][ci]) for vj in members)
-                    for ci in range(len(sigma.blocks))]
-            disjoint = all(sum(map(len, col)) == len(frozenset().union(*col))
-                           for col in zip(*rows))
-            family = (tuple(members),
-                      frozenset(rows) if disjoint else tuple(rows))
-            if family in checked:
-                continue
-            checked.add(family)
-            proj = project_instance(inst, members)
-            for m, vi in enumerate(members):
-                good = set()
-                for a in sorted(inst.domain(vi)):
-                    # the classes that hold a, each pinned at a on vi
-                    for row in rows:
-                        if a not in row[m] or not all(row):
-                            continue
-                        reduction = dict(zip(members, row))
-                        reduction[vi] = frozenset({a})
-                        if solve_callback(apply_reduction(proj, reduction)):
-                            good.add(a)
-                            break
+            checked.add(members)
+            proj = None if len(members) == 1 else project_instance(
+                inst, members)
+            for vi in members:
+                if proj is None:
+                    good = _supported_values(inst, vi)
+                else:
+                    good = frozenset(
+                        a for a in sorted(inst.domain(vi))
+                        if solve_callback(apply_reduction(proj, {vi: {a}})))
                 if not good:
                     return IrreducibilityResult("nosolution")
                 if good != inst.domain(vi):
-                    return IrreducibilityResult(
-                        "reduce", var=vi, subset=frozenset(good)
-                    )
+                    return IrreducibilityResult("reduce", var=vi, subset=good)
     return IrreducibilityResult("ok")

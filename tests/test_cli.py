@@ -229,6 +229,13 @@ def test_solve_no_wnu(nae_file):
     assert out.strip() == "NO-WNU"
 
 
+def test_classify_no_wnu_json(nae_file):
+    code, out, _ = run_cli(["classify", nae_file, "--json"])
+    assert code == 2
+    assert json.loads(out) == {"command": "classify", "decision": "no-wnu",
+                               "decisive": True}
+
+
 def test_wnu_command_none(nae_file):
     code, out, _ = run_cli(["wnu", nae_file, "--arity", "3"])
     assert code == 2

@@ -601,8 +601,8 @@ def test_propagate_congruence_matches_pairwise_reference(solver_instances,
             for sigma in maximal_congruences(inst.domain_algebra(var)):
                 got = _propagate_congruence(inst, var, sigma.blocks)
                 assert got == reference_propagate_congruence(
-                    inst, var, sigma.blocks)
-                grown += len(got[0]) > 1
+                    inst, var, sigma.blocks)[0]
+                grown += len(got) > 1
     assert grown
 
 
@@ -683,7 +683,7 @@ def test_irreducibility_never_calls_back_on_one_variable_sets(linked_checks):
         for var, dom in zip(inst.variables, inst.current_domains):
             if len(dom) > 1:
                 one_variable_sets += sum(
-                    len(_propagate_congruence(inst, var, sigma.blocks)[0]) == 1
+                    len(_propagate_congruence(inst, var, sigma.blocks)) == 1
                     for sigma in maximal_congruences(
                         inst.domain_algebra(var)))
         assert check_irreducibility(inst, callback).status == "ok"
@@ -698,6 +698,93 @@ def test_irreducibility_empty_relation_on_one_variable_set(z4):
     assert inst.effective(inst.constraints[0]).is_empty
     assert len(_propagate_congruence(
         inst, "x", maximal_congruences(inst.domain_algebra("x"))[0].blocks
-    )[0]) == 1
+    )) == 1
     result = check_irreducibility(inst, _no_single_variable_callback(Solver()))
     assert result.status == "nosolution"
+
+
+def _family(inst):
+    """The seeded family of a ``solver_recording`` instance."""
+
+    alg = inst.base_algebras[0]
+    if alg.size == 4 and alg.wnu == sum_table(4, 5):
+        return "z4"
+    if alg.size == 3 and alg.wnu == dual_discriminator_table():
+        return "dd3"
+    return "searched%d" % alg.size if alg.size > 2 else "boolean"
+
+
+def test_irreducibility_pins_one_value_of_each_linked_set_once(linked_checks):
+    """Inside one call, every instance handed to the callback is the
+    projection onto its variables with exactly one variable pinned, no
+    instance is handed over twice, and the calls for one linked set form
+    one run, so no linked set is checked twice."""
+
+    solver = Solver()
+    families = set()
+    for inst in linked_checks:
+        handed = []
+
+        def callback(sub):
+            handed.append(sub)
+            return solver.solve(sub).satisfiable
+
+        check_irreducibility(inst, callback)
+        runs = []
+        for sub in handed:
+            proj = project_instance(inst, sub.variables)
+            pinned = [v for v, dom, full in zip(sub.variables,
+                                                sub.current_domains,
+                                                proj.current_domains)
+                      if dom != full]
+            assert len(pinned) == 1
+            assert len(sub.domain(pinned[0])) == 1
+            assert sub == apply_reduction(
+                proj, {pinned[0]: sub.domain(pinned[0])})
+            if not runs or runs[-1] != sub.variables:
+                runs.append(sub.variables)
+        assert len(set(handed)) == len(handed)
+        assert len(set(runs)) == len(runs)
+        if handed:
+            families.add(_family(inst))
+    assert {"z4", "searched3", "searched4"} <= families
+
+
+def test_irreducibility_matches_the_class_reductions_by_brute_force(maj2,
+                                                                    dd3):
+    """Differential against the class-by-class Step 2, both deciding the
+    sub-instances by brute force, on random relations over conservative
+    algebras, where the class images of a linked set often overlap."""
+
+    rng = random.Random(23)
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    instances = [random_mixed_instance(rng, (maj2, dd3, dd4), 4, 4, 3,
+                                       plant=True, closed=False)
+                 for _ in range(60)]
+
+    handed = []
+
+    def oracle(sub):
+        return brute_force(sub) is not None
+
+    def recording_oracle(sub):
+        handed.append(sub)
+        return oracle(sub)
+
+    overlapping = 0
+    for inst in instances:
+        got = check_irreducibility(inst, recording_oracle)
+        assert (got.status, got.var, got.subset) == \
+            reference_check_irreducibility(inst, oracle)
+        for var, dom in zip(inst.variables, inst.current_domains):
+            if len(dom) < 2:
+                continue
+            for sigma in maximal_congruences(inst.domain_algebra(var)):
+                corr = reference_propagate_congruence(
+                    inst, var, sigma.blocks)[1]
+                overlapping += any(
+                    sum(map(len, images.values()))
+                    > len(set().union(*images.values()))
+                    for images in corr.values())
+    assert overlapping
+    assert any(len(sub.variables) > 1 for sub in handed)
