@@ -4,10 +4,12 @@ Three procedures: the pairwise (2,3)-consistency fixpoint that establishes
 cycle-consistency, the decomposition of the (variable, value) pairs into
 linked components, and the irreducibility check driven by maximal
 congruences.  The irreducibility check solves each distinct linked set's
-projection once per call, with one solver callback per member and pinned
-value; a linked set of one variable is decided from its constraints'
-supports, and the transport of a congruence through a constraint
-projection is cached (see ``check_irreducibility``)."""
+projection once per call, pinning one member to one value at a time and
+skipping every value an earlier solution of the call already assigned
+(``pinned_supports``, which Step 3 of the solver shares); a linked set of
+one variable is decided from its constraints' supports, and the transport
+of a congruence through a constraint projection is cached (see
+``check_irreducibility``)."""
 
 from __future__ import annotations
 
@@ -346,6 +348,32 @@ def _supported_values(inst: Instance, var) -> frozenset:
     return good
 
 
+def pinned_supports(inst: Instance, variables, solve_callback):
+    """Yield ``(var, good)`` for each of ``variables`` in order, where
+    ``good`` is the set of values ``b`` for which ``inst`` with ``var``
+    pinned to ``b`` has a solution.
+
+    ``solve_callback`` takes a pinned instance and returns a solution (a
+    dict over its variables) or ``None``.  A solution through one value
+    also proves every other value it assigns, so each solution found is a
+    witness for all of them, and a value that an earlier solution of the
+    same call already assigned is good without a callback (the support
+    reuse of singleton arc consistency).  The values of a variable are
+    tried in ascending order."""
+
+    witnessed = {v: set() for v in inst.variables}
+    for var in variables:
+        good = witnessed[var]
+        for b in sorted(inst.domain(var)):
+            if b in good:
+                continue
+            solution = solve_callback(apply_reduction(inst, {var: {b}}))
+            if solution is not None:
+                for v, value in solution.items():
+                    witnessed[v].add(value)
+        yield var, frozenset(good)
+
+
 def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult:
     """For every variable and maximal congruence of its domain, grow the
     linked congruence set X, then decide per member and value whether the
@@ -359,6 +387,12 @@ def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult
     projection with vi = a lies inside the class reductions of its start
     value's class.  As the answer depends on X alone, each distinct X is
     checked once per call.
+
+    ``solve_callback`` returns a solution of a pinned projection or
+    ``None``.  The values of X are decided by ``pinned_supports``: a
+    solution found for one member and value is a witness for every value
+    it assigns to the members of X, so those are not handed to the
+    callback again.
 
     A linked set of one variable is decided without the callback: a value
     is good exactly when every effective relation on the variable has a
@@ -374,15 +408,12 @@ def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult
             if members in checked:
                 continue
             checked.add(members)
-            proj = None if len(members) == 1 else project_instance(
-                inst, members)
-            for vi in members:
-                if proj is None:
-                    good = _supported_values(inst, vi)
-                else:
-                    good = frozenset(
-                        a for a in sorted(inst.domain(vi))
-                        if solve_callback(apply_reduction(proj, {vi: {a}})))
+            if len(members) == 1:
+                supports = [(var, _supported_values(inst, var))]
+            else:
+                supports = pinned_supports(project_instance(inst, members),
+                                           members, solve_callback)
+            for vi, good in supports:
                 if not good:
                     return IrreducibilityResult("nosolution")
                 if good != inst.domain(vi):

@@ -30,6 +30,7 @@ from .consistency import (
     check_irreducibility,
     enforce_cycle_consistency,
     is_linked,
+    pinned_supports,
     value_components,
 )
 from .errors import (
@@ -120,8 +121,9 @@ class Solver:
     # -- plumbing
 
     def _emit(self, step, detail, rtype=None, depth=0, t3=0, eq_size=0):
-        if not self.config.trace:
-            return
+        """Record one trace event.  Callers test ``self.config.trace``
+        first, so no detail text is built when tracing is off."""
+
         ev = TraceEvent(step, detail, rtype, depth, t3, eq_size)
         self.trace.append(ev)
         if self.config.trace_sink is not None:
@@ -172,12 +174,15 @@ class Solver:
             # Step 1: cycle-consistency
             prop = enforce_cycle_consistency(inst)
             if prop.status == "nosolution":
-                self._emit("1", "propagation emptied a pair", 1, depth, t3)
+                if self.config.trace:
+                    self._emit("1", "propagation emptied a pair", 1, depth, t3)
                 return False, None
             if prop.status == "reduce":
-                self._emit("1", "reduce " + ", ".join(
-                    "%s to %s" % (var, sorted(subset))
-                    for var, subset in prop.reduction.items()), 1, depth, t3)
+                if self.config.trace:
+                    self._emit("1", "reduce " + ", ".join(
+                        "%s to %s" % (var, sorted(subset))
+                        for var, subset in prop.reduction.items()),
+                        1, depth, t3)
                 inst = apply_reduction(inst, prop.reduction)
                 continue
 
@@ -191,14 +196,17 @@ class Solver:
 
             # Step 2: irreducibility
             irr = check_irreducibility(
-                inst, lambda sub: self._solve(sub, depth + 1, t3)[0]
+                inst, lambda sub: self._solve(sub, depth + 1, t3)[1]
             )
             if irr.status == "nosolution":
-                self._emit("2", "projection solution set empty", 1, depth, t3)
+                if self.config.trace:
+                    self._emit("2", "projection solution set empty",
+                               1, depth, t3)
                 return False, None
             if irr.status == "reduce":
-                self._emit("2", "reduce %s to %s" % (irr.var, sorted(irr.subset)),
-                           1, depth, t3)
+                if self.config.trace:
+                    self._emit("2", "reduce %s to %s"
+                               % (irr.var, sorted(irr.subset)), 1, depth, t3)
                 inst = apply_reduction(inst, {irr.var: irr.subset})
                 continue
 
@@ -208,8 +216,9 @@ class Solver:
                 return False, None
             if step3 is not None:
                 var, good = step3
-                self._emit("3", "reduce %s to %s" % (var, sorted(good)),
-                           1, depth, t3)
+                if self.config.trace:
+                    self._emit("3", "reduce %s to %s" % (var, sorted(good)),
+                               1, depth, t3)
                 inst = apply_reduction(inst, {var: good})
                 continue
 
@@ -234,7 +243,8 @@ class Solver:
             return self._linear_phase(inst, depth, t3)
 
     def _solve_unlinked(self, inst: Instance, comps, depth, t3):
-        self._emit("2", "%d linked components" % len(comps), 2, depth, t3)
+        if self.config.trace:
+            self._emit("2", "%d linked components" % len(comps), 2, depth, t3)
         for comp in comps:
             reduction = {}
             for i, var in enumerate(inst.variables):
@@ -249,6 +259,17 @@ class Solver:
         return False, None
 
     def _step3(self, inst: Instance, depth, t3):
+        """Zhuk's Step 3: whether the weakened instance has a solution
+        through every value of every variable.  Returns None when it has,
+        "unsat" when some variable has no such value, else ``(var, good)``
+        for the first variable with values that have none.
+
+        One pinned sub-solve per value, except that a solution of the
+        weakened instance is a witness for every value it assigns: a value
+        an earlier sub-solve of the same call already used is good without
+        a solve (``pinned_supports``).  The answer is the same as with one
+        sub-solve per value, since each is exact."""
+
         weakened = weaken_all(inst)
         if t3 + 1 > MAX_TYPE3_DEPTH:
             raise InternalError("type-3 recursion exceeded its bound")
@@ -256,17 +277,14 @@ class Solver:
         if not weakened.constraints:
             # every pinned value of an unconstrained instance is solvable
             return None
-        for i, var in enumerate(inst.variables):
-            good = set()
-            for b in sorted(inst.current_domains[i]):
-                pinned = apply_reduction(weakened, {var: {b}})
-                ok, _ = self._solve(pinned, depth + 1, t3 + 1)
-                if ok:
-                    good.add(b)
+        supports = pinned_supports(
+            weakened, inst.variables,
+            lambda pinned: self._solve(pinned, depth + 1, t3 + 1)[1])
+        for var, good in supports:
             if not good:
                 return "unsat"
-            if good != inst.current_domains[i]:
-                return var, frozenset(good)
+            if good != inst.domain(var):
+                return var, good
         return None
 
     def _check_type3_descent(self, inst: Instance, weakened: Instance):
@@ -301,8 +319,9 @@ class Solver:
                 report = StructureReport("binary_absorbing",
                                          subuniverse=ba[0], term=ba[1])
                 self.reports.append((alg, report))
-                self._emit("4", "absorb %s into %s" % (var, sorted(ba[0])),
-                           1, depth, t3)
+                if self.config.trace:
+                    self._emit("4", "absorb %s into %s" % (var, sorted(ba[0])),
+                               1, depth, t3)
                 return apply_reduction(inst, {var: ba[0]})
         return None
 
@@ -317,8 +336,9 @@ class Solver:
                 report = StructureReport("center", subuniverse=search.center,
                                          witness=search.witness)
                 self.reports.append((alg, report))
-                self._emit("5", "center %s to %s" % (var, sorted(search.center)),
-                           1, depth, t3)
+                if self.config.trace:
+                    self._emit("5", "center %s to %s"
+                               % (var, sorted(search.center)), 1, depth, t3)
                 return apply_reduction(inst, {var: search.center})
             if not search.complete:
                 incomplete = True
@@ -338,8 +358,9 @@ class Solver:
             report = StructureReport("pc_quotient", congruence=sigma)
             self.reports.append((alg, report))
             block = frozenset(sigma.block_of(min(inst.current_domains[i])))
-            self._emit("6", "PC class %s to %s" % (var, sorted(block)),
-                       1, depth, t3)
+            if self.config.trace:
+                self._emit("6", "PC class %s to %s" % (var, sorted(block)),
+                           1, depth, t3)
             return apply_reduction(inst, {var: block})
         return None
 
@@ -356,15 +377,17 @@ class Solver:
                 self.reports.append((alg, StructureReport(
                     "linear_quotient", congruence=f.conlin.congruence,
                     iso=f.conlin.iso)))
-        self._emit("7", "linear phase over %d scalars" % len(system.scalar_vars),
-                   None, depth, t3)
+        if self.config.trace:
+            self._emit("7", "linear phase over %d scalars"
+                       % len(system.scalar_vars), None, depth, t3)
         equations = []
         while True:
             res = solve_linear_system(
                 LinearSystem(system.scalar_vars,
                              system.equations + tuple(equations)))
-            self._emit("8", "system solved: %s" % res.kind, None, depth, t3,
-                       eq_size=len(equations))
+            if self.config.trace:
+                self._emit("8", "system solved: %s" % res.kind, None,
+                           depth, t3, eq_size=len(equations))
             if res.kind == "inconsistent":
                 return False, None
             if res.kind == "unique":
@@ -373,8 +396,9 @@ class Solver:
             param = res.param
             zero = tuple([0] * len(param.free_vars))
             ok, a = self._solve_at_point(inst, factors, param, zero, depth, t3)
-            self._emit("9", "zero point %s" % ("solved" if ok else "failed"),
-                       4, depth, t3)
+            if self.config.trace:
+                self._emit("9", "zero point %s"
+                           % ("solved" if ok else "failed"), 4, depth, t3)
             if ok:
                 return True, a
 
@@ -382,8 +406,9 @@ class Solver:
                 raise ConfigError("parameter space exceeds the point cap")
             oracle = self._unsat_somewhere_oracle(factors, param, depth, t3)
             theta_p = make_crucial(inst, oracle)
-            self._emit("10", "crucial instance with %d constraints"
-                       % len(theta_p.constraints), 3, depth, t3)
+            if self.config.trace:
+                self._emit("10", "crucial instance with %d constraints"
+                           % len(theta_p.constraints), 3, depth, t3)
 
             solvable_points = {
                 pt for pt in param.points()
@@ -392,7 +417,8 @@ class Solver:
             }
             if is_linked(theta_p):
                 if not solvable_points:
-                    self._emit("13", "no equation exists", None, depth, t3)
+                    if self.config.trace:
+                        self._emit("13", "no equation exists", None, depth, t3)
                     return False, None
                 new_eq = self._learn_step13(param, solvable_points, system,
                                             depth)
@@ -450,8 +476,9 @@ class Solver:
             if not exact:
                 raise AffineStructureViolation(
                     "learned prefix equation does not match the good set")
-            self._emit("12", "learned prefix equation at i=%d" % i,
-                       None, depth, 0)
+            if self.config.trace:
+                self._emit("12", "learned prefix equation at i=%d" % i,
+                           None, depth, 0)
             return self._global_equation(param, system, slots, out, depth)
         raise InternalError("every prefix is covered although some point fails")
 
@@ -465,8 +492,9 @@ class Solver:
             slots, out, exact = _learn_block(moduli, p, solvable_points)
             tried.append((p, out.kind))
             if exact:
-                self._emit("13", "learned equation in block p=%d" % p,
-                           None, depth, 0)
+                if self.config.trace:
+                    self._emit("13", "learned equation in block p=%d" % p,
+                               None, depth, 0)
                 return self._global_equation(param, system, slots, out, depth)
         raise AffineStructureViolation(
             "no single-block equation describes the solvable points "

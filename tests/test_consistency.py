@@ -495,7 +495,7 @@ def test_components_mutually_unreachable(z4):
 
 def _solver_callback():
     solver = Solver()
-    return lambda sub: solver.solve(sub).satisfiable
+    return lambda sub: solver.solve(sub).assignment
 
 
 def test_irreducibility_all_full_ok(z2min):
@@ -527,6 +527,23 @@ def test_irreducibility_class_conflict(z4):
 
 def test_irreducibility_golden_instance_passes(z4_example):
     assert check_irreducibility(z4_example, _solver_callback()).status == "ok"
+
+
+def test_irreducibility_pinned_solution_witnesses_another_member(z4):
+    # x = y over Z4: the mod-2 congruence links x and y, and the solution
+    # through each value of x also assigns that value to y
+    eq = linear_relation(z4, (1, 3), 0)
+    inst = Instance(("x", "y"), (z4, z4), (frozenset(range(4)),) * 2,
+                    (Constraint(eq, ("x", "y")),))
+    handed = []
+
+    def callback(sub):
+        handed.append(sub)
+        return brute_force(sub)
+
+    assert check_irreducibility(inst, callback).status == "ok"
+    assert [sub.current_domains for sub in handed] == [
+        (frozenset({a}), frozenset(range(4))) for a in range(4)]
 
 
 def reference_propagate_congruence(inst, start, sigma_start):
@@ -649,7 +666,7 @@ def _no_single_variable_callback(solver):
     def callback(sub):
         if len(sub.variables) == 1:
             pytest.fail("the callback was handed a one-variable instance")
-        return solver.solve(sub).satisfiable
+        return solver.solve(sub).assignment
     return callback
 
 
@@ -727,7 +744,7 @@ def test_irreducibility_pins_one_value_of_each_linked_set_once(linked_checks):
 
         def callback(sub):
             handed.append(sub)
-            return solver.solve(sub).satisfiable
+            return solver.solve(sub).assignment
 
         check_irreducibility(inst, callback)
         runs = []
@@ -769,7 +786,7 @@ def test_irreducibility_matches_the_class_reductions_by_brute_force(maj2,
 
     def recording_oracle(sub):
         handed.append(sub)
-        return oracle(sub)
+        return brute_force(sub)
 
     overlapping = 0
     for inst in instances:

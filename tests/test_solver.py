@@ -15,7 +15,7 @@ from wnucsp.algebra import (
 from wnucsp.classify import verify_structure_report
 from wnucsp.consistency import value_components
 from wnucsp.harness import GenParams, brute_force, random_instance
-from wnucsp.instance import Constraint, Instance, weaken_all
+from wnucsp.instance import Constraint, Instance, apply_reduction, weaken_all
 from wnucsp.relation import Relation, full_relation
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
@@ -122,6 +122,141 @@ def test_step3_solves_no_pinned_instance_of_an_empty_weakening(z2min,
     monkeypatch.setattr(Solver, "_solve", recording)
     assert Solver()._step3(inst, 0, 0) is None
     assert pinned == []
+
+
+def reference_step3(solver, inst):
+    """Step 3 with one pinned sub-solve per (variable, value) and no
+    witnesses: None, "unsat" or (var, good)."""
+
+    weakened = weaken_all(inst)
+    if not weakened.constraints:
+        return None
+    for var, dom in zip(inst.variables, inst.current_domains):
+        good = frozenset(
+            b for b in sorted(dom)
+            if solver._solve(apply_reduction(weakened, {var: {b}}), 1, 1)[0])
+        if not good:
+            return "unsat"
+        if good != dom:
+            return var, good
+    return None
+
+
+def _counting_solve(monkeypatch):
+    """Count every ``Solver._solve`` call; returns the list of (instance,
+    depth) it appends to."""
+
+    calls = []
+    original = Solver._solve
+
+    def counting(self, sub, depth, t3):
+        calls.append((sub, depth))
+        return original(self, sub, depth, t3)
+
+    monkeypatch.setattr(Solver, "_solve", counting)
+    return calls
+
+
+def test_step3_matches_the_per_value_loop(solver_instances, monkeypatch):
+    """On every instance the solver is called on, Step 3 with witnesses
+    gives the per-value loop's answer with no more ``_solve`` calls, each
+    side with a fresh memo."""
+
+    calls = _counting_solve(monkeypatch)
+    answers = set()
+    saved = 0
+    for inst in solver_instances:
+        calls.clear()
+        got = Solver()._step3(inst, 0, 0)
+        used = len(calls)
+        calls.clear()
+        assert got == reference_step3(Solver(), inst)
+        assert used <= len(calls)
+        saved += len(calls) - used
+        answers.add(got if got in (None, "unsat") else "reduce")
+    assert answers == {None, "unsat", "reduce"}
+    assert saved
+
+
+def test_step3_witness_covers_every_later_variable(z2min, monkeypatch):
+    # x = y = z over Z2: the weakening keeps the three binary equalities,
+    # whose solutions 000 and 111 witness every value of y and z
+    eq3 = Relation(3, (z2min,) * 3, {(0, 0, 0), (1, 1, 1)})
+    inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
+                    (Constraint(eq3, ("x", "y", "z")),))
+    assert {c.scope for c in weaken_all(inst).constraints} == {
+        ("x", "y"), ("x", "z"), ("y", "z")}
+    calls = _counting_solve(monkeypatch)
+    assert Solver()._step3(inst, 0, 0) is None
+    pinned = [sub for sub, depth in calls if depth == 1]
+    assert [sub.current_domains for sub in pinned] == [
+        (frozenset({0}), frozenset({0, 1}), frozenset({0, 1})),
+        (frozenset({1}), frozenset({0, 1}), frozenset({0, 1}))]
+
+
+# (seed, variable, good values) of planted Z4 sum-of-5 instances with 6
+# variables and 6 constraints on which Step 3 shrinks a domain, found by a
+# search over seeds; the variable and values are those of the first such
+# Step 3 answer in the solve
+STEP3_REDUCING_SEEDS = (
+    (206, "x1", {0, 2}),
+    (630, "x4", {1, 3}),
+    (1346, "x5", {1, 3}),
+    (100_075, "x1", {1, 3}),
+)
+
+
+@pytest.mark.parametrize("seed,var,good", STEP3_REDUCING_SEEDS)
+def test_step3_reduces_a_domain_on_seeded_instances(z4, seed, var, good,
+                                                    monkeypatch):
+    """The verdict matches brute force, and every Step 3 answer of the
+    solve matches the per-value loop; one of them shrinks a domain."""
+
+    answers = []
+    original = Solver._step3
+
+    def recording(self, inst, depth, t3):
+        got = original(self, inst, depth, t3)
+        answers.append((inst, got))
+        return got
+
+    monkeypatch.setattr(Solver, "_step3", recording)
+    params = GenParams(4, 5, 6, 6, 3, seed, satisfiable_bias=True,
+                       wnu=sum_table(4, 5))
+    inst, _ = random_instance(params)
+    outcome = Solver().solve(inst)
+    assert outcome.satisfiable == (brute_force(inst) is not None)
+    reductions = [got for _, got in answers
+                  if got is not None and got != "unsat"]
+    assert reductions[0] == (var, frozenset(good))
+    monkeypatch.setattr(Solver, "_step3", original)
+    for sub, got in answers:
+        assert got == reference_step3(Solver(), sub)
+
+
+def test_trace_off_records_nothing(z4_example, monkeypatch):
+    def no_event(*args, **kwargs):
+        pytest.fail("an event was emitted with tracing off")
+
+    monkeypatch.setattr(Solver, "_emit", no_event)
+    solver = Solver(SolverConfig(trace=False, trace_sink=no_event))
+    assert solver.solve(z4_example).satisfiable
+    assert solver.trace == []
+
+
+def test_trace_events_of_a_propagation_solve(z2min):
+    # Step 1 reduces all three variables at once, then every domain is a
+    # singleton; a second instance empties a pair
+    zero = Relation(2, (z2min, z2min), {(0, 0)})
+    neq = Relation(2, (z2min, z2min), {(0, 1), (1, 0)})
+    inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
+                    (Constraint(zero, ("x", "y")),
+                     Constraint(neq, ("y", "z"))))
+    sunk = []
+    solver = Solver(SolverConfig(trace=True, trace_sink=sunk.append))
+    assert solver.solve(inst).assignment == {"x": 0, "y": 0, "z": 1}
+    assert solver.trace == sunk == [solver_module.TraceEvent(
+        "1", "reduce x to [0], y to [0], z to [1]", 1, 0, 0, 0)]
 
 
 def components_linked_reference(inst, comps):
