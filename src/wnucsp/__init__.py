@@ -15,7 +15,6 @@ from .algebra import (
     make_algebra,
     quotient_algebra,
     search_special_wnu,
-    subuniverse_closure,
     verify_special_wnu,
 )
 from .classify import (
@@ -53,7 +52,7 @@ from .linsolve import (
     learn_hyperplane,
     solve_linear_system,
 )
-from .relation import Relation, factorize, is_subdirect, project, weaker_relations
+from .relation import Relation, factorize, project
 from .solver import SolveOutcome, Solver, SolverConfig, solve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -290,55 +290,33 @@ def search_special_wnu(domain_size, relations, arity, budget=500_000) -> WnuSear
                     if tuple(val[c] for c in cols) not in rel:
                         return WnuSearch(None, True)
 
-    decisions = []  # (cell, tried value, trail length before)
-    pos = 0
+    # depth-first over the free cells in order; a frame is (cell, next
+    # value to try, trail length before the cell was assigned)
+    frames = []
+    cell = v = mark = 0
     while True:
-        while pos < ncells and val[pos] is not None:
-            pos += 1
-        if pos == ncells:
+        while cell < ncells and val[cell] is not None:
+            cell += 1
+        if cell == ncells:
             table = OperationTable(m, n, tuple(val))
             if verify_special_wnu(table):
                 raise InternalError("searched table is not a special WNU")
             return WnuSearch(table, True)
-        tried = 0
-        placed = False
-        while tried < n:
+        if v < n:
             nodes += 1
             if nodes > budget:
                 return WnuSearch(None, False)
-            mark = len(trail)
-            if assign(pos, tried):
-                decisions.append((pos, tried, mark))
-                placed = True
-                break
-            while len(trail) > mark:
-                val[trail.pop()] = None
-            tried += 1
-        if placed:
-            pos += 1
-            continue
-        # backtrack
-        while decisions:
-            cell, v, mark = decisions.pop()
-            while len(trail) > mark:
-                val[trail.pop()] = None
-            advanced = False
-            for nv in range(v + 1, n):
-                nodes += 1
-                if nodes > budget:
-                    return WnuSearch(None, False)
-                m2 = len(trail)
-                if assign(cell, nv):
-                    decisions.append((cell, nv, m2))
-                    advanced = True
-                    break
-                while len(trail) > m2:
-                    val[trail.pop()] = None
-            if advanced:
-                pos = cell + 1
-                break
+            if assign(cell, v):
+                frames.append((cell, v + 1, mark))
+                cell, v, mark = cell + 1, 0, len(trail)
+                continue
+            v += 1
+        elif frames:
+            cell, v, mark = frames.pop()
         else:
             return WnuSearch(None, True)
+        while len(trail) > mark:
+            val[trail.pop()] = None
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +596,26 @@ def upper_covers(coords, tuples):
     return out
 
 
-def subuniverse_closure(alg: Algebra, seed):
-    """Least subuniverse of ``alg`` containing ``seed``."""
+def closed_sets_above(space, base, close):
+    """Every set reached from the closed set ``base`` by repeatedly closing
+    (current set plus one absent tuple of ``space``) under ``close``, base
+    included, canonically sorted.  When ``close`` is a closure operator
+    these are all its closed sets containing ``base``."""
 
-    seed = set(seed)
-    if not seed <= set(alg.elements):
-        raise ArgumentError("seed not within the carrier")
-    if not seed:
-        return frozenset()
-    closed = wnu_closure((alg,), {(e,) for e in seed})
-    return frozenset(t[0] for t in closed)
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for t in space:
+                if t in cur:
+                    continue
+                grown = close(cur | {t})
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append(grown)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 @lru_cache(maxsize=65536)
@@ -732,25 +720,15 @@ class Congruence:
         return tuple(k[e] for e in elements)
 
 
-def _restricted_growth_strings(n):
-    """All set partitions of range(n) as restricted growth strings, lex order."""
+def _restricted_growth_strings(n, prefix=(), top=-1):
+    """All set partitions of range(n) as restricted growth strings, lex
+    order; each extends ``prefix``, whose largest entry is ``top``."""
 
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        yield tuple(rgs)
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= maxes[i - 1]:
-                rgs[i] += 1
-                maxes[i] = max(maxes[i - 1], rgs[i])
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                    maxes[j] = maxes[i]
-                break
-            i -= 1
-        else:
-            return
+    if len(prefix) == n:
+        yield prefix
+        return
+    for v in range(top + 2):
+        yield from _restricted_growth_strings(n, prefix + (v,), max(top, v))
 
 
 def _kernel_compatible(alg: Algebra, kernel) -> bool:

@@ -20,6 +20,7 @@ from .algebra import (
     all_congruences,
     all_subuniverses,
     binary_terms,
+    closed_sets_above,
     is_affine,
     is_polynomially_complete,
     linear_structure,
@@ -117,28 +118,6 @@ def _search_binary_absorbing(alg: Algebra):
 # invariant binary relations (subalgebras of A^2 above the diagonal)
 
 
-def _closed_sets_above(space, base, close):
-    """Every set reached from the closed set ``base`` by repeatedly closing
-    (current set plus one absent tuple of ``space``) under ``close``, base
-    included, canonically sorted.  When ``close`` is a closure operator
-    these are all its closed sets containing ``base``."""
-
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for t in space:
-                if t in cur:
-                    continue
-                grown = close(cur | {t})
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 def reflexive_invariant_binaries(alg: Algebra):
     """All invariant binary relations containing the diagonal, canonically
     sorted."""
@@ -146,7 +125,7 @@ def reflexive_invariant_binaries(alg: Algebra):
     coords = (alg, alg)
     diag = wnu_closure(coords, {(e, e) for e in alg.elements})
     space = list(itertools.product(alg.elements, repeat=2))
-    rels = _closed_sets_above(space, diag, lambda s: wnu_closure(coords, s))
+    rels = closed_sets_above(space, diag, lambda s: wnu_closure(coords, s))
     return tuple(Relation(2, coords, s) for s in rels)
 
 
@@ -208,7 +187,7 @@ def _central_relations(alg: Algebra, h):
     full = frozenset(space)
     base = _symmetric_wnu_closure(alg, h, _totally_reflexive_base(alg, h))
     out = []
-    for ts in _closed_sets_above(
+    for ts in closed_sets_above(
             space, base, lambda s: _symmetric_wnu_closure(alg, h, s)):
         if ts == full:
             continue

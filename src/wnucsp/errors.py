@@ -37,7 +37,11 @@ class ReductionError(CspError):
     """Attempted domain reduction is empty or not a subuniverse."""
 
 
-class PreconditionError(CspError):
+class InternalError(CspError):
+    """Solver invariant breach."""
+
+
+class PreconditionError(InternalError):
     """Operation precondition violated."""
 
 
@@ -49,11 +53,11 @@ class ConfigError(CspError):
     """A capped search was inconclusive where completeness is required."""
 
 
-class OracleError(CspError):
+class OracleError(InternalError):
     """Caller-supplied oracle gave an inconsistent answer."""
 
 
-class AffineStructureViolation(CspError):
+class AffineStructureViolation(InternalError):
     """Observed memberships contradict the promised affine structure."""
 
 
@@ -63,7 +67,3 @@ class ClassificationError(CspError):
     def __init__(self, message, algebra=None):
         super().__init__(message)
         self.algebra = algebra
-
-
-class InternalError(CspError):
-    """Solver invariant breach."""

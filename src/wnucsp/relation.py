@@ -11,11 +11,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import is_closed, quotient_algebra, upper_covers, wnu_closure
+from .algebra import (
+    closed_sets_above,
+    is_closed,
+    quotient_algebra,
+    upper_covers,
+    wnu_closure,
+)
 from .errors import ArgumentError, InvariantError
-
-# Cap on invariant-superset enumerations; desk-scale lattices are tiny.
-ENUM_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,8 @@ class Relation:
         return len(self.tuples) == self.space_size()
 
 
-def full_relation(coords) -> Relation:
-    coords = tuple(coords)
-    tuples = frozenset(itertools.product(*(alg.elements for alg in coords)))
-    return Relation(len(coords), coords, tuples)
-
-
 def is_invariant(rel: Relation) -> bool:
     return is_closed(rel.coords, rel.tuples)
-
-
-def close_relation(coords, seed) -> Relation:
-    coords = tuple(coords)
-    return Relation(len(coords), coords, wnu_closure(coords, seed))
 
 
 def project(rel: Relation, indices) -> Relation:
@@ -128,13 +120,6 @@ def factorize(rel: Relation, congs) -> Relation:
     return Relation(rel.arity, tuple(quotients), tuples)
 
 
-def is_subdirect(rel: Relation) -> bool:
-    for c, alg in enumerate(rel.coords):
-        if {t[c] for t in rel.tuples} != set(alg.elements):
-            return False
-    return True
-
-
 def restrict_relation(rel: Relation, coords, domains) -> Relation:
     """Relation induced on restricted coordinate algebras; tuples filtered."""
 
@@ -164,70 +149,42 @@ def dummy_coordinates(rel: Relation):
 
 @lru_cache(maxsize=65536)
 def invariant_supersets(rel: Relation):
-    """All invariant relations strictly containing ``rel`` on its coordinates.
-
-    An upward BFS closes (current ∪ {t}) for every absent tuple t and
-    deduplicates, stopping after ``ENUM_CAP`` relations.  Returns (tuple of
-    Relations in canonical order, complete flag).
-    """
+    """All invariant relations strictly containing ``rel`` on its coordinates,
+    as a tuple in canonical order: the sets of the upward walk from ``rel``
+    under ``wnu_closure``, without ``rel``.  This walks the whole lattice
+    and never calls ``upper_covers``, so it can check Step 3's weakening."""
 
     coords = rel.coords
     space = list(itertools.product(*(alg.elements for alg in coords)))
-    seen = {rel.tuples}
-    frontier = [rel.tuples]
-    complete = True
-    while frontier and complete:
-        nxt = []
-        for base, t in itertools.product(frontier, space):
-            if t in base:
-                continue
-            closed = wnu_closure(coords, set(base) | {t})
-            if closed in seen:
-                continue
-            seen.add(closed)
-            nxt.append(closed)
-            if len(seen) > ENUM_CAP:
-                complete = False
-                break
-        frontier = nxt
-    seen.remove(rel.tuples)
-    rels = sorted(
-        (Relation(rel.arity, coords, ts) for ts in seen),
-        key=lambda r: (len(r.tuples), tuple(sorted(r.tuples))),
-    )
-    return tuple(rels), complete
+    sets = closed_sets_above(space, rel.tuples,
+                             lambda s: wnu_closure(coords, s))
+    return tuple(Relation(rel.arity, coords, s)
+                 for s in sets if s != rel.tuples)
 
 
 @lru_cache(maxsize=65536)
 def weaker_relations(rel: Relation):
     """All strictly weaker dummy-free constraints on sub-scopes.
 
-    Yields (coordinate index subset, Relation) pairs: every invariant
-    relation without dummy coordinates that strictly contains the matching
-    projection of ``rel`` and does not imply ``rel`` back.  Returns
-    (tuple of pairs, complete flag).
+    Returns a tuple of (coordinate index subset, Relation) pairs: every
+    invariant relation without dummy coordinates that strictly contains the
+    matching projection of ``rel`` and does not imply ``rel`` back.
     """
 
     out = []
-    complete = True
     n = rel.arity
-    subsets = []
     for size in range(1, n + 1):
-        subsets.extend(itertools.combinations(range(n), size))
-    for sub in subsets:
-        proj = project(rel, sub)
-        sups, comp = invariant_supersets(proj)
-        if not comp:
-            complete = False
-        # the projection itself is a candidate: strictness lives at the
-        # constraint level, where dropping coordinates already weakens
-        for cand in (proj,) + sups:
-            if dummy_coordinates(cand):
-                continue
-            if cylinder_implies(cand, sub, rel):
-                continue
-            out.append((sub, cand))
-    return tuple(out), complete
+        for sub in itertools.combinations(range(n), size):
+            proj = project(rel, sub)
+            # the projection itself is a candidate: strictness lives at the
+            # constraint level, where dropping coordinates already weakens
+            for cand in (proj,) + invariant_supersets(proj):
+                if dummy_coordinates(cand):
+                    continue
+                if cylinder_implies(cand, sub, rel):
+                    continue
+                out.append((sub, cand))
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)

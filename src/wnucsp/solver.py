@@ -420,12 +420,10 @@ class Solver:
                     if self.config.trace:
                         self._emit("13", "no equation exists", None, depth, t3)
                     return False, None
-                new_eq = self._learn_step13(param, solvable_points, system,
-                                            depth)
+                new_eq = self._learn_step13(param, solvable_points, depth)
             else:
-                new_eq = self._learn_step12(param, solvable_points, system,
-                                            depth)
-            if self._implied_by_param(param, new_eq, system):
+                new_eq = self._learn_step12(param, solvable_points, depth)
+            if self._implied_by_param(param, new_eq):
                 raise InternalError("learned equation does not shrink the system")
             equations.append(new_eq)
             if len(equations) > len(system.scalar_vars):
@@ -460,7 +458,7 @@ class Solver:
             return False
         return oracle
 
-    def _learn_step12(self, param, solvable_points, system, depth):
+    def _learn_step12(self, param, solvable_points, depth):
         """Scan free-variable prefixes; at the first prefix length whose good
         set is proper, learn its hyperplane inside the newest prime block."""
 
@@ -479,10 +477,10 @@ class Solver:
             if self.config.trace:
                 self._emit("12", "learned prefix equation at i=%d" % i,
                            None, depth, 0)
-            return self._global_equation(param, system, slots, out, depth)
+            return self._global_equation(param, slots, out, depth)
         raise InternalError("every prefix is covered although some point fails")
 
-    def _learn_step13(self, param, solvable_points, system, depth):
+    def _learn_step13(self, param, solvable_points, depth):
         """The solvable points form the solution set of one equation living
         in a single prime block; find the block, learn, verify exactly."""
 
@@ -495,13 +493,13 @@ class Solver:
                 if self.config.trace:
                     self._emit("13", "learned equation in block p=%d" % p,
                                None, depth, 0)
-                return self._global_equation(param, system, slots, out, depth)
+                return self._global_equation(param, slots, out, depth)
         raise AffineStructureViolation(
             "no single-block equation describes the solvable points "
             "(tried %s)" % (tried,))
 
-    def _global_equation(self, param, system, slots, out, depth):
-        dense = [0] * len(system.scalar_vars)
+    def _global_equation(self, param, slots, out, depth):
+        dense = [0] * len(param.scalar_vars)
         names = []
         for idx, j in enumerate(slots):
             scalar_index, name, _ = param.free_vars[j]
@@ -512,7 +510,7 @@ class Solver:
                                             tuple(out.coeffs), out.rhs, p))
         return Equation(tuple(dense), out.rhs, p)
 
-    def _implied_by_param(self, param, equation, system):
+    def _implied_by_param(self, param, equation):
         """An equation already implied by the parameterized system holds at
         the zero point and at every unit point."""
 

@@ -14,6 +14,7 @@ from wnucsp.algebra import (
     Congruence,
     OperationTable,
     abelian_sum_structure,
+    _restricted_growth_strings,
     all_congruences,
     binary_terms,
     dual_discriminator_table,
@@ -27,7 +28,6 @@ from wnucsp.algebra import (
     quotient_algebra,
     restrict_algebra,
     search_special_wnu,
-    subuniverse_closure,
     unary_polynomial_closure,
     sum_table,
     upper_covers,
@@ -37,6 +37,8 @@ from wnucsp.algebra import (
     wnu_image,
 )
 from wnucsp.errors import FormatError, InvariantError, SizeError
+
+from helpers import subuniverse_closure
 
 
 def proj_table(n, m, i):
@@ -173,6 +175,33 @@ def test_search_budget_exceeded():
     assert found.table is None and not found.exhausted
 
 
+NAE2 = [t for t in itertools.product(range(2), repeat=3) if len(set(t)) > 1]
+
+
+@pytest.mark.parametrize("n, arity, relations, budget", [
+    (3, 3, [], 12),
+    (4, 3, [], 36),
+    (3, 4, [], 60),
+    (4, 5, [], 972),
+    (2, 3, [NAE2], 218),
+])
+def test_search_budget_boundary(n, arity, relations, budget):
+    """One node per value tried: a budget one short stops the search, and
+    the least sufficient budget gives the full result.  With no relation
+    the canonical table is 0 off the diagonal."""
+
+    short = search_special_wnu(n, relations, arity, budget=budget - 1)
+    assert short.table is None and not short.exhausted
+    found = search_special_wnu(n, relations, arity, budget=budget)
+    assert found.exhausted
+    if relations:
+        assert found.table is None
+    else:
+        assert found.table.entries == tuple(
+            args[0] if len(set(args)) == 1 else 0
+            for args in itertools.product(range(n), repeat=arity))
+
+
 # --- subuniverse closure ------------------------------------------------------
 
 
@@ -284,6 +313,15 @@ def test_congruences_z4_match_oracle(z4):
     got = {frozenset(frozenset(b) for b in c.blocks) for c in all_congruences(z4)}
     assert got == direct_congruences(z4)
     assert len(got) == 3  # equality, mod 2, full
+
+
+def test_restricted_growth_strings_are_every_set_partition():
+    for n in range(7):
+        want = set()
+        for labels in itertools.product(range(n), repeat=n):
+            first = {}
+            want.add(tuple(first.setdefault(x, len(first)) for x in labels))
+        assert list(_restricted_growth_strings(n)) == sorted(want)
 
 
 def test_congruences_two_element(maj2, z2min):

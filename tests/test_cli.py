@@ -6,7 +6,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from wnucsp.cli import execute_command
-from wnucsp.errors import FormatError, WnuInvalid
+from wnucsp.errors import (
+    AffineStructureViolation,
+    FormatError,
+    OracleError,
+    PreconditionError,
+    WnuInvalid,
+)
 from wnucsp.fileformat import (
     build_instance,
     parse_instance,
@@ -15,6 +21,7 @@ from wnucsp.fileformat import (
 )
 from wnucsp.harness import GenParams, random_instance
 from wnucsp.algebra import minority_table, sum_table
+from wnucsp.solver import Solver
 
 
 def z4_instance_text():
@@ -348,3 +355,15 @@ def test_format_error_exit(tmp_path):
     code, _, err = run_cli(["solve", str(path)])
     assert code == 3
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("error", [AffineStructureViolation, OracleError,
+                                   PreconditionError])
+def test_internal_breach_exit(z4_file, monkeypatch, error):
+    def breach(self, inst):
+        raise error("breach")
+
+    monkeypatch.setattr(Solver, "solve", breach)
+    code, _, err = run_cli(["solve", z4_file])
+    assert code == 4
+    assert "internal error:" in err

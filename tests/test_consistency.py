@@ -32,10 +32,11 @@ from wnucsp.instance import (
     apply_reduction,
     project_instance,
 )
-from wnucsp.relation import Relation, full_relation
+from wnucsp.relation import Relation
 from wnucsp.solver import Solver, SolverConfig
 
 from conftest import linear_relation
+from helpers import full_relation
 
 
 def test_cc_contradictory_order_chain(maj2):

@@ -14,18 +14,17 @@ from wnucsp.harness import brute_force
 from wnucsp.instance import Constraint, Instance, weaken_all
 from wnucsp.relation import (
     Relation,
-    close_relation,
     dummy_coordinates,
     factorize,
-    full_relation,
+    invariant_supersets,
     is_invariant,
-    is_subdirect,
     minimal_weaker_relations,
     project,
     weaker_relations,
 )
 
 from conftest import linear_relation
+from helpers import close_relation, full_relation, is_subdirect
 
 
 def test_project_binary_swap(z2min):
@@ -131,22 +130,49 @@ def brute_weaker(rel):
     return out
 
 
+def closed_by_definition(alg, tuples):
+    """Whether the binary relation is closed under the WNU of ``alg``,
+    applied coordinatewise to every m-tuple of its members."""
+
+    return all(
+        (alg.op([r[0] for r in rows]), alg.op([r[1] for r in rows])) in tuples
+        for rows in itertools.product(tuples, repeat=alg.arity))
+
+
+def test_invariant_supersets_match_brute_force(z2min, maj2, and3, dd3,
+                                               searched3):
+    rng = random.Random(23)
+    for alg in (z2min, maj2, and3, dd3, searched3):
+        coords = (alg, alg)
+        space = list(itertools.product(alg.elements, repeat=2))
+        for _ in range(3):
+            rel = close_relation(coords, rng.sample(space, rng.randint(1, 2)))
+            want = []
+            for r in range(len(rel.tuples) + 1, len(space) + 1):
+                for extra in itertools.combinations(
+                        [t for t in space if t not in rel.tuples],
+                        r - len(rel.tuples)):
+                    cand = rel.tuples | frozenset(extra)
+                    if closed_by_definition(alg, cand):
+                        want.append(cand)
+            got = invariant_supersets(rel)
+            assert all(s.coords == coords for s in got)
+            assert [s.tuples for s in got] == sorted(
+                want, key=lambda ts: (len(ts), tuple(sorted(ts))))
+
+
 def test_weaker_equality_minority_effectively_none(z2min):
     eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
-    pairs, complete = weaker_relations(eq)
-    assert complete
-    assert pairs == ()
+    assert weaker_relations(eq) == ()
 
 
 def test_weaker_full_relation_empty(z2min):
-    pairs, complete = weaker_relations(full_relation((z2min, z2min)))
-    assert complete and pairs == ()
+    assert weaker_relations(full_relation((z2min, z2min))) == ()
 
 
 def test_weaker_diagonal_three(z2min):
     diag = Relation(3, (z2min,) * 3, {(0, 0, 0), (1, 1, 1)})
-    pairs, complete = weaker_relations(diag)
-    assert complete
+    pairs = weaker_relations(diag)
     got = {(sub, rel.tuples) for sub, rel in pairs}
     eqset = frozenset({(0, 0), (1, 1)})
     assert got == {((0, 1), eqset), ((0, 2), eqset), ((1, 2), eqset)}
@@ -163,16 +189,14 @@ def test_weaker_matches_brute_force_two_element(z2min, maj2):
                 for _ in range(rng.randint(1, 3))
             }
             rel = close_relation(coords, seed)
-            pairs, complete = weaker_relations(rel)
-            assert complete
+            pairs = weaker_relations(rel)
             got = {(sub, r.tuples) for sub, r in pairs}
             assert got == brute_weaker(rel)
 
 
 def test_weaker_emissions_properties(z4):
     rel = linear_relation(z4, (1, 2, 1, 1), 0)
-    pairs, complete = weaker_relations(rel)
-    assert complete
+    pairs = weaker_relations(rel)
     for sub, cand in pairs:
         assert is_invariant(cand)
         assert dummy_coordinates(cand) == ()
@@ -257,8 +281,7 @@ def test_minimal_weaker_matches_reference(z2min, maj2, dd3, z4, searched3):
                            (searched3, 2)):
         for _ in range(12):
             rel = _random_closed(rng, alg, rng.randint(1, max_arity))
-            ref, complete = weaker_relations(rel)
-            assert complete
+            ref = weaker_relations(rel)
             got = minimal_weaker_relations(rel)
             assert set(got) <= set(ref)
             for sub, cand in ref:
@@ -288,8 +311,7 @@ def test_weaken_all_matches_reference_solutions(maj2, dd3, z4, searched3):
                             tuple(constraints))
             ref = []
             for c in inst.constraints:
-                pairs, complete = weaker_relations(inst.effective(c))
-                assert complete
+                pairs = weaker_relations(inst.effective(c))
                 ref.extend(Constraint(r, tuple(c.scope[i] for i in sub))
                            for sub, r in pairs)
             ref_inst = Instance(vs, (alg,) * 4, inst.current_domains,

@@ -16,7 +16,7 @@ from wnucsp.classify import verify_structure_report
 from wnucsp.consistency import value_components
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp.instance import Constraint, Instance, apply_reduction, weaken_all
-from wnucsp.relation import Relation, full_relation
+from wnucsp.relation import Relation
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
 
@@ -403,23 +403,22 @@ def test_step12_prefix_learning_unit():
     sv = (("a", 2), ("b", 2), ("c", 3))
     param = solve_linear_system(LinearSystem(sv, ())).param
     solver = Solver()
-    system = LinearSystem(sv, ())
 
     # good points: a = 1 (failure already visible at prefix length 1)
     pts = {p for p in param.points() if p[0] == 1}
-    eq = solver._learn_step12(param, pts, system, 0)
+    eq = solver._learn_step12(param, pts, 0)
     assert eq.prime == 2 and eq.rhs == 1
     assert eq.coeffs == (1, 0, 0)
 
     # good points: a + b = 1 (failure first visible at prefix length 2)
     pts = {p for p in param.points() if (p[0] + p[1]) % 2 == 1}
-    eq = solver._learn_step12(param, pts, system, 0)
+    eq = solver._learn_step12(param, pts, 0)
     assert eq.prime == 2 and eq.rhs == 1
     assert eq.coeffs == (1, 1, 0)
 
     # good points: c = 2 in the Z3 block
     pts = {p for p in param.points() if p[2] == 2}
-    eq = solver._learn_step12(param, pts, system, 0)
+    eq = solver._learn_step12(param, pts, 0)
     assert eq.prime == 3 and eq.rhs == 2
     assert eq.coeffs == (0, 0, 1)
 
@@ -427,7 +426,7 @@ def test_step12_prefix_learning_unit():
     from wnucsp.errors import AffineStructureViolation
     pts = {(0, 0, 0), (1, 1, 1), (1, 0, 2)}
     with pytest.raises(AffineStructureViolation):
-        solver._learn_step12(param, pts, system, 0)
+        solver._learn_step12(param, pts, 0)
 
 
 def test_six_element_mixed_prime_domain():
