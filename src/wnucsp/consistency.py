@@ -3,13 +3,18 @@
 Three procedures: the pairwise (2,3)-consistency fixpoint that establishes
 cycle-consistency, the decomposition of the (variable, value) pairs into
 linked components, and the irreducibility check driven by maximal
-congruences.  The irreducibility check solves each distinct linked set's
-projection once per call, pinning one member to one value at a time and
-skipping every value an earlier solution of the call already assigned
-(``pinned_supports``, which Step 3 of the solver shares); a linked set of
-one variable is decided from its constraints' supports, and the transport
-of a congruence through a constraint projection is cached (see
-``check_irreducibility``)."""
+congruences.  The first two share one network: a bitset per (variable,
+value) node over all nodes, holding the node's pair relations for the
+fixpoint (Mohr and Henderson's path-consistency closure, "Arc and path
+consistency revisited", AIJ 28(2), 1986, revised a whole row at a time),
+and a union row per node, the nodes it shares an effective tuple with, from
+which the components are read.  The irreducibility check solves each
+distinct linked set's projection once per call, pinning one member to one
+value at a time and skipping every value an earlier solution of the call
+already assigned (``pinned_supports``, which Step 3 of the solver shares);
+a linked set of one variable is decided from its constraints' supports,
+and the transport of a congruence through a constraint projection is
+cached (see ``check_irreducibility``)."""
 
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ from .errors import ArgumentError
 from .instance import (
     Instance,
     apply_reduction,
-    connected_groups,
     fragment_variable_sets,
     project_instance,
 )
@@ -29,22 +33,31 @@ from .instance import (
 
 @dataclass
 class PairNetwork:
-    """Binary relations on every ordered variable pair, stored as bit rows.
+    """Binary relations on every variable pair, one bit row per (variable,
+    value) node.
 
-    Values are positions in each variable's base carrier.  ``domains[i]``
-    is the bitmask of variable i's values; ``rows[i][j][a]`` is the bitmask
-    of the values b with (a, b) in R_ij, and ``rows[j][i]`` holds the
-    transpose.  ``get`` and ``pairs`` decode to sets of element pairs."""
+    Node (i, a), a being a position in variable i's base carrier, is bit
+    ``offsets[i] + a`` of every row, and block j of a row is its bits from
+    ``offsets[j]`` on.  Block j of ``nodes[offsets[i] + a]`` is the mask of
+    the b with (a, b) in R_ij, block i holds only a's own bit, and the row
+    is 0 when a is out of i's domain.  ``links[offsets[i] + a]`` is the
+    union of a's rows in the constraints' projections: the nodes that
+    share an effective tuple with (i, a).  ``get`` and ``pairs`` decode to
+    sets of element pairs."""
 
     variables: tuple
     elements: tuple   # base carrier per variable
-    domains: list     # bitmask per variable
-    rows: list        # rows[i][j]: list of bitmasks, None when i == j
+    offsets: tuple    # bit of each variable's first position
+    nodes: list       # pair row per node
+    links: list       # union row per node
+
+    def block(self, row, j):
+        return row >> self.offsets[j] & (1 << len(self.elements[j])) - 1
 
     def get(self, i, j):
-        ei, ej = self.elements[i], self.elements[j]
-        return {(ei[a], ej[b])
-                for a, row in enumerate(self.rows[i][j]) for b in _BITS[row]}
+        ei, ej, oi = self.elements[i], self.elements[j], self.offsets[i]
+        return {(ei[a], ej[b]) for a in range(len(ei))
+                for b in _BITS[self.block(self.nodes[oi + a], j)]}
 
     @property
     def pairs(self):
@@ -54,7 +67,8 @@ class PairNetwork:
 
 
 class _BitTable(dict):
-    """mask -> ascending tuple of its set bit positions, filled on demand."""
+    """mask -> ascending tuple of its set bit positions, filled on demand.
+    Never cleared, so it is only indexed by one variable's block."""
 
     def __missing__(self, mask):
         bits = tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
@@ -87,129 +101,101 @@ def _encoded(rel, bases):
     return tuple(tuple(p[e] for p, e in zip(pos, t)) for t in rel.tuples)
 
 
-def build_pair_network(inst: Instance) -> PairNetwork:
-    """Initial network: each domain is intersected with the unary
-    projections of its constraints, every constraint over both variables
-    of a pair cuts the pair to its binary projection, and pairs with no
-    common constraint start as the product of their domains.  Projections
-    are taken over the tuples inside the current domains."""
+def _current_nodes(inst, offsets):
+    """The mask of the nodes in the current domains."""
 
-    n = len(inst.variables)
+    return sum(_domain_mask(alg, dom) << off for alg, dom, off
+               in zip(inst.base_algebras, inst.current_domains, offsets))
+
+
+def build_pair_network(inst: Instance) -> PairNetwork:
+    """Initial network.  A tuple inside the current domains is read as the
+    row of its nodes; a node's row in a constraint is the OR of its tuples'
+    rows.  Each node's pair row is the AND of its rows in the constraints on
+    its variable (the other blocks start as the current domains), so a
+    value without a tuple in one of them loses its own bit and is dropped,
+    and the other rows are cut to the surviving nodes.  Its union row is
+    the OR of the same rows."""
+
     bases = inst.base_algebras
     elements = tuple(alg.elements for alg in bases)
-    sizes = [len(elems) for elems in elements]
-    current = [_domain_mask(alg, dom)
-               for alg, dom in zip(bases, inst.current_domains)]
-    domains = list(current)
-    rows = [[None] * n for _ in range(n)]
+    offsets, width = [], 0
+    for elems in elements:
+        offsets.append(width)
+        width += len(elems)
+    current = _current_nodes(inst, offsets)
+    block = [(1 << len(elems)) - 1 << off
+             for off, elems in zip(offsets, elements) for _ in elems]
+    nodes = [current & ~block[q] | 1 << q if current >> q & 1 else 0
+             for q in range(width)]
+    links = [0] * width
+    acc = [0] * width
     for c in inst.constraints:
         ks = [inst.index(v) for v in c.scope]
-        arity = len(ks)
-        cur = [current[k] for k in ks]
-        unary = [0] * arity
-        # both orientations of each unordered coordinate pair
-        cells = [(p, q, [0] * sizes[ks[p]], [0] * sizes[ks[q]])
-                 for p in range(arity) for q in range(p + 1, arity)]
+        offs = [offsets[k] for k in ks]
         for at in _encoded(c.relation, tuple([bases[k] for k in ks])):
-            for d, a in zip(cur, at):
-                if not d >> a & 1:
-                    break
-            else:
-                for p in range(arity):
-                    unary[p] |= 1 << at[p]
-                for p, q, fwd, bwd in cells:
-                    a, b = at[p], at[q]
-                    fwd[a] |= 1 << b
-                    bwd[b] |= 1 << a
-        for k, mask in zip(ks, unary):
-            domains[k] &= mask
-        for p, q, fwd, bwd in cells:
-            for i, j, proj in ((ks[p], ks[q], fwd), (ks[q], ks[p], bwd)):
-                old = rows[i][j]
-                rows[i][j] = proj if old is None else [
-                    x & y for x, y in zip(old, proj)]
-    for i in range(n):
-        di = domains[i]
-        for j in range(n):
-            if j == i:
+            row = 0
+            for off, a in zip(offs, at):
+                row |= 1 << off + a
+            if row & current != row:
                 continue
-            dj = domains[j]
-            row = rows[i][j]
-            rows[i][j] = [(dj if row is None else row[a] & dj)
-                          if di >> a & 1 else 0
-                          for a in range(sizes[i])]
-    return PairNetwork(inst.variables, elements, domains, rows)
-
-
-def _revise(rows, n, i, j):
-    """Apply the triangle rule to R_ij through every other variable k: a
-    pair (a, b) stays if some c has (a, c) in R_ik and (c, b) in R_kj.
-    Returns whether R_ij shrank."""
-
-    ri, rij, rji = rows[i], rows[i][j], rows[j][i]
-    paths = [(ri[k], rows[k][j]) for k in range(n) if k != i and k != j]
-    changed = False
-    for a, row in enumerate(rij):
-        if not row:
-            continue
-        keep = row
-        for rik, rkj in paths:
-            support = 0
-            for c in _BITS[rik[a]]:
-                support |= rkj[c]
-            keep &= support
-            if not keep:
-                break
-        if keep != row:
-            rij[a] = keep
-            clear = ~(1 << a)
-            for b in _BITS[row & ~keep]:
-                rji[b] &= clear
-            changed = True
-    return changed
+            for off, a in zip(offs, at):
+                acc[off + a] |= row
+        outside = ~sum(block[off] for off in offs)
+        for k in ks:
+            for q in range(offsets[k], offsets[k] + len(elements[k])):
+                nodes[q] &= acc[q] | outside
+                links[q] |= acc[q]
+                acc[q] = 0
+    alive = sum(1 << q for q, row in enumerate(nodes) if row >> q & 1)
+    nodes = [row & alive if alive >> q & 1 else 0
+             for q, row in enumerate(nodes)]
+    return PairNetwork(inst.variables, elements, tuple(offsets), nodes,
+                       links)
 
 
 def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
-    """Fixpoint of the triangle rule on the pair network.  An empty pair or
-    domain means no solution; otherwise every variable whose projection is
-    smaller than its current domain is reduced to it, all at once."""
+    """Fixpoint of the triangle rule on the pair network.  Revising node
+    (i, a) ANDs its row, for every other variable k, with the OR of the
+    rows of the nodes (k, c) in its block k: (a, b) stays in R_ij only when
+    some c has (a, c) in R_ik and (c, b) in R_kj, for every j at once, and
+    a node that loses its own bit is dropped.  The nodes are revised in
+    sweeps until one changes nothing.  An empty domain means no solution;
+    otherwise every variable whose surviving nodes are fewer than its
+    current domain is reduced to them, all at once."""
 
     net = build_pair_network(inst)
-    n = len(inst.variables)
-    rows = net.rows
-    if n >= 3 and all(net.domains):
-        queue = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        queued = set(queue)
-        while queue:
-            pair = queue.pop()
-            queued.discard(pair)
-            i, j = pair
-            if not _revise(rows, n, i, j):
-                continue
-            if not any(rows[i][j]):
-                return PropagationResult("nosolution")
-            for k in range(n):
-                if k != i and k != j:
-                    for dirty in ((min(i, k), max(i, k)),
-                                  (min(j, k), max(j, k))):
-                        if dirty not in queued:
-                            queued.add(dirty)
-                            queue.append(dirty)
+    nodes, elements = net.nodes, net.elements
+    blocks = [(off, (1 << len(elems)) - 1)
+              for off, elems in zip(net.offsets, elements)]
+    work = [(q, 1 << q, blocks[:i] + blocks[i + 1:])
+            for i, (off, full) in enumerate(blocks)
+            for q in range(off, off + full.bit_length()) if nodes[q]]
+    changed = True
+    while changed:
+        changed = False
+        for p, own, others in work:
+            old = row = nodes[p]
+            for off, full in others:
+                support = 0
+                for c in _BITS[row >> off & full]:
+                    support |= nodes[off + c]
+                row &= support
+                if not row & own:
+                    row = 0
+                    break
+            if row != old:
+                nodes[p] = row
+                changed = True
     reduction = {}
     for i, var in enumerate(inst.variables):
-        if n == 1:
-            proj = net.domains[i]
-        else:
-            proj = 0
-            for a, row in enumerate(rows[i][1 if i == 0 else 0]):
-                if row:
-                    proj |= 1 << a
+        off, full = blocks[i]
+        proj = sum(1 << a for a in range(full.bit_length()) if nodes[off + a])
         if not proj:
             return PropagationResult("nosolution")
-        elems = net.elements[i]
         if proj != _domain_mask(inst.base_algebras[i],
                                 inst.current_domains[i]):
-            reduction[var] = frozenset(elems[a] for a in _BITS[proj])
+            reduction[var] = frozenset(elements[i][a] for a in _BITS[proj])
     if reduction:
         return PropagationResult("reduce", reduction=reduction)
     return PropagationResult("ok", net)
@@ -246,17 +232,31 @@ def is_linked(inst: Instance) -> bool:
     return True
 
 
-def value_components(inst: Instance):
-    """``linked_components`` without its fragment check."""
+def value_components(inst: Instance, network: PairNetwork | None = None):
+    """``linked_components`` without its fragment check, read from the
+    union rows of ``network``, which must be built from ``inst`` (it is
+    built when not given).  The union rows are ORs of the constraints'
+    projections: the AND-ed pair rows, before or after the fixpoint, can
+    split a component that the tuples join."""
 
-    nodes = [
-        (v, a) for i, v in enumerate(inst.variables)
-        for a in sorted(inst.current_domains[i])
-    ]
-    links = (tuple(zip(c.scope, t))
-             for c in inst.constraints for t in inst.effective(c).tuples)
-    return tuple(sorted((frozenset(g) for g in connected_groups(nodes, links)),
-                        key=min))
+    net = network if network is not None else build_pair_network(inst)
+    links = net.links
+    left = _current_nodes(inst, net.offsets)
+    comps = []
+    while left:
+        comp = todo = left & -left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = links[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        left &= ~comp
+        comps.append(frozenset(
+            (var, elems[a])
+            for j, (var, elems) in enumerate(zip(net.variables, net.elements))
+            for a in _BITS[net.block(comp, j)]))
+    return tuple(sorted(comps, key=min))
 
 
 # ---------------------------------------------------------------------------

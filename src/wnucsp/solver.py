@@ -190,7 +190,7 @@ class Solver:
             # variable is constrained, the scopes connect them all and every
             # value has support in each of its constraints, so the instance
             # is linked exactly when its values form one component
-            comps = value_components(inst)
+            comps = value_components(inst, prop.network)
             if len(comps) > 1:
                 return self._solve_unlinked(inst, comps, depth, t3)
 

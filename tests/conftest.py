@@ -95,9 +95,9 @@ def solver_recording():
         seen.append(inst)
         return original(self, inst, depth, t3)
 
-    def recording_components(inst):
+    def recording_components(inst, network=None):
         linked.append(inst)
-        return components(inst)
+        return components(inst, network)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Solver, "_solve", recording)

@@ -16,6 +16,7 @@ from wnucsp.algebra import (
     wnu_closure,
 )
 from wnucsp.consistency import (
+    _BITS,
     _propagate_congruence,
     build_pair_network,
     check_irreducibility,
@@ -35,6 +36,7 @@ from wnucsp.instance import (
 from wnucsp.relation import Relation
 from wnucsp.solver import Solver, SolverConfig
 
+import reference_consistency as reference
 from conftest import linear_relation
 from helpers import full_relation
 
@@ -313,14 +315,13 @@ def test_cc_matches_reference_on_families():
     assert statuses == {"ok", "nosolution"}
 
 
-def test_cc_matches_reference_on_mixed_carriers(maj2, z2min, dd3):
+def mixed_carrier_instances(maj2, z2min, dd3):
     """Conservative algebras of sizes 2, 3 and 4, one of them over the
     element ids (3, 7, 9), with invariant and with arbitrary relations."""
 
     odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
     dd4 = make_algebra(range(4), dual_discriminator_table(4))
     rng = random.Random(17)
-    statuses = set()
     for algebras, n_variables in (
             ((maj2, dd3), 5),
             ((z2min, dd3, dd4), 4),
@@ -329,17 +330,23 @@ def test_cc_matches_reference_on_mixed_carriers(maj2, z2min, dd3):
             ((maj2, dd3), 2),
             ((odd_ids, dd4), 2)):
         for i in range(40):
-            inst = random_mixed_instance(
+            yield random_mixed_instance(
                 rng, algebras, n_variables, n_variables, 3,
                 plant=i % 4 != 0, closed=i % 2 == 0)
-            statuses.add(assert_matches_reference(inst)[0])
+
+
+def test_cc_matches_reference_on_mixed_carriers(maj2, z2min, dd3):
+    statuses = {assert_matches_reference(inst)[0]
+                for inst in mixed_carrier_instances(maj2, z2min, dd3)}
     assert statuses == {"ok", "nosolution"}
 
 
 def reference_pair_network(inst):
     """The initial network built tuple by tuple from element ids: every
     constraint tuple inside the current domains is encoded afresh on each
-    call.  Returns (domains, rows) as ``build_pair_network`` stores them."""
+    call.  Returns (domains, rows): ``domains[i]`` is the mask of the
+    positions in variable i's domain and ``rows[i][j][a]`` the mask of the
+    b with (a, b) in R_ij."""
 
     n = len(inst.variables)
     bases = inst.base_algebras
@@ -381,10 +388,33 @@ def reference_pair_network(inst):
     return domains, rows
 
 
+def network_content(net):
+    """The domains as position masks, and every ordered pair decoded."""
+
+    n = len(net.variables)
+    domains = [sum(1 << a for a in range(len(elems)) if net.nodes[off + a])
+               for off, elems in zip(net.offsets, net.elements)]
+    return domains, {(i, j): net.get(i, j)
+                     for i in range(n) for j in range(n) if i != j}
+
+
+def reference_content(inst):
+    """``network_content`` of ``reference_pair_network``."""
+
+    domains, rows = reference_pair_network(inst)
+    elements = [alg.elements for alg in inst.base_algebras]
+    n = len(elements)
+    return domains, {
+        (i, j): {(elements[i][a], elements[j][b])
+                 for a, row in enumerate(rows[i][j])
+                 for b in range(len(elements[j])) if row >> b & 1}
+        for i in range(n) for j in range(n) if i != j}
+
+
 def test_pair_network_matches_per_tuple_reference(solver_instances):
     for inst in solver_instances:
         net = build_pair_network(inst)
-        assert (net.domains, net.rows) == reference_pair_network(inst)
+        assert network_content(net) == reference_content(inst)
 
 
 def test_pair_network_reads_positions_per_scope_bases(z4):
@@ -400,10 +430,10 @@ def test_pair_network_reads_positions_per_scope_bases(z4):
                          (Constraint(rel, ("x", "y")),))
     for inst in (over_full, over_even, over_full):
         net = build_pair_network(inst)
-        assert (net.domains, net.rows) == reference_pair_network(inst)
+        assert network_content(net) == reference_content(inst)
         assert net.get(0, 1) == set(rel.tuples)
-    assert build_pair_network(over_full).domains == [0b101, 0b101]
-    assert build_pair_network(over_even).domains == [0b11, 0b11]
+    assert network_content(build_pair_network(over_full))[0] == [0b101] * 2
+    assert network_content(build_pair_network(over_even))[0] == [0b11] * 2
 
 
 def test_cc_ternary_instance_needs_two_rounds(maj2):
@@ -427,6 +457,123 @@ def test_cc_ternary_instance_needs_two_rounds(maj2):
     assert assert_matches_reference(inst) == ("ok", 2)
     result, reduced, _ = full_cycle_consistency(inst)
     assert reduced.current_domains == (frozenset({1}),) + (frozenset({0}),) * 3
+
+
+# --- Step 1 and the components against the bit-row, union-find code -------
+
+
+def step1_outcome(result):
+    pairs = result.network.pairs if result.network is not None else None
+    return result.status, result.reduction, pairs
+
+
+def assert_step1_matches_bit_rows(inst):
+    """Equal status, reduction and pairs on ``inst`` and on each instance
+    its reductions lead to.  Returns the statuses seen."""
+
+    statuses = []
+    while True:
+        result = enforce_cycle_consistency(inst)
+        assert step1_outcome(result) == step1_outcome(
+            reference.enforce_cycle_consistency(inst))
+        statuses.append(result.status)
+        if result.status != "reduce":
+            return statuses
+        inst = apply_reduction(inst, result.reduction)
+
+
+def test_cc_matches_bit_rows_on_solver_instances(solver_instances):
+    statuses = set()
+    for inst in solver_instances:
+        statuses.update(assert_step1_matches_bit_rows(inst))
+    assert statuses == {"ok", "reduce", "nosolution"}
+
+
+def test_cc_matches_bit_rows_on_mixed_carriers(maj2, z2min, dd3):
+    statuses = set()
+    for inst in mixed_carrier_instances(maj2, z2min, dd3):
+        statuses.update(assert_step1_matches_bit_rows(inst))
+    assert statuses == {"ok", "reduce", "nosolution"}
+
+
+def test_cc_matches_bit_rows_on_one_two_and_three_variables(maj2, z2min,
+                                                             dd3):
+    odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
+    rng = random.Random(23)
+    for n_variables in (1, 2, 3):
+        statuses = set()
+        for i in range(60):
+            inst = random_mixed_instance(
+                rng, (maj2, z2min, dd3, odd_ids), n_variables,
+                rng.randint(1, 4), 3, plant=i % 3 != 0, closed=i % 2 == 0)
+            statuses.update(assert_step1_matches_bit_rows(inst))
+        assert statuses == {"ok", "reduce", "nosolution"}
+
+
+def assert_components_match_union_find(inst):
+    want = reference.value_components(inst)
+    assert value_components(inst) == want
+    assert value_components(inst, build_pair_network(inst)) == want
+    result = enforce_cycle_consistency(inst)
+    if result.status == "ok":
+        assert value_components(inst, result.network) == want
+    return want
+
+
+def test_value_components_match_union_find(solver_instances, linked_checks):
+    counts = {len(assert_components_match_union_find(inst))
+              for inst in solver_instances + linked_checks}
+    assert 1 in counts and max(counts) > 2
+
+
+def test_components_join_values_the_projection_meet_splits(maj2):
+    """x <= y and x >= y: the AND of the two projections is x = y, two
+    components, while their tuples (0, 1) and (1, 0) join all four
+    values."""
+
+    le = Relation(2, (maj2, maj2), {(0, 0), (0, 1), (1, 1)})
+    ge = Relation(2, (maj2, maj2), {(0, 0), (1, 0), (1, 1)})
+    inst = Instance(("x", "y"), (maj2,) * 2, (frozenset({0, 1}),) * 2,
+                    (Constraint(le, ("x", "y")), Constraint(ge, ("x", "y"))))
+    result = enforce_cycle_consistency(inst)
+    assert result.status == "ok"
+    assert result.network.get(0, 1) == {(0, 0), (1, 1)}
+    whole = (frozenset(itertools.product(("x", "y"), (0, 1))),)
+    assert assert_components_match_union_find(inst) == whole
+    assert value_components(inst, result.network) == whole
+
+
+def test_components_keep_pairs_the_fixpoint_drops(maj2):
+    """x and y unrelated but for a full constraint, both equal to z: the
+    fixpoint cuts R_xy to x = y without shrinking a domain, while the
+    full constraint's tuples keep every value in one component."""
+
+    eq = Relation(2, (maj2, maj2), {(0, 0), (1, 1)})
+    inst = Instance(("x", "y", "z"), (maj2,) * 3, (frozenset({0, 1}),) * 3, (
+        Constraint(full_relation((maj2, maj2)), ("x", "y")),
+        Constraint(eq, ("x", "z")),
+        Constraint(eq, ("y", "z")),
+    ))
+    assert build_pair_network(inst).get(0, 1) == set(
+        itertools.product((0, 1), (0, 1)))
+    result = enforce_cycle_consistency(inst)
+    assert result.status == "ok"
+    assert result.network.get(0, 1) == {(0, 0), (1, 1)}
+    whole = (frozenset(itertools.product(("x", "y", "z"), (0, 1))),)
+    assert assert_components_match_union_find(inst) == whole
+    assert value_components(inst, result.network) == whole
+
+
+def test_bit_table_holds_only_one_variables_blocks(z4):
+    """A 24-variable planted Z4 instance spans 96 nodes; the bit table
+    must still only see masks of one 4-element block."""
+
+    params = GenParams(4, 5, 24, 24, 3, 100_016, satisfiable_bias=True,
+                       wnu=z4.wnu)
+    inst, _ = random_instance(params)
+    _BITS.clear()
+    assert Solver().solve(inst).kind == "sat"
+    assert _BITS and all(mask < 1 << 4 for mask in _BITS)
 
 
 def test_linked_components_equality(z2min):
