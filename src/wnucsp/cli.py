@@ -104,13 +104,6 @@ def _center_cap(domain_size):
     return max(3, domain_size - 1)
 
 
-def _trace_sink(stream):
-    def sink(ev):
-        print("[trace] step %s (depth %d, t3 %d): %s"
-              % (ev.step, ev.depth, ev.type3_depth, ev.detail), file=stream)
-    return sink
-
-
 def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True))
 
@@ -136,8 +129,17 @@ def cmd_solve(args):
     inst = build_instance(parsed, extra)
     # completeness of the center search must cover the largest domain
     center_cap = _center_cap(max(parsed.domains.values()))
-    cfg = SolverConfig(center_arity_cap=center_cap, trace=args.trace,
-                       trace_sink=_trace_sink(sys.stderr) if args.trace else None)
+    events = 0
+
+    def trace_sink(ev):
+        nonlocal events
+        events += 1
+        print("[trace] step %s (depth %d, t3 %d): %s"
+              % (ev.step, ev.depth, ev.type3_depth, ev.detail),
+              file=sys.stderr)
+
+    cfg = SolverConfig(center_arity_cap=center_cap,
+                       trace_sink=trace_sink if args.trace else None)
     t0 = time.perf_counter()
     solver = Solver(cfg)
     outcome = solver.solve(inst)
@@ -147,7 +149,7 @@ def cmd_solve(args):
             "command": "solve",
             "decision": outcome.kind,
             "assignment": outcome.assignment,
-            "trace_events": len(solver.trace),
+            "trace_events": events,
             "learned_equations": len(solver.learned),
             "elapsed_ms": round(elapsed * 1000, 3),
         })
@@ -278,7 +280,8 @@ def cmd_gen(args):
 
 def cmd_difftest(args):
     cfg = SolverConfig(center_arity_cap=_center_cap(args.domain_size))
-    report = differential_test(args.n, _gen_params(args), config=cfg)
+    report = differential_test(args.n, _gen_params(args),
+                               solver_factory=lambda: Solver(cfg))
     if args.json:
         _emit_json({
             "command": "difftest",

@@ -203,7 +203,9 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
     arity = next(iter(arities)) if arities else 3
     for dom, size in parsed.domains.items():
         if dom in wnus:
-            algebras[dom] = make_algebra(range(size), wnus[dom])
+            # the file's tables were checked when parsed, the extra ones not
+            build = make_algebra if dom in (extra_wnus or ()) else Algebra
+            algebras[dom] = build(range(size), wnus[dom])
         elif placeholder_ok:
             proj = OperationTable(arity, size, tuple(
                 args[0] for args in

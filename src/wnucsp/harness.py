@@ -16,7 +16,7 @@ from .algebra import (
 from .errors import ArgumentError, InternalError, SizeError
 from .instance import Instance, normalize_scope
 from .relation import Relation, is_invariant
-from .solver import Solver, SolverConfig
+from .solver import Solver
 
 BRUTE_FORCE_CAP = 10_000_000
 
@@ -142,10 +142,10 @@ class DiffReport:
 
 
 def differential_test(n, params: GenParams,
-                      config: SolverConfig | None = None,
-                      solver_factory=None) -> DiffReport:
-    """Solver vs brute force on ``n`` seeded instances; disagreement records
-    carry the instance serialized in the CLI file format for replay."""
+                      solver_factory=Solver) -> DiffReport:
+    """Solver vs brute force on ``n`` seeded instances, each solved by a
+    fresh ``solver_factory()``; disagreement records carry the instance
+    serialized in the CLI file format for replay."""
 
     from .fileformat import serialize_instance
 
@@ -154,8 +154,7 @@ def differential_test(n, params: GenParams,
     for i in range(n):
         p = replace(params, seed=params.seed + i)
         inst, _ = random_instance(p)
-        solver = solver_factory() if solver_factory else Solver(config)
-        got = solver.solve(inst)
+        got = solver_factory().solve(inst)
         want = brute_force(inst, "decision")
         rec = DiffRecord(p.seed, got.kind, "sat" if want else "unsat")
         records.append(rec)

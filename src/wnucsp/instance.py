@@ -282,13 +282,7 @@ def project_instance(inst: Instance, variables) -> Instance:
         positions = [i for i, v in enumerate(c.scope) if v in keep]
         if not positions:
             continue
-        eff = inst.effective(c)
-        if eff.is_empty:
-            proj = Relation(len(positions),
-                            tuple(eff.coords[i] for i in positions),
-                            frozenset())
-        else:
-            proj = project(eff, positions)
+        proj = project(inst.effective(c), positions)
         scope = tuple(c.scope[i] for i in positions)
         key = (scope, proj.tuples)
         if key in seen:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .algebra import (
     closed_sets_above,
@@ -138,9 +139,7 @@ def _coordinate_dummy(rel: Relation, index) -> bool:
     rest = [i for i in range(rel.arity) if i != index]
     if not rest:
         return rel.is_full
-    proj = {tuple(t[i] for i in rest) for t in rel.tuples}
-    want = len(proj) * rel.coords[index].size
-    return len(rel.tuples) == want
+    return cylinder_implies(project(rel, rest), rest, rel)
 
 
 def dummy_coordinates(rel: Relation):
@@ -228,9 +227,12 @@ def minimal_weaker_relations(rel: Relation):
 
 def cylinder_implies(cand: Relation, sub, rel: Relation) -> bool:
     """Whether the constraint (sub, cand) implies ``rel`` on the full scope,
-    i.e. the cylinder of cand over the full coordinates sits inside rel."""
+    i.e. the cylinder of cand over the full coordinates sits inside rel.
 
-    for t in itertools.product(*(alg.elements for alg in rel.coords)):
-        if tuple(t[i] for i in sub) in cand.tuples and t not in rel.tuples:
-            return False
-    return True
+    Requires cand to contain the projection of rel onto ``sub``, so that
+    the cylinder contains rel; it then equals rel exactly when the two
+    have as many tuples."""
+
+    outside = prod(alg.size for i, alg in enumerate(rel.coords)
+                   if i not in sub)
+    return len(rel.tuples) == len(cand.tuples) * outside

@@ -67,18 +67,15 @@ MAX_TYPE3_DEPTH = 64
 @dataclass(frozen=True)
 class SolverConfig:
     center_arity_cap: int = 3
-    trace: bool = False
-    trace_sink: object = None
+    trace_sink: object = None  # called with each TraceEvent; None is off
 
 
 @dataclass(frozen=True)
 class TraceEvent:
     step: str
     detail: str
-    rtype: int | None
     depth: int
     type3_depth: int
-    eq_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,11 @@ class LearnedEquation:
 
 
 class Solver:
-    """One solving session: memo table, trace, and certificate log."""
+    """One solving session: memo table and certificate log."""
 
     def __init__(self, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
         self.memo = {}
-        self.trace = []
         self.reports = []   # (Algebra, StructureReport) pairs, as applied
         self.learned = []   # LearnedEquation log
 
@@ -120,14 +116,12 @@ class Solver:
 
     # -- plumbing
 
-    def _emit(self, step, detail, rtype=None, depth=0, t3=0, eq_size=0):
-        """Record one trace event.  Callers test ``self.config.trace``
-        first, so no detail text is built when tracing is off."""
+    def _emit(self, step, detail, depth, t3):
+        """Pass one trace event to the sink.  Callers test
+        ``self.config.trace_sink`` first, so no detail text is built when
+        tracing is off."""
 
-        ev = TraceEvent(step, detail, rtype, depth, t3, eq_size)
-        self.trace.append(ev)
-        if self.config.trace_sink is not None:
-            self.config.trace_sink(ev)
+        self.config.trace_sink(TraceEvent(step, detail, depth, t3))
 
     def _solve(self, inst: Instance, depth, t3):
         key = inst.canonical_key()
@@ -174,15 +168,14 @@ class Solver:
             # Step 1: cycle-consistency
             prop = enforce_cycle_consistency(inst)
             if prop.status == "nosolution":
-                if self.config.trace:
-                    self._emit("1", "propagation emptied a pair", 1, depth, t3)
+                if self.config.trace_sink:
+                    self._emit("1", "propagation emptied a pair", depth, t3)
                 return False, None
             if prop.status == "reduce":
-                if self.config.trace:
+                if self.config.trace_sink:
                     self._emit("1", "reduce " + ", ".join(
                         "%s to %s" % (var, sorted(subset))
-                        for var, subset in prop.reduction.items()),
-                        1, depth, t3)
+                        for var, subset in prop.reduction.items()), depth, t3)
                 inst = apply_reduction(inst, prop.reduction)
                 continue
 
@@ -199,14 +192,14 @@ class Solver:
                 inst, lambda sub: self._solve(sub, depth + 1, t3)[1]
             )
             if irr.status == "nosolution":
-                if self.config.trace:
+                if self.config.trace_sink:
                     self._emit("2", "projection solution set empty",
-                               1, depth, t3)
+                               depth, t3)
                 return False, None
             if irr.status == "reduce":
-                if self.config.trace:
+                if self.config.trace_sink:
                     self._emit("2", "reduce %s to %s"
-                               % (irr.var, sorted(irr.subset)), 1, depth, t3)
+                               % (irr.var, sorted(irr.subset)), depth, t3)
                 inst = apply_reduction(inst, {irr.var: irr.subset})
                 continue
 
@@ -216,9 +209,9 @@ class Solver:
                 return False, None
             if step3 is not None:
                 var, good = step3
-                if self.config.trace:
+                if self.config.trace_sink:
                     self._emit("3", "reduce %s to %s" % (var, sorted(good)),
-                               1, depth, t3)
+                               depth, t3)
                 inst = apply_reduction(inst, {var: good})
                 continue
 
@@ -243,8 +236,8 @@ class Solver:
             return self._linear_phase(inst, depth, t3)
 
     def _solve_unlinked(self, inst: Instance, comps, depth, t3):
-        if self.config.trace:
-            self._emit("2", "%d linked components" % len(comps), 2, depth, t3)
+        if self.config.trace_sink:
+            self._emit("2", "%d linked components" % len(comps), depth, t3)
         for comp in comps:
             reduction = {}
             for i, var in enumerate(inst.variables):
@@ -319,9 +312,9 @@ class Solver:
                 report = StructureReport("binary_absorbing",
                                          subuniverse=ba[0], term=ba[1])
                 self.reports.append((alg, report))
-                if self.config.trace:
+                if self.config.trace_sink:
                     self._emit("4", "absorb %s into %s" % (var, sorted(ba[0])),
-                               1, depth, t3)
+                               depth, t3)
                 return apply_reduction(inst, {var: ba[0]})
         return None
 
@@ -336,9 +329,9 @@ class Solver:
                 report = StructureReport("center", subuniverse=search.center,
                                          witness=search.witness)
                 self.reports.append((alg, report))
-                if self.config.trace:
+                if self.config.trace_sink:
                     self._emit("5", "center %s to %s"
-                               % (var, sorted(search.center)), 1, depth, t3)
+                               % (var, sorted(search.center)), depth, t3)
                 return apply_reduction(inst, {var: search.center})
             if not search.complete:
                 incomplete = True
@@ -358,9 +351,9 @@ class Solver:
             report = StructureReport("pc_quotient", congruence=sigma)
             self.reports.append((alg, report))
             block = frozenset(sigma.block_of(min(inst.current_domains[i])))
-            if self.config.trace:
+            if self.config.trace_sink:
                 self._emit("6", "PC class %s to %s" % (var, sorted(block)),
-                           1, depth, t3)
+                           depth, t3)
             return apply_reduction(inst, {var: block})
         return None
 
@@ -377,17 +370,16 @@ class Solver:
                 self.reports.append((alg, StructureReport(
                     "linear_quotient", congruence=f.conlin.congruence,
                     iso=f.conlin.iso)))
-        if self.config.trace:
+        if self.config.trace_sink:
             self._emit("7", "linear phase over %d scalars"
-                       % len(system.scalar_vars), None, depth, t3)
+                       % len(system.scalar_vars), depth, t3)
         equations = []
         while True:
             res = solve_linear_system(
                 LinearSystem(system.scalar_vars,
                              system.equations + tuple(equations)))
-            if self.config.trace:
-                self._emit("8", "system solved: %s" % res.kind, None,
-                           depth, t3, eq_size=len(equations))
+            if self.config.trace_sink:
+                self._emit("8", "system solved: %s" % res.kind, depth, t3)
             if res.kind == "inconsistent":
                 return False, None
             if res.kind == "unique":
@@ -396,9 +388,9 @@ class Solver:
             param = res.param
             zero = tuple([0] * len(param.free_vars))
             ok, a = self._solve_at_point(inst, factors, param, zero, depth, t3)
-            if self.config.trace:
+            if self.config.trace_sink:
                 self._emit("9", "zero point %s"
-                           % ("solved" if ok else "failed"), 4, depth, t3)
+                           % ("solved" if ok else "failed"), depth, t3)
             if ok:
                 return True, a
 
@@ -406,9 +398,9 @@ class Solver:
                 raise ConfigError("parameter space exceeds the point cap")
             oracle = self._unsat_somewhere_oracle(factors, param, depth, t3)
             theta_p = make_crucial(inst, oracle)
-            if self.config.trace:
+            if self.config.trace_sink:
                 self._emit("10", "crucial instance with %d constraints"
-                           % len(theta_p.constraints), 3, depth, t3)
+                           % len(theta_p.constraints), depth, t3)
 
             solvable_points = {
                 pt for pt in param.points()
@@ -417,12 +409,12 @@ class Solver:
             }
             if is_linked(theta_p):
                 if not solvable_points:
-                    if self.config.trace:
-                        self._emit("13", "no equation exists", None, depth, t3)
+                    if self.config.trace_sink:
+                        self._emit("13", "no equation exists", depth, t3)
                     return False, None
-                new_eq = self._learn_step13(param, solvable_points, depth)
+                new_eq = self._learn_step13(param, solvable_points, depth, t3)
             else:
-                new_eq = self._learn_step12(param, solvable_points, depth)
+                new_eq = self._learn_step12(param, solvable_points, depth, t3)
             if self._implied_by_param(param, new_eq):
                 raise InternalError("learned equation does not shrink the system")
             equations.append(new_eq)
@@ -458,45 +450,58 @@ class Solver:
             return False
         return oracle
 
-    def _learn_step12(self, param, solvable_points, depth):
-        """Scan free-variable prefixes; at the first prefix length whose good
-        set is proper, learn its hyperplane inside the newest prime block."""
+    def _learn_step12(self, param, solvable_points, depth, t3):
+        """Learn the equation of the first free-variable prefix whose good
+        set is proper.  The shorter prefix is full, so only the block of
+        the prefix's newest variable can hold that equation."""
 
         moduli = param.moduli
         for i in range(1, len(moduli) + 1):
             good = {pt[:i] for pt in solvable_points}
             if len(good) == prod(moduli[:i]):
                 continue
-            slots, out, exact = _learn_block(moduli[:i], moduli[i - 1], good)
-            if out.kind != "equation":
-                raise AffineStructureViolation(
-                    "prefix good set is not a single-block hyperplane")
-            if not exact:
-                raise AffineStructureViolation(
-                    "learned prefix equation does not match the good set")
-            if self.config.trace:
+            eq = self._learn(param, moduli[:i], good, depth)
+            if self.config.trace_sink:
                 self._emit("12", "learned prefix equation at i=%d" % i,
-                           None, depth, 0)
-            return self._global_equation(param, slots, out, depth)
+                           depth, t3)
+            return eq
         raise InternalError("every prefix is covered although some point fails")
 
-    def _learn_step13(self, param, solvable_points, depth):
+    def _learn_step13(self, param, solvable_points, depth, t3):
         """The solvable points form the solution set of one equation living
-        in a single prime block; find the block, learn, verify exactly."""
+        in a single prime block."""
 
-        moduli = param.moduli
-        tried = []
+        eq = self._learn(param, param.moduli, solvable_points, depth)
+        if self.config.trace_sink:
+            self._emit("13", "learned equation in block p=%d" % eq.prime,
+                       depth, t3)
+        return eq
+
+    def _learn(self, param, moduli, members, depth):
+        """The equation that holds exactly at ``members`` among all points
+        over ``moduli``, a prefix of the free variables' moduli.  Tries the
+        prime blocks in order of appearance; in each it learns the
+        hyperplane that ``members`` cut out of the block's coordinates with
+        every other coordinate 0."""
+
         for p in dict.fromkeys(moduli):
-            slots, out, exact = _learn_block(moduli, p, solvable_points)
-            tried.append((p, out.kind))
-            if exact:
-                if self.config.trace:
-                    self._emit("13", "learned equation in block p=%d" % p,
-                               None, depth, 0)
+            slots = [j for j, q in enumerate(moduli) if q == p]
+
+            def oracle(v):
+                point = [0] * len(moduli)
+                for idx, j in enumerate(slots):
+                    point[j] = v[idx]
+                return tuple(point) in members
+
+            out = learn_hyperplane(oracle, p, len(slots))
+            if out.kind == "equation" and all(
+                    (sum(out.coeffs[idx] * pt[j]
+                         for idx, j in enumerate(slots)) % p == out.rhs)
+                    == (pt in members)
+                    for pt in itertools.product(*(range(q) for q in moduli))):
                 return self._global_equation(param, slots, out, depth)
         raise AffineStructureViolation(
-            "no single-block equation describes the solvable points "
-            "(tried %s)" % (tried,))
+            "no single-block equation describes the points")
 
     def _global_equation(self, param, slots, out, depth):
         dense = [0] * len(param.scalar_vars)
@@ -520,30 +525,6 @@ class Solver:
             if lhs % equation.prime != equation.rhs:
                 return False
         return True
-
-
-def _learn_block(moduli, p, members):
-    """Learn the hyperplane that ``members``, points over ``moduli``, cut
-    out of the coordinates of prime ``p`` with every other coordinate 0.
-
-    Returns (those coordinates, the LearnOutcome, whether it is an equation
-    that holds exactly at the members among all points over ``moduli``).
-    """
-
-    slots = [j for j, q in enumerate(moduli) if q == p]
-
-    def oracle(v):
-        point = [0] * len(moduli)
-        for idx, j in enumerate(slots):
-            point[j] = v[idx]
-        return tuple(point) in members
-
-    out = learn_hyperplane(oracle, p, len(slots))
-    exact = out.kind == "equation" and all(
-        (sum(out.coeffs[idx] * pt[j] for idx, j in enumerate(slots)) % p
-         == out.rhs) == (pt in members)
-        for pt in itertools.product(*(range(q) for q in moduli)))
-    return slots, out, exact
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveOutcome:

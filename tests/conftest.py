@@ -13,6 +13,8 @@ from wnucsp.algebra import (
 from wnucsp.harness import GenParams, random_instance
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation
+from wnucsp import instance as instance_module
+from wnucsp import relation as relation_module
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver
 
@@ -73,8 +75,11 @@ def solver_recording():
     """Solve eight seeded desk-size instances (6 variables, 6 constraints)
     of each family below, half of them planted.  Returns every instance
     ``Solver._solve`` is called on (reduced, projected and weakened
-    instances as well as the generated ones) and every instance
-    ``Solver._solve_main`` tests for linkedness."""
+    instances as well as the generated ones), every instance
+    ``Solver._solve_main`` tests for linkedness, and every call of
+    ``relation.cylinder_implies`` as ((cand, sub, rel), result).  The
+    weakening cache is cleared first, so each weakening the solves ask
+    for is computed under the recording."""
 
     # (domain size, WNU arity, WNU table); None is the canonical searched
     # special WNU
@@ -87,9 +92,10 @@ def solver_recording():
         (3, 3, None),
         (4, 3, None),
     )
-    seen, linked = [], []
+    seen, linked, cylinders = [], [], []
     original = Solver._solve
     components = solver_module.value_components
+    cylinder_implies = relation_module.cylinder_implies
 
     def recording(self, inst, depth, t3):
         seen.append(inst)
@@ -99,15 +105,23 @@ def solver_recording():
         linked.append(inst)
         return components(inst, network)
 
+    def recording_cylinder(cand, sub, rel):
+        got = cylinder_implies(cand, sub, rel)
+        cylinders.append(((cand, tuple(sub), rel), got))
+        return got
+
+    relation_module.minimal_weaker_relations.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Solver, "_solve", recording)
         mp.setattr(solver_module, "value_components", recording_components)
+        for module in (relation_module, instance_module):
+            mp.setattr(module, "cylinder_implies", recording_cylinder)
         for n, m, wnu in families:
             for i in range(8):
                 params = GenParams(n, m, 6, 6, 3, 400_000 + i,
                                    satisfiable_bias=bool(i % 2), wnu=wnu)
                 Solver().solve(random_instance(params)[0])
-    return tuple(seen), tuple(linked)
+    return tuple(seen), tuple(linked), tuple(cylinders)
 
 
 @pytest.fixture(scope="session")
@@ -124,3 +138,11 @@ def linked_checks(solver_recording):
     building ``solver_recording``."""
 
     return solver_recording[1]
+
+
+@pytest.fixture(scope="session")
+def cylinder_calls(solver_recording):
+    """Every ``relation.cylinder_implies`` call made while building
+    ``solver_recording``, as ((cand, sub, rel), result)."""
+
+    return solver_recording[2]

@@ -9,6 +9,7 @@ from wnucsp.cli import execute_command
 from wnucsp.errors import (
     AffineStructureViolation,
     FormatError,
+    InvariantError,
     OracleError,
     PreconditionError,
     WnuInvalid,
@@ -20,7 +21,7 @@ from wnucsp.fileformat import (
     serialize_instance,
 )
 from wnucsp.harness import GenParams, random_instance
-from wnucsp.algebra import minority_table, sum_table
+from wnucsp.algebra import OperationTable, minority_table, sum_table
 from wnucsp.solver import Solver
 
 
@@ -133,6 +134,30 @@ def test_parse_rejects_sum_when_not_special():
         parse_instance("DOMAIN T 3\nWNU T 3 SUM\nVAR x T\n")
 
 
+def test_parse_checks_each_wnu_table_once(monkeypatch):
+    from wnucsp import algebra, fileformat
+
+    calls = []
+    verify = algebra.verify_special_wnu
+
+    def counting(table):
+        calls.append(table)
+        return verify(table)
+
+    for module in (algebra, fileformat):
+        monkeypatch.setattr(module, "verify_special_wnu", counting)
+    parse_instance(z4_instance_text())
+    assert calls == [sum_table(4, 5)]
+
+
+def test_build_rejects_non_special_extra_wnu():
+    first = OperationTable(3, 2, tuple(
+        a for a, _, _ in itertools.product(range(2), repeat=3)))
+    parsed = parse_instance_text("DOMAIN B 2\nVAR x B\n")
+    with pytest.raises(InvariantError):
+        build_instance(parsed, {"B": first})
+
+
 def test_parse_rejects_unpreserved_relation():
     text = ("DOMAIN B 2\nWNU B 3 SUM\nVAR a B\nVAR b B\nVAR c B\n"
             "REL NAE 3 B B B\n0 0 1\n0 1 0\n0 1 1\n1 0 0\n1 0 1\n1 1 0\nEND\n"
@@ -228,6 +253,13 @@ def test_solve_command_trace(z4_file):
     code, _, err = run_cli(["solve", z4_file, "--trace"])
     assert code == 0
     assert "[trace]" in err
+
+
+def test_solve_json_counts_the_printed_trace_events(z4_file):
+    code, out, err = run_cli(["solve", z4_file, "--trace", "--json"])
+    assert code == 0
+    printed = sum(line.startswith("[trace]") for line in err.splitlines())
+    assert json.loads(out)["trace_events"] == printed > 0
 
 
 def test_solve_no_wnu(nae_file):

@@ -153,10 +153,10 @@ def test_cc_chain_reduces_in_one_step1_event(z2min):
         Constraint(eq, ("y", "z")),
         Constraint(pin, ("z",)),
     ))
-    solver = Solver(SolverConfig(trace=True))
-    outcome = solver.solve(inst)
+    events = []
+    outcome = Solver(SolverConfig(trace_sink=events.append)).solve(inst)
     assert outcome.assignment == {"x": 0, "y": 0, "z": 0}
-    reduces = [ev for ev in solver.trace
+    reduces = [ev for ev in events
                if ev.step == "1" and ev.detail.startswith("reduce")]
     assert len(reduces) == 1
     assert reduces[0].detail == "reduce x to [0], y to [0], z to [0]"

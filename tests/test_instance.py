@@ -33,6 +33,7 @@ from wnucsp.instance import (
     fragment_variable_sets,
     make_crucial,
     normalize_scope,
+    project_instance,
     relation_to_equations,
     weaken_all,
 )
@@ -124,6 +125,19 @@ def test_normalize_scope_repetition(z2min):
     c = normalize_scope(rel, ("x", "x"))
     assert c.scope == ("x",)
     assert c.relation.tuples == {(0,), (1,)}
+
+
+def test_project_instance_keeps_an_empty_effective_relation(z2min):
+    # (x, y) = (0, 0) with x reduced to 1: the effective relation is empty
+    zero = Relation(2, (z2min, z2min), {(0, 0)})
+    inst = Instance(("x", "y", "z"), (z2min,) * 3,
+                    (frozenset({1}), frozenset({0, 1}), frozenset({0, 1})),
+                    (Constraint(zero, ("x", "y")),))
+    proj = project_instance(inst, ("y", "z"))
+    assert proj.variables == ("y", "z")
+    coord = inst.effective(inst.constraints[0]).coords[1]
+    assert proj.constraints == (
+        Constraint(Relation(1, (coord,), frozenset()), ("y",)),)
 
 
 def test_fragments(z2min):

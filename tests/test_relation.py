@@ -130,6 +130,25 @@ def brute_weaker(rel):
     return out
 
 
+def cylinder_implies_reference(cand, sub, rel):
+    """Whether the cylinder of (sub, cand) over rel's coordinates sits
+    inside rel, by enumerating that product space."""
+
+    for t in itertools.product(*(alg.elements for alg in rel.coords)):
+        if tuple(t[i] for i in sub) in cand.tuples and t not in rel.tuples:
+            return False
+    return True
+
+
+def test_cylinder_count_matches_the_scan_on_solver_calls(cylinder_calls):
+    implied = 0
+    for (cand, sub, rel), got in cylinder_calls:
+        assert project(rel, sub).tuples <= cand.tuples
+        assert got == cylinder_implies_reference(cand, sub, rel)
+        implied += got
+    assert 0 < implied < len(cylinder_calls)
+
+
 def closed_by_definition(alg, tuples):
     """Whether the binary relation is closed under the WNU of ``alg``,
     applied coordinatewise to every m-tuple of its members."""

@@ -239,9 +239,10 @@ def test_trace_off_records_nothing(z4_example, monkeypatch):
         pytest.fail("an event was emitted with tracing off")
 
     monkeypatch.setattr(Solver, "_emit", no_event)
-    solver = Solver(SolverConfig(trace=False, trace_sink=no_event))
+    monkeypatch.setattr(solver_module, "TraceEvent", no_event)
+    solver = Solver(SolverConfig())
     assert solver.solve(z4_example).satisfiable
-    assert solver.trace == []
+    assert not hasattr(solver, "trace")
 
 
 def test_trace_events_of_a_propagation_solve(z2min):
@@ -253,10 +254,10 @@ def test_trace_events_of_a_propagation_solve(z2min):
                     (Constraint(zero, ("x", "y")),
                      Constraint(neq, ("y", "z"))))
     sunk = []
-    solver = Solver(SolverConfig(trace=True, trace_sink=sunk.append))
+    solver = Solver(SolverConfig(trace_sink=sunk.append))
     assert solver.solve(inst).assignment == {"x": 0, "y": 0, "z": 1}
-    assert solver.trace == sunk == [solver_module.TraceEvent(
-        "1", "reduce x to [0], y to [0], z to [1]", 1, 0, 0, 0)]
+    assert sunk == [solver_module.TraceEvent(
+        "1", "reduce x to [0], y to [0], z to [1]", 0, 0)]
 
 
 def components_linked_reference(inst, comps):
@@ -346,23 +347,23 @@ def test_linear_phase_unique_solution_lifts(z4):
         Constraint(parity_relation(z4, (0, 1, 2), 1), ("x", "z", "w")),
     )
     inst = Instance(vs, (z4,) * 4, (frozenset(range(4)),) * 4, constraints)
-    solver = Solver(SolverConfig(trace=True))
-    outcome = solver.solve(inst)
+    events = []
+    outcome = Solver(SolverConfig(trace_sink=events.append)).solve(inst)
     assert outcome.satisfiable
     sol = outcome.assignment
     assert sol["x"] % 2 == 1 and sol["y"] % 2 == 1
     assert sol["z"] % 2 == 0 and sol["w"] % 2 == 0
-    assert any(ev.step == "8" and "unique" in ev.detail
-               for ev in solver.trace)
+    assert any(ev.step == "8" and "unique" in ev.detail for ev in events)
     assert brute_force(inst, "decision") is not None
 
 
 def test_trace_and_reports_collected(z4_example):
-    solver = Solver(SolverConfig(trace=True))
+    events = []
+    solver = Solver(SolverConfig(trace_sink=events.append))
     outcome = solver.solve(z4_example)
     assert outcome.satisfiable
-    assert solver.trace, "tracing must record events"
-    steps = {ev.step for ev in solver.trace}
+    assert events, "tracing must record events"
+    steps = {ev.step for ev in events}
     assert {"7", "8"} <= steps
     assert solver.reports
     for alg, report in solver.reports:
@@ -406,19 +407,19 @@ def test_step12_prefix_learning_unit():
 
     # good points: a = 1 (failure already visible at prefix length 1)
     pts = {p for p in param.points() if p[0] == 1}
-    eq = solver._learn_step12(param, pts, 0)
+    eq = solver._learn_step12(param, pts, 0, 0)
     assert eq.prime == 2 and eq.rhs == 1
     assert eq.coeffs == (1, 0, 0)
 
     # good points: a + b = 1 (failure first visible at prefix length 2)
     pts = {p for p in param.points() if (p[0] + p[1]) % 2 == 1}
-    eq = solver._learn_step12(param, pts, 0)
+    eq = solver._learn_step12(param, pts, 0, 0)
     assert eq.prime == 2 and eq.rhs == 1
     assert eq.coeffs == (1, 1, 0)
 
     # good points: c = 2 in the Z3 block
     pts = {p for p in param.points() if p[2] == 2}
-    eq = solver._learn_step12(param, pts, 0)
+    eq = solver._learn_step12(param, pts, 0, 0)
     assert eq.prime == 3 and eq.rhs == 2
     assert eq.coeffs == (0, 0, 1)
 
@@ -426,7 +427,23 @@ def test_step12_prefix_learning_unit():
     from wnucsp.errors import AffineStructureViolation
     pts = {(0, 0, 0), (1, 1, 1), (1, 0, 2)}
     with pytest.raises(AffineStructureViolation):
-        solver._learn_step12(param, pts, 0)
+        solver._learn_step12(param, pts, 0, 0)
+
+
+def test_step13_event_carries_the_type3_depth():
+    from wnucsp.linsolve import LinearSystem, solve_linear_system
+
+    sv = (("a", 2), ("b", 2), ("c", 3))
+    param = solve_linear_system(LinearSystem(sv, ())).param
+    events = []
+    solver = Solver(SolverConfig(trace_sink=events.append))
+    # good points: c = 1, found in the Z3 block after the Z2 block fails
+    pts = {p for p in param.points() if p[2] == 1}
+    eq = solver._learn_step13(param, pts, 1, 2)
+    assert (eq.coeffs, eq.rhs, eq.prime) == ((0, 0, 1), 1, 3)
+    assert events == [solver_module.TraceEvent(
+        "13", "learned equation in block p=3", 1, 2)]
+    assert solver.learned[-1].depth == 1
 
 
 def test_six_element_mixed_prime_domain():
