@@ -31,7 +31,7 @@ from .algebra import (
     wnu_closure,
 )
 from .errors import ArgumentError, ClassificationError, ConfigError, InvariantError
-from .relation import Relation, is_invariant
+from .relation import Relation, _derived, is_invariant
 
 DEFAULT_CENTER_ARITY_CAP = 3
 
@@ -126,7 +126,7 @@ def reflexive_invariant_binaries(alg: Algebra):
     diag = wnu_closure(coords, {(e, e) for e in alg.elements})
     space = list(itertools.product(alg.elements, repeat=2))
     rels = closed_sets_above(space, diag, lambda s: wnu_closure(coords, s))
-    return tuple(Relation(2, coords, s) for s in rels)
+    return tuple(_derived(coords, s) for s in rels)
 
 
 def _bounded_partial_order(rel: Relation):
@@ -193,7 +193,7 @@ def _central_relations(alg: Algebra, h):
             continue
         center = _relation_center(alg, ts, h)
         if center:
-            out.append((Relation(h, (alg,) * h, ts), frozenset(center)))
+            out.append((_derived((alg,) * h, ts), frozenset(center)))
     return out
 
 

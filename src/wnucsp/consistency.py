@@ -81,6 +81,10 @@ _BITS = _BitTable()
 
 @dataclass(frozen=True)
 class PropagationResult:
+    """How a step of the solver ends: it passes ("ok"), finds no solution
+    ("nosolution"), or shrinks the domains in ``reduction``.  Step 1 also
+    hands on its pair network when it passes."""
+
     status: str  # "ok" | "nosolution" | "reduce"
     network: PairNetwork | None = None
     reduction: dict = field(default_factory=dict)  # var -> frozenset
@@ -263,13 +267,6 @@ def value_components(inst: Instance, network: PairNetwork | None = None):
 # irreducibility
 
 
-@dataclass(frozen=True)
-class IrreducibilityResult:
-    status: str  # "ok" | "nosolution" | "reduce"
-    var: str | None = None
-    subset: frozenset | None = None
-
-
 @lru_cache(maxsize=65536)
 def _transport(eff, pi, pj, blocks):
     """The congruence ``blocks`` of coordinate ``pi`` of the effective
@@ -374,11 +371,13 @@ def pinned_supports(inst: Instance, variables, solve_callback):
         yield var, frozenset(good)
 
 
-def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult:
-    """For every variable and maximal congruence of its domain, grow the
-    linked congruence set X, then decide per member and value whether the
-    projection onto X has a solution through it.  An empty projection
-    solution set means no solution; a non-subdirect one yields a reduction.
+def check_irreducibility(inst: Instance, solve_callback) -> PropagationResult:
+    """Zhuk's Step 2.  For every variable and maximal congruence of its
+    domain, grow the linked congruence set X, then decide per member and
+    value whether the projection onto X has a solution through it.  The
+    first member with no such value gives "nosolution"; the first with
+    values that have none gives "reduce" to the values that have one, as
+    ``reduction={var: values}``; else the result is "ok".
 
     Zhuk's Step 2 also restricts the projection to classes that correspond
     through the projections linking X; leaving that out changes no answer.
@@ -415,7 +414,7 @@ def check_irreducibility(inst: Instance, solve_callback) -> IrreducibilityResult
                                            members, solve_callback)
             for vi, good in supports:
                 if not good:
-                    return IrreducibilityResult("nosolution")
+                    return PropagationResult("nosolution")
                 if good != inst.domain(vi):
-                    return IrreducibilityResult("reduce", var=vi, subset=good)
-    return IrreducibilityResult("ok")
+                    return PropagationResult("reduce", reduction={vi: good})
+    return PropagationResult("ok")

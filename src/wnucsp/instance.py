@@ -26,6 +26,7 @@ from .errors import (
 from .linsolve import Equation, LinearSystem, nullspace_mod_p, rref_mod_p
 from .relation import (
     Relation,
+    _derived as _derived_relation,
     cylinder_implies,
     factorize,
     minimal_weaker_relations,
@@ -198,8 +199,7 @@ def normalize_scope(relation: Relation, scope) -> Constraint:
         t for t in relation.tuples
         if all(t[i] == t[first[v]] for i, v in enumerate(scope))
     )
-    diag = Relation(relation.arity, relation.coords, tuples)
-    proj = project(diag, keep)
+    proj = project(_derived_relation(relation.coords, tuples), keep)
     return Constraint(proj, tuple(scope[i] for i in keep))
 
 

@@ -79,6 +79,16 @@ class Relation:
         return len(self.tuples) == self.space_size()
 
 
+def _derived(coords, tuples) -> Relation:
+    """A relation derived from valid ones, skipping the checks of
+    ``Relation.__post_init__``: callers pass a tuple of algebras and a
+    frozenset of tuples, each entry in its coordinate's carrier."""
+
+    rel = object.__new__(Relation)
+    rel.__dict__.update(arity=len(coords), coords=coords, tuples=tuples)
+    return rel
+
+
 def is_invariant(rel: Relation) -> bool:
     return is_closed(rel.coords, rel.tuples)
 
@@ -94,7 +104,7 @@ def project(rel: Relation, indices) -> Relation:
     if any(i < 0 or i >= rel.arity for i in indices):
         raise ArgumentError("projection index out of range")
     coords = tuple(rel.coords[i] for i in indices)
-    return Relation(len(indices), coords, _project_tuples(rel.tuples, indices))
+    return _derived(coords, _project_tuples(rel.tuples, indices))
 
 
 def _project_tuples(tuples, indices):
@@ -127,18 +137,19 @@ def factorize(rel: Relation, congs) -> Relation:
     tuples = frozenset(
         tuple(kernels[c][t[c]] for c in range(rel.arity)) for t in rel.tuples
     )
-    return Relation(rel.arity, tuple(quotients), tuples)
+    return _derived(tuple(quotients), tuples)
 
 
 def restrict_relation(rel: Relation, coords, domains) -> Relation:
-    """Relation induced on restricted coordinate algebras; tuples filtered."""
+    """Relation induced on restricted coordinate algebras ``coords``, the
+    subalgebras on ``domains``; tuples filtered."""
 
     domains = [frozenset(d) for d in domains]
     tuples = frozenset(
         t for t in rel.tuples
         if all(t[c] in domains[c] for c in range(rel.arity))
     )
-    return Relation(rel.arity, tuple(coords), tuples)
+    return _derived(tuple(coords), tuples)
 
 
 def _dummies(coords, tuples):
@@ -176,8 +187,7 @@ def invariant_supersets(rel: Relation):
     space = list(itertools.product(*(alg.elements for alg in coords)))
     sets = closed_sets_above(space, rel.tuples,
                              lambda s: wnu_closure(coords, s))
-    return tuple(Relation(rel.arity, coords, s)
-                 for s in sets if s != rel.tuples)
+    return tuple(_derived(coords, s) for s in sets if s != rel.tuples)
 
 
 @lru_cache(maxsize=65536)
@@ -262,8 +272,7 @@ def minimal_weaker_relations(rel: Relation):
             # sub-scope gives
             for keep, cover in projection_covers(coords, tuples):
                 out.add((tuple(sub[j] for j in keep), cover))
-    pairs = [(sub, Relation(len(sub), tuple(rel.coords[i] for i in sub),
-                            tuples))
+    pairs = [(sub, _derived(tuple(rel.coords[i] for i in sub), tuples))
              for sub, tuples in out]
     return tuple(sorted(pairs, key=lambda p: (len(p[0]), p[0],
                                               p[1].sort_key())))

@@ -27,6 +27,7 @@ from .classify import (
     pc_congruence,
 )
 from .consistency import (
+    PropagationResult,
     check_irreducibility,
     enforce_cycle_consistency,
     is_linked,
@@ -62,6 +63,16 @@ MAX_PHI_POINTS = 4096
 
 # Deepest nesting of weakened-instance (type-3) descents.
 MAX_TYPE3_DEPTH = 64
+
+# Trace text of a step that finds no solution; Step 3 emits none
+_NO_SOLUTION_TEXT = {"1": "propagation emptied a pair",
+                     "2": "projection solution set empty"}
+
+# Trace text of a step's reduction: a prefix, then one entry per variable
+_REDUCTION_TEXT = {**dict.fromkeys("123", ("reduce ", "%s to %s")),
+                   "4": ("", "absorb %s into %s"),
+                   "5": ("", "center %s to %s"),
+                   "6": ("", "PC class %s to %s")}
 
 
 @dataclass(frozen=True)
@@ -165,75 +176,39 @@ class Solver:
                 return (True, assignment) if inst.assignment_satisfies(
                     assignment) else (False, None)
 
-            # Step 1: cycle-consistency
-            prop = enforce_cycle_consistency(inst)
-            if prop.status == "nosolution":
-                if self.config.trace_sink:
-                    self._emit("1", "propagation emptied a pair", depth, t3)
+            # Steps 1-6 in turn.  Each passes, finds no solution, or
+            # shrinks domains and restarts the loop; the first that does
+            # not pass ends the round below
+            step, res = "1", enforce_cycle_consistency(inst)
+            if res.status == "ok":
+                # not linked: solve per linked component (type 2).  Every
+                # variable is constrained, the scopes connect them all and
+                # every value has support in each of its constraints, so the
+                # instance is linked exactly when its values form one
+                # component
+                comps = value_components(inst, res.network)
+                if len(comps) > 1:
+                    return self._solve_unlinked(inst, comps, depth, t3)
+                step, res = "2", check_irreducibility(
+                    inst, lambda sub: self._solve(sub, depth + 1, t3)[1])
+            if res.status == "ok":
+                for step, run in (("3", self._step3), ("4", self._step4),
+                                  ("5", self._step5), ("6", self._step6)):
+                    res = run(inst, depth, t3)
+                    if res is not None:
+                        break
+                else:
+                    return self._linear_phase(inst, depth, t3)
+            if res.status == "nosolution":
+                if self.config.trace_sink and step in _NO_SOLUTION_TEXT:
+                    self._emit(step, _NO_SOLUTION_TEXT[step], depth, t3)
                 return False, None
-            if prop.status == "reduce":
-                if self.config.trace_sink:
-                    self._emit("1", "reduce " + ", ".join(
-                        "%s to %s" % (var, sorted(subset))
-                        for var, subset in prop.reduction.items()), depth, t3)
-                inst = apply_reduction(inst, prop.reduction)
-                continue
-
-            # not linked: solve per linked component (type 2).  Every
-            # variable is constrained, the scopes connect them all and every
-            # value has support in each of its constraints, so the instance
-            # is linked exactly when its values form one component
-            comps = value_components(inst, prop.network)
-            if len(comps) > 1:
-                return self._solve_unlinked(inst, comps, depth, t3)
-
-            # Step 2: irreducibility
-            irr = check_irreducibility(
-                inst, lambda sub: self._solve(sub, depth + 1, t3)[1]
-            )
-            if irr.status == "nosolution":
-                if self.config.trace_sink:
-                    self._emit("2", "projection solution set empty",
-                               depth, t3)
-                return False, None
-            if irr.status == "reduce":
-                if self.config.trace_sink:
-                    self._emit("2", "reduce %s to %s"
-                               % (irr.var, sorted(irr.subset)), depth, t3)
-                inst = apply_reduction(inst, {irr.var: irr.subset})
-                continue
-
-            # Step 3: solvability of the weakened instance per pinned value
-            step3 = self._step3(inst, depth, t3)
-            if step3 == "unsat":
-                return False, None
-            if step3 is not None:
-                var, good = step3
-                if self.config.trace_sink:
-                    self._emit("3", "reduce %s to %s" % (var, sorted(good)),
-                               depth, t3)
-                inst = apply_reduction(inst, {var: good})
-                continue
-
-            # Step 4: binary absorbing reduction
-            red = self._step4(inst, depth, t3)
-            if red is not None:
-                inst = red
-                continue
-
-            # Step 5: center reduction
-            red = self._step5(inst, depth, t3)
-            if red is not None:
-                inst = red
-                continue
-
-            # Step 6: PC congruence class reduction
-            red = self._step6(inst, depth, t3)
-            if red is not None:
-                inst = red
-                continue
-
-            return self._linear_phase(inst, depth, t3)
+            if self.config.trace_sink:
+                prefix, entry = _REDUCTION_TEXT[step]
+                self._emit(step, prefix + ", ".join(
+                    entry % (var, sorted(subset))
+                    for var, subset in res.reduction.items()), depth, t3)
+            inst = apply_reduction(inst, res.reduction)
 
     def _solve_unlinked(self, inst: Instance, comps, depth, t3):
         if self.config.trace_sink:
@@ -254,8 +229,9 @@ class Solver:
     def _step3(self, inst: Instance, depth, t3):
         """Zhuk's Step 3: whether the weakened instance has a solution
         through every value of every variable.  Returns None when it has,
-        "unsat" when some variable has no such value, else ``(var, good)``
-        for the first variable with values that have none.
+        "nosolution" when some variable has no such value, else "reduce"
+        to the good values of the first variable with values that have
+        none.
 
         One pinned sub-solve per value, except that a solution of the
         weakened instance is a witness for every value it assigns: a value
@@ -275,9 +251,9 @@ class Solver:
             lambda pinned: self._solve(pinned, depth + 1, t3 + 1)[1])
         for var, good in supports:
             if not good:
-                return "unsat"
+                return PropagationResult("nosolution")
             if good != inst.domain(var):
-                return var, good
+                return PropagationResult("reduce", reduction={var: good})
         return None
 
     def _check_type3_descent(self, inst: Instance, weakened: Instance):
@@ -312,10 +288,7 @@ class Solver:
                 report = StructureReport("binary_absorbing",
                                          subuniverse=ba[0], term=ba[1])
                 self.reports.append((alg, report))
-                if self.config.trace_sink:
-                    self._emit("4", "absorb %s into %s" % (var, sorted(ba[0])),
-                               depth, t3)
-                return apply_reduction(inst, {var: ba[0]})
+                return PropagationResult("reduce", reduction={var: ba[0]})
         return None
 
     def _step5(self, inst: Instance, depth, t3):
@@ -329,10 +302,8 @@ class Solver:
                 report = StructureReport("center", subuniverse=search.center,
                                          witness=search.witness)
                 self.reports.append((alg, report))
-                if self.config.trace_sink:
-                    self._emit("5", "center %s to %s"
-                               % (var, sorted(search.center)), depth, t3)
-                return apply_reduction(inst, {var: search.center})
+                return PropagationResult("reduce",
+                                         reduction={var: search.center})
             if not search.complete:
                 incomplete = True
         if incomplete:
@@ -351,10 +322,7 @@ class Solver:
             report = StructureReport("pc_quotient", congruence=sigma)
             self.reports.append((alg, report))
             block = frozenset(sigma.block_of(min(inst.current_domains[i])))
-            if self.config.trace_sink:
-                self._emit("6", "PC class %s to %s" % (var, sorted(block)),
-                           depth, t3)
-            return apply_reduction(inst, {var: block})
+            return PropagationResult("reduce", reduction={var: block})
         return None
 
     # -- the linear phase (Steps 7-13)

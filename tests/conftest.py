@@ -13,6 +13,7 @@ from wnucsp.algebra import (
 from wnucsp.harness import GenParams, random_instance
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation
+from wnucsp import classify as classify_module
 from wnucsp import instance as instance_module
 from wnucsp import relation as relation_module
 from wnucsp import solver as solver_module
@@ -78,8 +79,9 @@ def solver_recording():
     instances as well as the generated ones), every instance
     ``Solver._solve_main`` tests for linkedness, every call of
     ``relation.cylinder_implies`` as ((cand, sub, rel), result), where cand
-    is the candidate's tuple set, and every relation
-    ``minimal_weaker_relations`` is asked for.  The weakening and
+    is the candidate's tuple set, every relation
+    ``minimal_weaker_relations`` is asked for, and every relation built
+    without checks by ``relation._derived``.  The weakening and
     per-projection cover caches are cleared first, so each weakening the
     solves ask for is computed under the recording."""
 
@@ -94,11 +96,12 @@ def solver_recording():
         (3, 3, None),
         (4, 3, None),
     )
-    seen, linked, cylinders, weakened = [], [], [], []
+    seen, linked, cylinders, weakened, derived = [], [], [], [], []
     original = Solver._solve
     components = solver_module.value_components
     cylinder_implies = relation_module.cylinder_implies
     minimal_weaker = instance_module.minimal_weaker_relations
+    derive = relation_module._derived
 
     def recording(self, inst, depth, t3):
         seen.append(inst)
@@ -117,6 +120,11 @@ def solver_recording():
         weakened.append(rel)
         return minimal_weaker(rel)
 
+    def recording_derived(coords, tuples):
+        rel = derive(coords, tuples)
+        derived.append(rel)
+        return rel
+
     relation_module.minimal_weaker_relations.cache_clear()
     relation_module.projection_covers.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
@@ -126,12 +134,16 @@ def solver_recording():
             mp.setattr(module, "cylinder_implies", recording_cylinder)
         mp.setattr(instance_module, "minimal_weaker_relations",
                    recording_weaker)
+        mp.setattr(relation_module, "_derived", recording_derived)
+        mp.setattr(instance_module, "_derived_relation", recording_derived)
+        mp.setattr(classify_module, "_derived", recording_derived)
         for n, m, wnu in families:
             for i in range(8):
                 params = GenParams(n, m, 6, 6, 3, 400_000 + i,
                                    satisfiable_bias=bool(i % 2), wnu=wnu)
                 Solver().solve(random_instance(params)[0])
-    return tuple(seen), tuple(linked), tuple(cylinders), tuple(weakened)
+    return (tuple(seen), tuple(linked), tuple(cylinders), tuple(weakened),
+            tuple(derived))
 
 
 @pytest.fixture(scope="session")
@@ -165,3 +177,11 @@ def weakened_relations(solver_recording):
     while building ``solver_recording``, in order of first request."""
 
     return tuple(dict.fromkeys(solver_recording[3]))
+
+
+@pytest.fixture(scope="session")
+def derived_relations(solver_recording):
+    """Every relation ``relation._derived`` builds while building
+    ``solver_recording``."""
+
+    return solver_recording[4]

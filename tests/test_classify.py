@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +33,7 @@ from wnucsp.classify import (
     verify_structure_report,
 )
 from wnucsp.errors import ArgumentError
+from wnucsp.relation import Relation
 
 from test_algebra import build_wnu_from_pattern, special_wnu_by_definition
 
@@ -93,6 +95,56 @@ def test_center_lifted_through_congruence():
     report = classify_domain(alg)
     assert report.kind == "center"
     assert verify_structure_report(alg, report) == []
+
+
+# Arity-3 special WNU tables on 4 elements, indexed like
+# ``OperationTable.entries``.  The first has a center witnessed by a binary
+# central relation; on {0, 1, 2} the second has a center lifted from its
+# quotient.  ``test_cli.py`` classifies both from a file.
+CENTRAL_RELATION_TABLE = (
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 3,
+    0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 2, 1, 0, 1, 1, 3,
+    0, 0, 2, 0, 0, 1, 2, 1, 2, 2, 2, 2, 0, 1, 2, 3,
+    0, 0, 0, 3, 0, 1, 1, 3, 0, 1, 2, 3, 3, 3, 3, 3,
+)
+
+LIFTED_CENTER_TABLE = (
+    0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0, 2, 3,
+    0, 1, 2, 0, 1, 1, 1, 1, 2, 1, 2, 0, 0, 1, 0, 1,
+    0, 0, 2, 2, 2, 1, 2, 0, 2, 2, 2, 2, 3, 0, 2, 3,
+    0, 0, 3, 3, 0, 1, 0, 1, 3, 0, 2, 3, 3, 1, 3, 3,
+)
+
+
+def test_center_witnessed_by_a_central_relation():
+    alg = make_algebra(range(4), OperationTable(3, 4, CENTRAL_RELATION_TABLE))
+    report = classify_domain(alg, 3)
+    witness = report.witness
+    assert report.kind == "center" and report.subuniverse == {0}
+    assert witness.kind == "central_relation"
+    assert witness.relation.arity == 2 and len(witness.relation.tuples) == 10
+    assert verify_structure_report(alg, report) == []
+    rel = witness.relation
+    for t in rel.tuples:
+        forged = replace(witness, relation=Relation(2, rel.coords,
+                                                    rel.tuples - {t}))
+        assert verify_structure_report(alg, replace(report, witness=forged))
+
+
+def test_center_lifted_from_the_quotient_center():
+    alg = restrict_algebra(
+        make_algebra(range(4), OperationTable(3, 4, LIFTED_CENTER_TABLE)),
+        frozenset({0, 1, 2}))
+    report = classify_domain(alg, 3)
+    witness = report.witness
+    assert report.kind == "center" and report.subuniverse == {0, 2}
+    assert witness.kind == "lifted"
+    assert witness.congruence.blocks == ((0, 2), (1,))
+    assert witness.inner_center == {0}
+    assert witness.inner.kind == "least_of_order"
+    assert verify_structure_report(alg, report) == []
+    forged = replace(witness, inner_center=frozenset({1}))
+    assert verify_structure_report(alg, replace(report, witness=forged))
 
 
 def test_pc_structure_dual_discriminator(dd3):

@@ -21,8 +21,15 @@ from wnucsp.fileformat import (
     serialize_instance,
 )
 from wnucsp.harness import GenParams, random_instance
-from wnucsp.algebra import OperationTable, minority_table, sum_table
+from wnucsp.algebra import (
+    OperationTable,
+    conjunction_table,
+    minority_table,
+    sum_table,
+)
 from wnucsp.solver import Solver
+
+from test_classify import CENTRAL_RELATION_TABLE, LIFTED_CENTER_TABLE
 
 
 def z4_instance_text():
@@ -297,6 +304,27 @@ def test_classify_command(z4_file):
     assert code == 0
     assert "linear-quotient" in out
     assert "[0, 2]" in out
+
+
+def test_classify_report_lines(tmp_path):
+    """A center, a PC quotient and a binary-absorbing set, one domain each."""
+
+    lines = []
+    for dom, size, table in (("A", 4, CENTRAL_RELATION_TABLE),
+                             ("B", 4, LIFTED_CENTER_TABLE),
+                             ("C", 2, conjunction_table(3).entries)):
+        lines += ["DOMAIN %s %d" % (dom, size),
+                  "WNU %s 3 %s" % (dom, " ".join(map(str, table))),
+                  "VAR %s %s" % (dom.lower(), dom)]
+    path = tmp_path / "structures.csp"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(["classify", str(path)])
+    assert code == 0
+    assert out.splitlines() == [
+        "A: center C=[0] witness=central-relation",
+        "B: pc-quotient classes=[[0], [1], [2], [3]]",
+        "C: binary-absorbing B=[0] t=[0, 0, 0, 1]",
+    ]
 
 
 def test_oracle_command(z4_file):

@@ -659,7 +659,7 @@ def test_irreducibility_mod2_chain_reduction(z4):
                     (Constraint(eq, ("x", "y")),))
     result = check_irreducibility(inst, _solver_callback())
     assert result.status == "reduce"
-    assert result.var == "y" and result.subset == frozenset({0, 2})
+    assert result.reduction == {"y": frozenset({0, 2})}
 
 
 def test_irreducibility_class_conflict(z4):
@@ -774,7 +774,7 @@ def test_propagate_congruence_matches_pairwise_reference(solver_instances,
 def reference_check_irreducibility(inst, solve_callback):
     """Step 2 with no skips: for every variable and maximal congruence, the
     projection onto the linked set is built and solved per value, one
-    variable or many."""
+    variable or many.  Returns (status, reduction)."""
 
     for k, var in enumerate(inst.variables):
         if len(inst.current_domains[k]) < 2:
@@ -804,10 +804,10 @@ def reference_check_irreducibility(inst, solve_callback):
                                 good.add(a)
                                 break
                 if not good:
-                    return "nosolution", None, None
+                    return "nosolution", {}
                 if good != inst.domain(vi):
-                    return "reduce", vi, frozenset(good)
-    return "ok", None, None
+                    return "reduce", {vi: frozenset(good)}
+    return "ok", {}
 
 
 def _no_single_variable_callback(solver):
@@ -833,7 +833,7 @@ def test_irreducibility_equals_the_unskipped_loop(linked_checks,
         got = check_irreducibility(inst, callback)
         want = reference_check_irreducibility(
             inst, lambda sub: solver.solve(sub).satisfiable)
-        assert (got.status, got.var, got.subset) == want
+        assert (got.status, got.reduction) == want
         statuses.add(got.status)
     assert statuses == {"ok", "reduce", "nosolution"}
 
@@ -939,7 +939,7 @@ def test_irreducibility_matches_the_class_reductions_by_brute_force(maj2,
     overlapping = 0
     for inst in instances:
         got = check_irreducibility(inst, recording_oracle)
-        assert (got.status, got.var, got.subset) == \
+        assert (got.status, got.reduction) == \
             reference_check_irreducibility(inst, oracle)
         for var, dom in zip(inst.variables, inst.current_domains):
             if len(dom) < 2:

@@ -55,6 +55,27 @@ def test_project_rejects_bad_indices(z2min):
         project(rel, [2])
 
 
+def test_constructor_rejects_each_bad_input(z2min):
+    with pytest.raises(ArgumentError, match="coordinate count"):
+        Relation(2, (z2min,), {(0, 0)})
+    with pytest.raises(ArgumentError, match="tuple arity"):
+        Relation(2, (z2min, z2min), {(0, 0), (1,)})
+    with pytest.raises(ArgumentError, match="outside coordinate carrier"):
+        Relation(2, (z2min, z2min), {(0, 2)})
+
+
+def test_derived_relations_equal_their_rebuild(derived_relations):
+    """Every relation the solves build without checks is the relation
+    ``Relation(...)`` builds, with its checks, from the same fields."""
+
+    assert derived_relations
+    for rel in derived_relations:
+        assert type(rel.coords) is tuple and type(rel.tuples) is frozenset
+        assert all(type(t) is tuple for t in rel.tuples)
+        rebuilt = Relation(rel.arity, rel.coords, rel.tuples)
+        assert rebuilt == rel and hash(rebuilt) == hash(rel)
+
+
 def test_factorize_z4_equation_mod2(z4):
     rel = linear_relation(z4, (1, 2, 1, 1), 0)
     mod2 = Congruence(((0, 2), (1, 3)))

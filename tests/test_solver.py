@@ -13,7 +13,7 @@ from wnucsp.algebra import (
     sum_table,
 )
 from wnucsp.classify import verify_structure_report
-from wnucsp.consistency import value_components
+from wnucsp.consistency import PropagationResult, value_components
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp.instance import Constraint, Instance, apply_reduction, weaken_all
 from wnucsp.relation import Relation
@@ -126,7 +126,7 @@ def test_step3_solves_no_pinned_instance_of_an_empty_weakening(z2min,
 
 def reference_step3(solver, inst):
     """Step 3 with one pinned sub-solve per (variable, value) and no
-    witnesses: None, "unsat" or (var, good)."""
+    witnesses: None, or the PropagationResult of the step."""
 
     weakened = weaken_all(inst)
     if not weakened.constraints:
@@ -136,9 +136,9 @@ def reference_step3(solver, inst):
             b for b in sorted(dom)
             if solver._solve(apply_reduction(weakened, {var: {b}}), 1, 1)[0])
         if not good:
-            return "unsat"
+            return PropagationResult("nosolution")
         if good != dom:
-            return var, good
+            return PropagationResult("reduce", reduction={var: good})
     return None
 
 
@@ -173,8 +173,8 @@ def test_step3_matches_the_per_value_loop(solver_instances, monkeypatch):
         assert got == reference_step3(Solver(), inst)
         assert used <= len(calls)
         saved += len(calls) - used
-        answers.add(got if got in (None, "unsat") else "reduce")
-    assert answers == {None, "unsat", "reduce"}
+        answers.add(got and got.status)
+    assert answers == {None, "nosolution", "reduce"}
     assert saved
 
 
@@ -226,9 +226,9 @@ def test_step3_reduces_a_domain_on_seeded_instances(z4, seed, var, good,
     inst, _ = random_instance(params)
     outcome = Solver().solve(inst)
     assert outcome.satisfiable == (brute_force(inst) is not None)
-    reductions = [got for _, got in answers
-                  if got is not None and got != "unsat"]
-    assert reductions[0] == (var, frozenset(good))
+    reductions = [got.reduction for _, got in answers
+                  if got is not None and got.status == "reduce"]
+    assert reductions[0] == {var: frozenset(good)}
     monkeypatch.setattr(Solver, "_step3", original)
     for sub, got in answers:
         assert got == reference_step3(Solver(), sub)
@@ -258,6 +258,61 @@ def test_trace_events_of_a_propagation_solve(z2min):
     assert solver.solve(inst).assignment == {"x": 0, "y": 0, "z": 1}
     assert sunk == [solver_module.TraceEvent(
         "1", "reduce x to [0], y to [0], z to [1]", 0, 0)]
+
+
+def _traced(inst):
+    """The (step, detail, depth, type-3 depth) of every event of a solve."""
+
+    sunk = []
+    Solver(SolverConfig(trace_sink=sunk.append)).solve(inst)
+    return [(ev.step, ev.detail, ev.depth, ev.type3_depth) for ev in sunk]
+
+
+def test_trace_events_of_each_reduction(z2min, maj2, and3, dd3):
+    """The exact events of small solves, one for each way Steps 1-6 end
+    other than passing on, besides Step 1's reduction (above) and Step 3's
+    (below)."""
+
+    eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
+    neq = Relation(2, (z2min, z2min), {(0, 1), (1, 0)})
+    binary = (frozenset({0, 1}),) * 2
+    # x = y and x != y: Step 1 empties the pair
+    assert _traced(Instance(("x", "y"), (z2min,) * 2, binary, (
+        Constraint(eq, ("x", "y")), Constraint(neq, ("x", "y"))))) == [
+        ("1", "propagation emptied a pair", 0, 0)]
+    # x = y alone: two linked components, the first one solves
+    assert _traced(Instance(("x", "y"), (z2min,) * 2, binary,
+                            (Constraint(eq, ("x", "y")),))) == [
+        ("2", "2 linked components", 0, 0)]
+    # x <= y with y = 1 leaves x free: the binary-absorbing {0} under the
+    # conjunction, then the center {0} under majority (least of the order)
+    for alg, step, detail in ((and3, "4", "absorb x into [0]"),
+                              (maj2, "5", "center x to [0]")):
+        le = Relation(2, (alg, alg), {(0, 0), (0, 1), (1, 1)})
+        pin1 = Relation(1, (alg,), {(1,)})
+        assert _traced(Instance(("x", "y"), (alg,) * 2, binary, (
+            Constraint(le, ("x", "y")), Constraint(pin1, ("y",))))) == [
+            ("1", "reduce y to [1]", 0, 0), (step, detail, 0, 0)]
+    # the dual discriminator on 3 elements is polynomially complete, so
+    # its PC class of 0 is {0}
+    full = Relation(2, (dd3, dd3), set(itertools.product(range(3), repeat=2)))
+    pin0 = Relation(1, (dd3,), {(0,)})
+    ternary = (frozenset(range(3)),) * 2
+    assert _traced(Instance(("x", "y"), (dd3,) * 2, ternary, (
+        Constraint(full, ("x", "y")), Constraint(pin0, ("y",))))) == [
+        ("1", "reduce y to [0]", 0, 0), ("6", "PC class x to [0]", 0, 0)]
+
+
+def test_trace_events_of_a_step3_reduction(z4):
+    """The first Step 3 reduction of ``STEP3_REDUCING_SEEDS``, among the
+    95 events of its solve."""
+
+    params = GenParams(4, 5, 6, 6, 3, 206, satisfiable_bias=True,
+                       wnu=sum_table(4, 5))
+    events = _traced(random_instance(params)[0])
+    assert len(events) == 95
+    assert [ev for ev in events if ev[0] == "3"] == [
+        ("3", "reduce x1 to [0, 2]", 1, 0)]
 
 
 def components_linked_reference(inst, comps):
