@@ -8,13 +8,16 @@ value) node over all nodes, holding the node's pair relations for the
 fixpoint (Mohr and Henderson's path-consistency closure, "Arc and path
 consistency revisited", AIJ 28(2), 1986, revised a whole row at a time),
 and a union row per node, the nodes it shares an effective tuple with, from
-which the components are read.  The irreducibility check solves each
-distinct linked set's projection once per call, pinning one member to one
-value at a time and skipping every value an earlier solution of the call
-already assigned (``pinned_supports``, which Step 3 of the solver shares);
-a linked set of one variable is decided from its constraints' supports,
-and the transport of a congruence through a constraint projection is
-cached (see ``check_irreducibility``)."""
+which the components are read.  The constraints' tuples are laid out as
+bit rows once per instance shape (``instance.Shape``), as Compact-Table
+lays out its tables once (Demeulenaere et al., CP 2016), and each call
+filters only the rows of constraints whose scope domains shrank.  The
+irreducibility check solves each distinct linked set's projection once per
+call, pinning one member to one value at a time and skipping every value an
+earlier solution of the call already assigned (``pinned_supports``, which
+Step 3 of the solver shares); a linked set of one variable is decided from
+its constraints' supports, and the transport of a congruence through a
+constraint projection is cached (see ``check_irreducibility``)."""
 
 from __future__ import annotations
 
@@ -112,6 +115,84 @@ def _current_nodes(inst, offsets):
                in zip(inst.base_algebras, inst.current_domains, offsets))
 
 
+@dataclass(frozen=True)
+class _PairLayout:
+    """The part of the pair network that the instance's shape fixes.  Per
+    constraint: the mask of its scope's blocks, the scope's nodes and
+    offsets, its tuples as base-carrier positions (``_encoded``) and as
+    global rows of their nodes, and for the case where the scope's domains
+    are all full, the scope nodes' AND rows (the OR of a node's tuple rows,
+    plus every node outside the scope) and OR rows (the OR of a node's
+    tuple rows).  The rows are kept as plain ints, with no container per
+    tuple."""
+
+    elements: tuple
+    offsets: tuple
+    clear: list         # per node: every bit but its variable's block
+    others: list        # per variable: (offset, mask) of the other blocks
+    constraints: list   # (scope mask, scope nodes, scope offsets, positions,
+                        #  rows, AND rows, OR rows)
+
+
+@lru_cache(maxsize=1024)
+def _node_layout(sizes):
+    """What the pair layout takes from the carrier sizes alone: each
+    variable's first bit, per node every bit but its variable's block, and
+    per variable the (offset, mask) of the other blocks, its nodes and the
+    mask of its block."""
+
+    offsets, width = [], 0
+    for size in sizes:
+        offsets.append(width)
+        width += size
+    blocks = [(off, (1 << size) - 1) for off, size in zip(offsets, sizes)]
+    clear = [~(full << off) for off, full in blocks
+             for _ in range(full.bit_length())]
+    others = [blocks[:i] + blocks[i + 1:] for i in range(len(blocks))]
+    spans = [range(off, off + size) for off, size in zip(offsets, sizes)]
+    masks = [full << off for off, full in blocks]
+    return tuple(offsets), clear, others, spans, masks
+
+
+def _pair_layout(inst) -> _PairLayout:
+    """The pair layout of the instance's shape, built on first read."""
+
+    shape = inst.shape()
+    if shape.pair_layout is not None:
+        return shape.pair_layout
+    bases = inst.base_algebras
+    elements = tuple(alg.elements for alg in bases)
+    offsets, clear, others, spans, masks = _node_layout(
+        tuple(map(len, elements)))
+    constraints = []
+    acc = [0] * len(clear)
+    for c in inst.constraints:
+        ks = [inst.index(v) for v in c.scope]
+        offs = [offsets[k] for k in ks]
+        enc = _encoded(c.relation, tuple([bases[k] for k in ks]))
+        rows = []
+        for at in enc:
+            row = 0
+            for off, a in zip(offs, at):
+                row |= 1 << off + a
+            rows.append(row)
+            for off, a in zip(offs, at):
+                acc[off + a] |= row
+        scope_mask = 0
+        for k in ks:
+            scope_mask |= masks[k]
+        scope_nodes = [q for k in ks for q in spans[k]]
+        unions = [acc[q] for q in scope_nodes]
+        cuts = [union | ~scope_mask for union in unions]
+        for q in scope_nodes:
+            acc[q] = 0
+        constraints.append((scope_mask, scope_nodes, offs, enc, rows, cuts,
+                            unions))
+    shape.pair_layout = _PairLayout(elements, offsets, clear, others,
+                                    constraints)
+    return shape.pair_layout
+
+
 def build_pair_network(inst: Instance) -> PairNetwork:
     """Initial network.  A tuple inside the current domains is read as the
     row of its nodes; a node's row in a constraint is the OR of its tuples'
@@ -119,43 +200,41 @@ def build_pair_network(inst: Instance) -> PairNetwork:
     its variable (the other blocks start as the current domains), so a
     value without a tuple in one of them loses its own bit and is dropped,
     and the other rows are cut to the surviving nodes.  Its union row is
-    the OR of the same rows."""
+    the OR of the same rows.
 
-    bases = inst.base_algebras
-    elements = tuple(alg.elements for alg in bases)
-    offsets, width = [], 0
-    for elems in elements:
-        offsets.append(width)
-        width += len(elems)
-    current = _current_nodes(inst, offsets)
-    block = [(1 << len(elems)) - 1 << off
-             for off, elems in zip(offsets, elements) for _ in elems]
-    nodes = [current & ~block[q] | 1 << q if current >> q & 1 else 0
-             for q in range(width)]
+    The tuple rows come from the shape's ``_PairLayout``; a constraint
+    whose scope domains are all full takes the layout's rows for it, and
+    only the others are filtered by the current domains."""
+
+    layout = _pair_layout(inst)
+    width = len(layout.clear)
+    current = _current_nodes(inst, layout.offsets)
+    missing = ~current
+    nodes = [current & clear | 1 << q if current >> q & 1 else 0
+             for q, clear in enumerate(layout.clear)]
     links = [0] * width
     acc = [0] * width
-    for c in inst.constraints:
-        ks = [inst.index(v) for v in c.scope]
-        offs = [offsets[k] for k in ks]
-        for at in _encoded(c.relation, tuple([bases[k] for k in ks])):
-            row = 0
-            for off, a in zip(offs, at):
-                row |= 1 << off + a
-            if row & current != row:
-                continue
-            for off, a in zip(offs, at):
-                acc[off + a] |= row
-        outside = ~sum(block[off] for off in offs)
-        for k in ks:
-            for q in range(offsets[k], offsets[k] + len(elements[k])):
-                nodes[q] &= acc[q] | outside
-                links[q] |= acc[q]
-                acc[q] = 0
+    for scope_mask, scope_nodes, offs, enc, rows, cuts, unions in \
+            layout.constraints:
+        if current & scope_mask == scope_mask:
+            for q, cut, union in zip(scope_nodes, cuts, unions):
+                nodes[q] &= cut
+                links[q] |= union
+            continue
+        for row, at in zip(rows, enc):
+            if not row & missing:
+                for off, a in zip(offs, at):
+                    acc[off + a] |= row
+        outside = ~scope_mask
+        for q in scope_nodes:
+            nodes[q] &= acc[q] | outside
+            links[q] |= acc[q]
+            acc[q] = 0
     alive = sum(1 << q for q, row in enumerate(nodes) if row >> q & 1)
     nodes = [row & alive if alive >> q & 1 else 0
              for q, row in enumerate(nodes)]
-    return PairNetwork(inst.variables, elements, tuple(offsets), nodes,
-                       links)
+    return PairNetwork(inst.variables, layout.elements, layout.offsets,
+                       nodes, links)
 
 
 def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
@@ -170,11 +249,10 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
 
     net = build_pair_network(inst)
     nodes, elements = net.nodes, net.elements
-    blocks = [(off, (1 << len(elems)) - 1)
-              for off, elems in zip(net.offsets, elements)]
-    work = [(q, 1 << q, blocks[:i] + blocks[i + 1:])
-            for i, (off, full) in enumerate(blocks)
-            for q in range(off, off + full.bit_length()) if nodes[q]]
+    work = [(q, 1 << q, others)
+            for off, elems, others in zip(net.offsets, elements,
+                                          _pair_layout(inst).others)
+            for q in range(off, off + len(elems)) if nodes[q]]
     changed = True
     while changed:
         changed = False
@@ -193,8 +271,8 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
                 changed = True
     reduction = {}
     for i, var in enumerate(inst.variables):
-        off, full = blocks[i]
-        proj = sum(1 << a for a in range(full.bit_length()) if nodes[off + a])
+        off, size = net.offsets[i], len(elements[i])
+        proj = sum(1 << a for a in range(size) if nodes[off + a])
         if not proj:
             return PropagationResult("nosolution")
         if proj != _domain_mask(inst.base_algebras[i],

@@ -2,10 +2,12 @@
 
 Reductions are domain masks; relation tables are stored once and membership
 tests intersect with the current domains.  Each instance computes its
-domain algebras and effective relations once, on first read.
-``Instance(...)`` checks its fields; instances derived from a valid one are
-built by ``_derived`` and trusted (weakenings and projections over the
-current-domain algebras).
+domain algebras and effective relations once, on first read.  What depends
+only on the variables, base algebras and constraints (the instance's
+``Shape``) is computed once and shared with every instance
+``apply_reduction`` derives from it.  ``Instance(...)`` checks its fields;
+instances derived from a valid one are built by ``_derived`` and trusted
+(weakenings and projections over the current-domain algebras).
 """
 
 from __future__ import annotations
@@ -48,6 +50,19 @@ class Constraint:
 
     def sort_key(self):
         return (self.scope, self.relation.sort_key())
+
+
+class Shape:
+    """Data fixed by an instance's variables, base algebras and
+    constraints, filled on first read: the fragments, the constraint part
+    of the memo key and Step 1's network layout (``consistency``).  Shared
+    by the instances ``apply_reduction`` derives from one instance, and
+    dropped from the root instance when ``Solver.solve`` returns."""
+
+    __slots__ = ("fragments", "constraint_key", "pair_layout")
+
+    def __init__(self):
+        self.fragments = self.constraint_key = self.pair_layout = None
 
 
 @dataclass(frozen=True)
@@ -132,17 +147,27 @@ class Instance:
         cache[id(constraint)] = (constraint, eff)
         return eff
 
+    def shape(self) -> Shape:
+        """The instance's ``Shape``, made on first read."""
+        shape = self.__dict__.get("_shape")
+        if shape is None:
+            shape = Shape()
+            object.__setattr__(self, "_shape", shape)
+        return shape
+
     def canonical_key(self):
         k = self.__dict__.get("_key")
         if k is None:
+            shape = self.shape()
+            if shape.constraint_key is None:
+                shape.constraint_key = tuple(sorted(
+                    (c.scope, c.relation.arity, c.relation.sort_key()[2])
+                    for c in self.constraints))
             k = (
                 self.variables,
                 self.base_algebras,
                 tuple(tuple(sorted(d)) for d in self.current_domains),
-                tuple(sorted(
-                    (c.scope, c.relation.arity, c.relation.sort_key()[2])
-                    for c in self.constraints
-                )),
+                shape.constraint_key,
             )
             object.__setattr__(self, "_key", k)
         return k
@@ -166,7 +191,9 @@ def _derived(parent: Instance, variables, base_algebras, current_domains,
              constraints) -> Instance:
     """An instance derived from the valid ``parent``, skipping the checks of
     ``Instance.__post_init__``: callers pass tuples, frozenset domains that
-    are nonempty subuniverses of their bases and scopes over ``variables``."""
+    are nonempty subuniverses of their bases and scopes over ``variables``.
+    Given the parent's own variables, base algebras and constraints, it
+    shares the parent's ``Shape``."""
 
     inst = object.__new__(Instance)
     index = parent._index if variables == parent.variables else {
@@ -174,6 +201,10 @@ def _derived(parent: Instance, variables, base_algebras, current_domains,
     inst.__dict__.update(variables=variables, base_algebras=base_algebras,
                          current_domains=current_domains,
                          constraints=constraints, _index=index)
+    if (variables is parent.variables
+            and base_algebras is parent.base_algebras
+            and constraints is parent.constraints):
+        inst.__dict__["_shape"] = parent.shape()
     return inst
 
 
@@ -250,11 +281,14 @@ def connected_groups(nodes, links):
 
 def fragment_variable_sets(inst: Instance):
     """Variable blocks sharing no constraints; unconstrained variables are
-    singleton fragments."""
+    singleton fragments.  Computed once per shape."""
 
-    groups = connected_groups(inst.variables,
-                              (c.scope for c in inst.constraints))
-    return tuple(sorted(tuple(g) for g in groups))
+    shape = inst.shape()
+    if shape.fragments is None:
+        groups = connected_groups(inst.variables,
+                                  (c.scope for c in inst.constraints))
+        shape.fragments = tuple(sorted(tuple(g) for g in groups))
+    return shape.fragments
 
 
 def restrict_to_variables(inst: Instance, variables) -> Instance:
@@ -310,6 +344,8 @@ class FactorInfo:
 def factorize_to_linear(inst: Instance):
     """Factor every domain by its minimal linear congruence and convert the
     factorized constraints into a linear system over per-prime scalars.
+    Each constraint's local rows come from ``_linear_rows`` of its
+    effective relation, and are placed on its scope's scalar slots.
 
     Returns (LinearSystem, FactorInfo tuple aligned with the variables).
     """
@@ -333,15 +369,11 @@ def factorize_to_linear(inst: Instance):
         eff = inst.effective(c)
         if eff.is_empty:
             raise EmptyRelationError("constraint on %s is empty" % (c.scope,))
-        congs = [by_var[v].conlin.congruence for v in c.scope]
-        fact = factorize(eff, congs)
-        isos = [by_var[v].conlin.iso for v in c.scope]
-        local = relation_to_equations(fact, isos)
         slots = []
         for v in c.scope:
             f = by_var[v]
             slots.extend(range(f.offset, f.offset + f.width))
-        for coeffs, rhs, p in local:
+        for coeffs, rhs, p in _linear_rows(eff):
             dense = [0] * nvars
             for j, coeff in enumerate(coeffs):
                 dense[slots[j]] = coeff
@@ -351,6 +383,18 @@ def factorize_to_linear(inst: Instance):
             seen.add(key)
             equations.append(Equation(tuple(dense), rhs, p))
     return LinearSystem(tuple(scalar_vars), tuple(equations)), tuple(factors)
+
+
+@lru_cache(maxsize=4096)
+def _linear_rows(eff: Relation):
+    """``relation_to_equations`` of the nonempty relation ``eff`` factorized
+    by each coordinate's minimal linear congruence.  A constraint's
+    effective relation lives on its scope's domain algebras, so the rows
+    depend on ``eff`` alone."""
+
+    conlins = [con_lin(alg) for alg in eff.coords]
+    fact = factorize(eff, [cl.congruence for cl in conlins])
+    return tuple(relation_to_equations(fact, [cl.iso for cl in conlins]))
 
 
 def relation_to_equations(rel: Relation, isos):

@@ -120,7 +120,12 @@ class Solver:
     # -- public entry
 
     def solve(self, inst: Instance) -> SolveOutcome:
-        ok, assignment = self._solve(inst, 0, 0)
+        try:
+            ok, assignment = self._solve(inst, 0, 0)
+        finally:
+            # the shape data is shared with the instances derived in the
+            # solve; the caller's instance does not keep it
+            inst.__dict__.pop("_shape", None)
         if ok:
             return SolveOutcome("sat", assignment)
         return SolveOutcome("unsat")

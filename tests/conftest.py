@@ -80,10 +80,12 @@ def solver_recording():
     ``Solver._solve_main`` tests for linkedness, every call of
     ``relation.cylinder_implies`` as ((cand, sub, rel), result), where cand
     is the candidate's tuple set, every relation
-    ``minimal_weaker_relations`` is asked for, and every relation built
-    without checks by ``relation._derived``.  The weakening and
-    per-projection cover caches are cleared first, so each weakening the
-    solves ask for is computed under the recording."""
+    ``minimal_weaker_relations`` is asked for, every relation built
+    without checks by ``relation._derived``, and every effective relation
+    ``factorize_to_linear`` reads its rows for.  The weakening,
+    per-projection cover and linear rows caches are cleared first, so each
+    weakening and factorization the solves ask for is computed under the
+    recording."""
 
     # (domain size, WNU arity, WNU table); None is the canonical searched
     # special WNU
@@ -96,12 +98,14 @@ def solver_recording():
         (3, 3, None),
         (4, 3, None),
     )
-    seen, linked, cylinders, weakened, derived = [], [], [], [], []
+    seen, linked, cylinders, weakened, derived, linear = ([], [], [], [],
+                                                          [], [])
     original = Solver._solve
     components = solver_module.value_components
     cylinder_implies = relation_module.cylinder_implies
     minimal_weaker = instance_module.minimal_weaker_relations
     derive = relation_module._derived
+    linear_rows = instance_module._linear_rows
 
     def recording(self, inst, depth, t3):
         seen.append(inst)
@@ -125,8 +129,13 @@ def solver_recording():
         derived.append(rel)
         return rel
 
+    def recording_linear(eff):
+        linear.append(eff)
+        return linear_rows(eff)
+
     relation_module.minimal_weaker_relations.cache_clear()
     relation_module.projection_covers.cache_clear()
+    linear_rows.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Solver, "_solve", recording)
         mp.setattr(solver_module, "value_components", recording_components)
@@ -137,13 +146,14 @@ def solver_recording():
         mp.setattr(relation_module, "_derived", recording_derived)
         mp.setattr(instance_module, "_derived_relation", recording_derived)
         mp.setattr(classify_module, "_derived", recording_derived)
+        mp.setattr(instance_module, "_linear_rows", recording_linear)
         for n, m, wnu in families:
             for i in range(8):
                 params = GenParams(n, m, 6, 6, 3, 400_000 + i,
                                    satisfiable_bias=bool(i % 2), wnu=wnu)
                 Solver().solve(random_instance(params)[0])
     return (tuple(seen), tuple(linked), tuple(cylinders), tuple(weakened),
-            tuple(derived))
+            tuple(derived), tuple(linear))
 
 
 @pytest.fixture(scope="session")
@@ -185,3 +195,11 @@ def derived_relations(solver_recording):
     ``solver_recording``."""
 
     return solver_recording[4]
+
+
+@pytest.fixture(scope="session")
+def linear_relations(solver_recording):
+    """Every distinct effective relation ``factorize_to_linear`` reads its
+    rows for while building ``solver_recording``."""
+
+    return tuple(dict.fromkeys(solver_recording[5]))

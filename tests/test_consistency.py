@@ -417,6 +417,34 @@ def test_pair_network_matches_per_tuple_reference(solver_instances):
         assert network_content(net) == reference_content(inst)
 
 
+def test_step1_on_shared_layouts_matches_the_bit_rows(solver_instances):
+    """Step 1 reads its tuple rows from the layout of the instance's
+    shape, which the instances ``apply_reduction`` derived during the
+    solves share with their parents.  Some instances take a layout that
+    was built before for another instance, with constraints whose scope
+    domains are all full (rows taken whole) and constraints whose scope
+    domains shrank (rows filtered)."""
+
+    owners = {}
+    scopes = set()
+    for inst in solver_instances:
+        shape = inst.__dict__.get("_shape")
+        if shape is not None and shape.pair_layout is not None and \
+                owners.setdefault(id(shape), inst) is not inst:
+            full = {v for v, d, b in zip(inst.variables,
+                                         inst.current_domains,
+                                         inst.base_algebras)
+                    if len(d) == b.size}
+            scopes.update(set(c.scope) <= full for c in inst.constraints)
+        net = build_pair_network(inst)
+        want = reference.build_pair_network(inst)
+        assert network_content(net)[0] == want.domains
+        assert net.pairs == want.pairs
+        assert step1_outcome(enforce_cycle_consistency(inst)) == \
+            step1_outcome(reference.enforce_cycle_consistency(inst))
+    assert scopes == {True, False}
+
+
 def test_pair_network_reads_positions_per_scope_bases(z4):
     """One relation object under two scopes: over the full Z4 base, element
     2 is position 2; over the subalgebra on {0, 2} it is position 1.  The

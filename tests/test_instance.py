@@ -17,9 +17,11 @@ from wnucsp.algebra import (
     search_special_wnu,
     sum_table,
 )
+from wnucsp.classify import con_lin
 from wnucsp.errors import (
     EmptyRelationError,
     FormatError,
+    InternalError,
     OracleError,
     ReductionError,
 )
@@ -35,6 +37,7 @@ from wnucsp.instance import (
     normalize_scope,
     project_instance,
     relation_to_equations,
+    restrict_to_variables,
     weaken_all,
 )
 from wnucsp.linsolve import LinearSystem
@@ -275,6 +278,31 @@ def test_equations_solution_counts_match(z4):
         assert sols == fact.tuples
 
 
+def test_linear_rows_equal_their_uncached_computation(linear_relations):
+    """The cached rows of each effective relation the solves factorize
+    are the rows computed afresh from the relation."""
+
+    assert linear_relations
+    for eff in linear_relations:
+        conlins = [con_lin(alg) for alg in eff.coords]
+        fact = factorize(eff, [cl.congruence for cl in conlins])
+        want = relation_to_equations(fact, [cl.iso for cl in conlins])
+        assert instance_module._linear_rows(eff) == tuple(want)
+
+
+def test_linear_rows_reject_a_non_coset_on_every_call(z2min):
+    """A failed coset check is not cached: the second call raises too."""
+
+    rel = Relation(2, (z2min, z2min), {(0, 0), (0, 1), (1, 0)})
+    inst = Instance(("x", "y"), (z2min,) * 2, (frozenset({0, 1}),) * 2,
+                    (Constraint(rel, ("x", "y")),))
+    for _ in range(2):
+        with pytest.raises(InternalError, match="not a coset"):
+            instance_module._linear_rows(rel)
+        with pytest.raises(InternalError, match="not a coset"):
+            factorize_to_linear(inst)
+
+
 # --- weaken_all --------------------------------------------------------------------
 
 
@@ -460,6 +488,36 @@ def test_derived_instances_pass_the_constructor_checks(monkeypatch,
 
 
 # --- derived data read from the instance ----------------------------------------
+
+
+def test_apply_reduction_child_shares_its_parents_shape(z4_example):
+    inst = Instance(z4_example.variables, z4_example.base_algebras,
+                    z4_example.current_domains, z4_example.constraints)
+    child = apply_reduction(inst, {"x1": {0, 2}})
+    grandchild = apply_reduction(child, {"x2": {1, 3}})
+    assert child.shape() is inst.shape() is grandchild.shape()
+    assert fragment_variable_sets(grandchild) is fragment_variable_sets(inst)
+    assert grandchild.canonical_key()[3] is inst.canonical_key()[3]
+    assert inst.canonical_key() != grandchild.canonical_key()
+
+
+def test_children_with_new_fields_get_their_own_shape(z4_example):
+    inst = Instance(z4_example.variables, z4_example.base_algebras,
+                    z4_example.current_domains, z4_example.constraints)
+    reduced = apply_reduction(inst, {"x1": {0, 2}})
+    children = [
+        restrict_to_variables(inst, ("x1", "x2")),
+        restrict_to_variables(inst, inst.variables),
+        project_instance(reduced, ("x1", "x2")),
+        weaken_all(reduced),
+        make_crucial(inst, even_class_unsat_oracle),
+    ]
+    for child in children:
+        assert child.shape() is not inst.shape()
+        assert child.canonical_key() == Instance(
+            child.variables, child.base_algebras, child.current_domains,
+            child.constraints).canonical_key()
+    assert len({id(child.shape()) for child in children}) == len(children)
 
 
 def reference_effective(inst, c):

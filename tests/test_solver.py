@@ -1,7 +1,10 @@
+import importlib.util
 import itertools
 import random
 import signal
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from wnucsp.algebra import (
 from wnucsp.classify import verify_structure_report
 from wnucsp.consistency import PropagationResult, value_components
 from wnucsp.harness import GenParams, brute_force, random_instance
+from wnucsp import instance as instance_module
 from wnucsp.instance import Constraint, Instance, apply_reduction, weaken_all
 from wnucsp.relation import Relation
 from wnucsp import solver as solver_module
@@ -632,3 +636,71 @@ def test_z4_sum_of_five_seed_100016_large_parameter_space_sat():
     outcome = Solver(SolverConfig(center_arity_cap=3)).solve(inst)
     assert outcome.satisfiable
     assert inst.assignment_satisfies(outcome.assignment)
+
+
+def test_solve_leaves_the_instance_only_its_own_caches(z4_example):
+    """The shape data the solve shares among derived instances is dropped
+    from the solved instance: it keeps only what it kept before the
+    shape existed."""
+
+    fields = {"variables", "base_algebras", "current_domains", "constraints"}
+    kept = fields | {"_index", "_algebras", "_effs", "_key"}
+    families = ((2, 3, minority_table()), (3, 3, dual_discriminator_table()),
+                (4, 5, sum_table(4, 5)))
+    instances = [Instance(z4_example.variables, z4_example.base_algebras,
+                          z4_example.current_domains, z4_example.constraints)]
+    for n, m, table in families:
+        for i in range(4):
+            instances.append(random_instance(GenParams(
+                n, m, 6, 6, 3, 500 + i, satisfiable_bias=bool(i % 2),
+                wnu=table))[0])
+    for inst in instances:
+        Solver().solve(inst)
+        assert "_key" in inst.__dict__
+        assert set(inst.__dict__) <= kept
+
+
+def _desk_instances(monkeypatch):
+    """The instances of the benchmark's seed-0 desk workload."""
+
+    root = Path(__file__).resolve().parent.parent
+    path = root / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [item.inst for item in workloads.build("desk", 0)]
+
+
+def test_linear_rows_and_effective_caches_are_transparent(monkeypatch):
+    """The seed-0 desk instances solved with the linear rows and effective
+    relation caches cleared, then again with both warm, give the same
+    outcomes, assignments, reports and learned equations."""
+
+    instances = _desk_instances(monkeypatch)
+
+    def solve_all():
+        out = []
+        for inst in instances:
+            solver = Solver()
+            outcome = solver.solve(inst)
+            out.append((outcome, list(outcome.assignment or ()),
+                        solver.reports, solver.learned))
+        return out
+
+    rows = instance_module._linear_rows
+    rows.cache_clear()
+    instance_module._effective.cache_clear()
+    cold = solve_all()
+    misses = rows.cache_info().misses
+    assert misses > 0
+    warm = solve_all()
+    # the warm solves read every row from the cache
+    assert rows.cache_info().misses == misses
+    assert warm == cold
+    assert {o.kind for o, _, _, _ in cold} == {"sat", "unsat"}
+    # no desk instance learns an equation (Steps 10-13); many reach the
+    # linear phase and report their linear quotients
+    assert any(report.kind == "linear_quotient"
+               for _, _, reports, _ in cold for _, report in reports)
