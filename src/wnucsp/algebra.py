@@ -10,6 +10,7 @@ on small carriers (default cap 6 elements).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm, prod
@@ -33,8 +34,9 @@ _STATE_CAP = 500_000
 # Ordered m-tuples of value vectors one pointwise closure may apply w to.
 _CLOSURE_BUDGET = 80_000_000
 
-# The one live Algebra per (carrier, table), see ``Algebra.__new__``.
-_ALGEBRAS = {}
+# The one live Algebra per (carrier, table), see ``Algebra.__new__``.  Weak,
+# so an algebra that nothing holds is freed.
+_ALGEBRAS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,8 @@ class Algebra:
 
     The table is indexed by positions into ``elements``; ``op`` translates
     between element ids and positions so callers only see ids.  Algebras
-    are interned: equal (carrier, table) pairs give one object, so
-    algebras compare by identity.
+    are interned weakly: equal (carrier, table) pairs give one live object,
+    so algebras compare by identity.
     """
 
     elements: tuple
@@ -330,16 +332,11 @@ def search_special_wnu(domain_size, relations, arity, budget=500_000) -> WnuSear
 
 @dataclass(frozen=True)
 class GroupSum:
-    """Abelian group ops under which the WNU is the shifted m-fold sum.
-
-    For an idempotent operation the shift is necessarily the identity, so
-    the WNU is exactly the m-ary group sum.
-    """
+    """Abelian group ops under which the WNU is the m-fold sum."""
 
     add: tuple          # n x n table over positions
     identity: int
     inverse: tuple
-    shift: int = 0
 
     def sub(self, x, y):
         return self.add[x][self.inverse[y]]
@@ -359,11 +356,11 @@ class GroupSum:
         return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def abelian_sum_structure(alg: Algebra):
-    """A GroupSum if w(x1..xm) is an m-ary abelian group sum up to the
-    constant forced by idempotence, else None.  Verified over every argument
-    tuple."""
+    """A GroupSum whose m-fold sum is w(x1..xm), else None.  The group is
+    w(x, y, e, ..., e) for the first element e, which finds every group sum
+    when w is idempotent.  Verified over every argument tuple."""
 
     n = alg.size
     m = alg.arity
@@ -400,11 +397,9 @@ def abelian_sum_structure(alg: Algebra):
     fold = np.arange(n, dtype=np.int64)
     for _ in range(m - 1):
         fold = add[fold[:, None], np.arange(n)[None, :]].ravel()
-    shift = b[table.apply([e] * m)][inverse[int(fold[0])]]
-    if not np.array_equal(add[fold, shift],
-                          np.asarray(table.entries, dtype=np.int64)):
+    if not np.array_equal(fold, np.asarray(table.entries, dtype=np.int64)):
         return None
-    return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse), shift)
+    return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse))
 
 
 def is_affine(alg: Algebra) -> bool:
@@ -458,7 +453,7 @@ def _coset_closure(groups, positions_seed):
 # level by level.  Structured operations collapse to few states per level.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _slice_automaton(alg: Algebra):
     """Per-level transition tables: level j maps (state, position) -> state
     id at level j+1; states at level m are value positions."""
@@ -626,7 +621,6 @@ def is_subuniverse(alg: Algebra, subset: frozenset) -> bool:
     return is_closed((alg,), {(e,) for e in subset})
 
 
-@lru_cache(maxsize=None)
 def all_subuniverses(alg: Algebra):
     """Every nonempty subset closed under the WNU, sorted by (size, elements)."""
 
@@ -640,7 +634,7 @@ def all_subuniverses(alg: Algebra):
     return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def restrict_algebra(alg: Algebra, subset: frozenset) -> Algebra:
     """Subalgebra induced on ``subset``; element ids are preserved."""
 
@@ -772,7 +766,7 @@ def _kernel_compatible(alg: Algebra, kernel) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def all_congruences(alg: Algebra):
     """All congruences of the algebra, canonically sorted.
 
@@ -814,7 +808,7 @@ def maximal_congruences(alg: Algebra, nontrivial=False):
     return tuple(maximal_among(congs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def quotient_algebra(alg: Algebra, cong: Congruence):
     """Quotient by a congruence: carrier = block indices, induced table.
 
@@ -967,7 +961,6 @@ def unary_polynomial_closure(alg: Algebra):
     return closed
 
 
-@lru_cache(maxsize=None)
 def is_polynomially_complete(alg: Algebra) -> bool:
     """Whether the WNU together with all constants generates every operation.
 
@@ -1046,15 +1039,15 @@ def verify_linear_iso(alg: Algebra, iso: LinearIso) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def linear_structure(alg: Algebra):
     """A LinearIso if the algebra is a product of prime cyclic groups under
     its WNU, else None.
 
     A linear algebra's WNU is an abelian group sum, so detection of the
     group structure is decisive; the iso is then built from the canonical
-    prime-torsion basis.  The WNU being idempotent forces the fold shift to
-    the identity and every prime to divide (arity - 1)."""
+    prime-torsion basis.  The WNU being idempotent forces every prime to
+    divide (arity - 1)."""
 
     n = alg.size
     if n > DEFAULT_DOMAIN_CAP:
@@ -1064,8 +1057,6 @@ def linear_structure(alg: Algebra):
     group = abelian_sum_structure(alg)
     if group is None:
         return None
-    if group.shift != group.identity:
-        return None  # cannot happen for an idempotent operation
     m = alg.arity
     exponent = lcm(*(group.order(x) for x in range(n)))
     for p in set(prime_factors(exponent)):
@@ -1127,7 +1118,6 @@ class BinaryTerms:
 _BINARY_TERMS_CAP = 2048
 
 
-@lru_cache(maxsize=None)
 def binary_terms(alg: Algebra) -> BinaryTerms:
     """Closure of the two binary projections under substitution into the WNU.
 
@@ -1152,7 +1142,7 @@ def binary_terms(alg: Algebra) -> BinaryTerms:
 # common small tables
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sum_table(n, m) -> OperationTable:
     """x1 + ... + xm mod n."""
 

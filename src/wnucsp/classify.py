@@ -70,7 +70,7 @@ class CenterSearch:
 # binary absorption
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def find_binary_absorbing(alg: Algebra):
     """Least proper subuniverse B with a binary term t such that t(B,A) and
     t(A,B) stay in B, or None.  ConfigError when the term closure was capped
@@ -211,7 +211,7 @@ def _relation_center(alg: Algebra, tuples, h):
 # center search
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def find_center(alg: Algebra, arity_cap=DEFAULT_CENTER_ARITY_CAP) -> CenterSearch:
     """Search for a proper center, in order: least elements of invariant
     bounded orders, centers of invariant central relations of arity up to
@@ -287,7 +287,7 @@ def _search_center(alg: Algebra, arity_cap) -> CenterSearch:
 # PC and linear congruence structure
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def pc_structure(alg: Algebra):
     """The congruences whose quotient is polynomially complete with at least
     two classes.
@@ -326,7 +326,7 @@ class ConLinResult:
     iso: LinearIso
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def con_lin(alg: Algebra) -> ConLinResult:
     """The least congruence whose quotient is linear, with the quotient and
     its iso.  Always exists: the full partition is linear-trivial."""

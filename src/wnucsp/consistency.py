@@ -129,17 +129,16 @@ class _PairLayout:
     elements: tuple
     offsets: tuple
     clear: list         # per node: every bit but its variable's block
-    others: list        # per variable: (offset, mask) of the other blocks
     constraints: list   # (scope mask, scope nodes, scope offsets, positions,
                         #  rows, AND rows, OR rows)
 
 
 @lru_cache(maxsize=1024)
 def _node_layout(sizes):
-    """What the pair layout takes from the carrier sizes alone: each
-    variable's first bit, per node every bit but its variable's block, and
-    per variable the (offset, mask) of the other blocks, its nodes and the
-    mask of its block."""
+    """What Step 1 takes from the carrier sizes alone: each variable's first
+    bit, per node every bit but its variable's block, and per variable the
+    (offset, mask) of the other blocks, its nodes and the mask of its
+    block."""
 
     offsets, width = [], 0
     for size in sizes:
@@ -162,8 +161,7 @@ def _pair_layout(inst) -> _PairLayout:
         return shape.pair_layout
     bases = inst.base_algebras
     elements = tuple(alg.elements for alg in bases)
-    offsets, clear, others, spans, masks = _node_layout(
-        tuple(map(len, elements)))
+    offsets, clear, _, spans, masks = _node_layout(tuple(map(len, elements)))
     constraints = []
     acc = [0] * len(clear)
     for c in inst.constraints:
@@ -188,8 +186,7 @@ def _pair_layout(inst) -> _PairLayout:
             acc[q] = 0
         constraints.append((scope_mask, scope_nodes, offs, enc, rows, cuts,
                             unions))
-    shape.pair_layout = _PairLayout(elements, offsets, clear, others,
-                                    constraints)
+    shape.pair_layout = _PairLayout(elements, offsets, clear, constraints)
     return shape.pair_layout
 
 
@@ -250,8 +247,9 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
     net = build_pair_network(inst)
     nodes, elements = net.nodes, net.elements
     work = [(q, 1 << q, others)
-            for off, elems, others in zip(net.offsets, elements,
-                                          _pair_layout(inst).others)
+            for off, elems, others in zip(
+                net.offsets, elements,
+                _node_layout(tuple(map(len, elements)))[2])
             for q in range(off, off + len(elems)) if nodes[q]]
     changed = True
     while changed:

@@ -16,7 +16,6 @@ strictly-decreasing constraint order plus a depth cap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -455,8 +454,12 @@ class Solver:
         over ``moduli``, a prefix of the free variables' moduli.  Tries the
         prime blocks in order of appearance; in each it learns the
         hyperplane that ``members`` cut out of the block's coordinates with
-        every other coordinate 0."""
+        every other coordinate 0.  A nonzero equation over one p-block
+        holds at exactly N / p of the N points, so it holds exactly at
+        ``members`` when every member satisfies it and there are N / p of
+        them."""
 
+        size = prod(moduli)
         for p in dict.fromkeys(moduli):
             slots = [j for j, q in enumerate(moduli) if q == p]
 
@@ -467,11 +470,10 @@ class Solver:
                 return tuple(point) in members
 
             out = learn_hyperplane(oracle, p, len(slots))
-            if out.kind == "equation" and all(
-                    (sum(out.coeffs[idx] * pt[j]
-                         for idx, j in enumerate(slots)) % p == out.rhs)
-                    == (pt in members)
-                    for pt in itertools.product(*(range(q) for q in moduli))):
+            if out.kind == "equation" and len(members) == size // p and all(
+                    sum(out.coeffs[idx] * pt[j]
+                        for idx, j in enumerate(slots)) % p == out.rhs
+                    for pt in members):
                 return self._global_equation(param, slots, out, depth)
         raise AffineStructureViolation(
             "no single-block equation describes the points")

@@ -778,7 +778,6 @@ def test_binary_terms_match_naive_rounds(monkeypatch, dd3, maj2):
         # a cap below the closure returns the first iterate above it
         for cap in [*range(2, len(full) + 1), default_cap]:
             monkeypatch.setattr(algebra_mod, "_BINARY_TERMS_CAP", cap)
-            binary_terms.cache_clear()
             terms = binary_terms(alg)
             want = next((t for t in iterates if len(t) > cap), full)
             assert {t.entries for t in terms.tables} == want
@@ -866,15 +865,40 @@ def test_algebras_are_interned():
         Algebra(range(3), t)
 
 
+def test_algebras_are_interned_weakly():
+    import gc
+    import weakref
+
+    import wnucsp.algebra as algebra_mod
+
+    def fresh():
+        # a table no other test builds: x * y * z on four elements
+        return Algebra((0, 1, 2, 3), OperationTable(3, 4, tuple(
+            x * y * z % 4 for x, y, z in itertools.product(range(4),
+                                                         repeat=3))))
+
+    alg = fresh()
+    assert fresh() is alg
+    key = (alg.elements, alg.wnu)
+    assert algebra_mod._ALGEBRAS[key] is alg
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
+    assert key not in algebra_mod._ALGEBRAS
+    # a new one is interned again
+    assert fresh() is fresh()
+
+
 def per_tuple_group_sum_holds(alg, g):
-    """w(x1..xm) == x1 + ... + xm + shift for every argument tuple, folded
-    one tuple at a time."""
+    """w(x1..xm) == x1 + ... + xm for every argument tuple, folded one
+    tuple at a time."""
 
     for args in itertools.product(range(alg.size), repeat=alg.arity):
         acc = args[0]
         for a in args[1:]:
             acc = g.add[acc][a]
-        if alg.wnu.apply(args) != g.add[acc][g.shift]:
+        if alg.wnu.apply(args) != acc:
             return False
     return True
 
@@ -896,6 +920,18 @@ def test_abelian_sum_structure_rejects_non_sums(dd3, z4):
     changed = Algebra(range(4), OperationTable(5, 4, tuple(entries)))
     for alg in (dd3, searched3(), changed):
         assert abelian_sum_structure(alg) is None
+
+
+def test_shifted_group_sum_is_no_group_sum():
+    # x + y + z + 1 mod 2 is a group sum plus a constant; the unchecked
+    # constructor lets it in, and its closures must come from the table
+    shifted = Algebra((0, 1), OperationTable(3, 2, tuple(
+        (x + y + z + 1) % 2 for x, y, z in itertools.product(range(2),
+                                                             repeat=3))))
+    assert abelian_sum_structure(shifted) is None
+    assert linear_structure(shifted) is None
+    assert wnu_closure((shifted,), {(0,)}) == {(0,), (1,)}
+    assert not is_subuniverse(shifted, frozenset({0}))
 
 
 # --- upper covers and closedness on group and non-group coordinates ----------

@@ -82,6 +82,71 @@ def test_all_components_unsat(z2min):
     assert not solve(inst).satisfiable
 
 
+def _relation(coords, holds):
+    return Relation(len(coords), coords, {
+        t for t in itertools.product(*(a.elements for a in coords))
+        if holds(*t)})
+
+
+def _top_level_results(monkeypatch, method):
+    """Record what the Solver method ``method`` returns at depth 0, which
+    is the method's next-to-last argument."""
+
+    results = []
+    original = getattr(Solver, method)
+
+    def recording(self, *args):
+        out = original(self, *args)
+        if args[-2] == 0:
+            results.append(out)
+        return out
+
+    monkeypatch.setattr(Solver, method, recording)
+    return results
+
+
+def test_every_linked_component_unsat(z4, monkeypatch):
+    """Same-parity sums over Z4 split the values into the even and the odd
+    component, and each component's halves contradict: x1 + x2 + x3 + x4
+    and x1 + x2 + x3 + x5 are both 0 mod 4, yet x5 = x4 + 2.  Every pair
+    projection is a parity equality or its shift by 2, so Step 1 passes.
+    Built by hand: ``harness.random_instance`` makes no such instance."""
+
+    def same_parity_sum_zero(*t):
+        return len({v % 2 for v in t}) == 1 and sum(t) % 4 == 0
+
+    quad = _relation((z4,) * 4, same_parity_sum_zero)
+    shift = _relation((z4,) * 2, lambda a, b: b == (a + 2) % 4)
+    inst = Instance(("x1", "x2", "x3", "x4", "x5"), (z4,) * 5,
+                    (frozenset(range(4)),) * 5, (
+                        Constraint(quad, ("x1", "x2", "x3", "x4")),
+                        Constraint(quad, ("x1", "x2", "x3", "x5")),
+                        Constraint(shift, ("x4", "x5"))))
+    results = _top_level_results(monkeypatch, "_solve_unlinked")
+    assert not solve(inst).satisfiable
+    assert results == [(False, None)]
+    assert brute_force(inst, "decision") is None
+
+
+def test_step3_finds_no_solution(z2min, monkeypatch):
+    """Two XOR pairs over Z2 whose sums contradict: the first makes
+    a + b + d + e = 0, the second asks 1.  Every pair projection is full,
+    so Steps 1 and 2 pass, and each constraint is the meet of its weaker
+    constraints, so the weakened instance has no solution either."""
+
+    first = _relation((z2min,) * 5, lambda a, b, c, d, e:
+                      (a + b + c) % 2 == 0 and (c + d + e) % 2 == 0)
+    second = _relation((z2min,) * 5, lambda a, b, c, d, e:
+                       (a + b + d + e) % 2 == 1 and (a + c + e) % 2 == 0)
+    inst = Instance(tuple("abcde"), (z2min,) * 5, (frozenset({0, 1}),) * 5,
+                    (Constraint(first, tuple("abcde")),
+                     Constraint(second, tuple("abcde"))))
+    results = _top_level_results(monkeypatch, "_step3")
+    assert not solve(inst).satisfiable
+    assert results == [PropagationResult("nosolution")]
+    assert brute_force(inst, "decision") is None
+
+
 def test_fragmented_instances_merge(z2min, maj2):
     eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
     pin = Relation(1, (z2min,), {(1,)})
@@ -487,6 +552,78 @@ def test_step12_prefix_learning_unit():
     pts = {(0, 0, 0), (1, 1, 1), (1, 0, 2)}
     with pytest.raises(AffineStructureViolation):
         solver._learn_step12(param, pts, 0, 0)
+
+
+def _learn_by_scan(moduli, members):
+    """``Solver._learn``'s answer with exactness checked on every point of
+    the space: (coeffs, rhs, prime), or None when no block's equation holds
+    exactly at ``members``."""
+
+    from wnucsp.errors import AffineStructureViolation
+    from wnucsp.linsolve import learn_hyperplane
+
+    for p in dict.fromkeys(moduli):
+        slots = [j for j, q in enumerate(moduli) if q == p]
+
+        def oracle(v):
+            point = [0] * len(moduli)
+            for idx, j in enumerate(slots):
+                point[j] = v[idx]
+            return tuple(point) in members
+
+        try:
+            out = learn_hyperplane(oracle, p, len(slots))
+        except AffineStructureViolation:
+            return None
+        if out.kind == "equation" and all(
+                (sum(out.coeffs[idx] * pt[j]
+                     for idx, j in enumerate(slots)) % p == out.rhs)
+                == (pt in members)
+                for pt in itertools.product(*(range(q) for q in moduli))):
+            return out.coeffs, out.rhs, p
+    return None
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 3), (3, 3, 2, 2)])
+def test_learn_exactness_by_count_matches_the_scan(moduli):
+    """``_learn`` accepts a block's equation when every member satisfies it
+    and the members number N / p; on hyperplanes, hyperplanes less a point
+    and unions of two it answers as the scan over all N points does."""
+
+    from wnucsp.errors import AffineStructureViolation
+    from wnucsp.linsolve import LinearSystem, solve_linear_system
+
+    param = solve_linear_system(LinearSystem(
+        tuple(("v%d" % i, q) for i, q in enumerate(moduli)), ())).param
+    assert param.moduli == moduli
+    space = list(param.points())
+    rng = random.Random(0)
+
+    def hyperplane():
+        p = rng.choice(moduli)
+        slots = [j for j, q in enumerate(moduli) if q == p]
+        coeffs = [0] * len(slots)
+        while not any(coeffs):
+            coeffs = [rng.randrange(p) for _ in slots]
+        rhs = rng.randrange(p)
+        return {pt for pt in space
+                if sum(c * pt[j] for c, j in zip(coeffs, slots)) % p == rhs}
+
+    answers = []
+    for _ in range(40):
+        plane = hyperplane()
+        for members in (plane, plane - {rng.choice(sorted(plane))},
+                        plane | hyperplane()):
+            want = _learn_by_scan(moduli, members)
+            solver = Solver()
+            try:
+                eq = solver._learn(param, moduli, members, 0)
+                got = (solver.learned[-1].coeffs, eq.rhs, eq.prime)
+            except AffineStructureViolation:
+                got = None
+            assert got == want, sorted(members)
+            answers.append(got is not None)
+    assert any(answers) and not all(answers)
 
 
 def test_step13_event_carries_the_type3_depth():
