@@ -11,13 +11,13 @@ and a union row per node, the nodes it shares an effective tuple with, from
 which the components are read.  The constraints' tuples are laid out as
 bit rows once per instance shape (``instance.Shape``), as Compact-Table
 lays out its tables once (Demeulenaere et al., CP 2016), and each call
-filters only the rows of constraints whose scope domains shrank.  The
-irreducibility check solves each distinct linked set's projection once per
-call, pinning one member to one value at a time and skipping every value an
-earlier solution of the call already assigned (``pinned_supports``, which
-Step 3 of the solver shares); a linked set of one variable is decided from
-its constraints' supports, and the transport of a congruence through a
-constraint projection is cached (see ``check_irreducibility``)."""
+filters the rows by the current domains.  The irreducibility check solves
+each distinct linked set's projection once per call, pinning one member to
+one value at a time and skipping every value an earlier solution of the
+call already assigned (``pinned_supports``, which Step 3 of the solver
+shares); a linked set of one variable is decided from its constraints'
+supports, and the transport of a congruence through a constraint
+projection is cached (see ``check_irreducibility``)."""
 
 from __future__ import annotations
 
@@ -115,24 +115,6 @@ def _current_nodes(inst, offsets):
                in zip(inst.base_algebras, inst.current_domains, offsets))
 
 
-@dataclass(frozen=True)
-class _PairLayout:
-    """The part of the pair network that the instance's shape fixes.  Per
-    constraint: the mask of its scope's blocks, the scope's nodes and
-    offsets, its tuples as base-carrier positions (``_encoded``) and as
-    global rows of their nodes, and for the case where the scope's domains
-    are all full, the scope nodes' AND rows (the OR of a node's tuple rows,
-    plus every node outside the scope) and OR rows (the OR of a node's
-    tuple rows).  The rows are kept as plain ints, with no container per
-    tuple."""
-
-    elements: tuple
-    offsets: tuple
-    clear: list         # per node: every bit but its variable's block
-    constraints: list   # (scope mask, scope nodes, scope offsets, positions,
-                        #  rows, AND rows, OR rows)
-
-
 @lru_cache(maxsize=1024)
 def _node_layout(sizes):
     """What Step 1 takes from the carrier sizes alone: each variable's first
@@ -153,17 +135,20 @@ def _node_layout(sizes):
     return tuple(offsets), clear, others, spans, masks
 
 
-def _pair_layout(inst) -> _PairLayout:
-    """The pair layout of the instance's shape, built on first read."""
+def _pair_layout(inst):
+    """The part of the pair network that the instance's shape fixes, built
+    on first read: per constraint, every bit outside its scope's blocks,
+    the scope's nodes and offsets, and its tuples as base-carrier positions
+    (``_encoded``) and as global rows of their nodes.  The rows are kept as
+    plain ints, with no container per tuple."""
 
     shape = inst.shape()
     if shape.pair_layout is not None:
         return shape.pair_layout
     bases = inst.base_algebras
-    elements = tuple(alg.elements for alg in bases)
-    offsets, clear, _, spans, masks = _node_layout(tuple(map(len, elements)))
-    constraints = []
-    acc = [0] * len(clear)
+    offsets, _, _, spans, masks = _node_layout(
+        tuple([alg.size for alg in bases]))
+    layout = []
     for c in inst.constraints:
         ks = [inst.index(v) for v in c.scope]
         offs = [offsets[k] for k in ks]
@@ -174,20 +159,13 @@ def _pair_layout(inst) -> _PairLayout:
             for off, a in zip(offs, at):
                 row |= 1 << off + a
             rows.append(row)
-            for off, a in zip(offs, at):
-                acc[off + a] |= row
         scope_mask = 0
         for k in ks:
             scope_mask |= masks[k]
-        scope_nodes = [q for k in ks for q in spans[k]]
-        unions = [acc[q] for q in scope_nodes]
-        cuts = [union | ~scope_mask for union in unions]
-        for q in scope_nodes:
-            acc[q] = 0
-        constraints.append((scope_mask, scope_nodes, offs, enc, rows, cuts,
-                            unions))
-    shape.pair_layout = _PairLayout(elements, offsets, clear, constraints)
-    return shape.pair_layout
+        layout.append((~scope_mask, [q for k in ks for q in spans[k]], offs,
+                       enc, rows))
+    shape.pair_layout = layout
+    return layout
 
 
 def build_pair_network(inst: Instance) -> PairNetwork:
@@ -197,32 +175,24 @@ def build_pair_network(inst: Instance) -> PairNetwork:
     its variable (the other blocks start as the current domains), so a
     value without a tuple in one of them loses its own bit and is dropped,
     and the other rows are cut to the surviving nodes.  Its union row is
-    the OR of the same rows.
-
-    The tuple rows come from the shape's ``_PairLayout``; a constraint
-    whose scope domains are all full takes the layout's rows for it, and
-    only the others are filtered by the current domains."""
+    the OR of the same rows.  The tuple rows come from the shape's layout
+    (``_pair_layout``) and are filtered by the current domains."""
 
     layout = _pair_layout(inst)
-    width = len(layout.clear)
-    current = _current_nodes(inst, layout.offsets)
+    elements = tuple([alg.elements for alg in inst.base_algebras])
+    offsets, clear, _, _, _ = _node_layout(tuple(map(len, elements)))
+    width = len(clear)
+    current = _current_nodes(inst, offsets)
     missing = ~current
-    nodes = [current & clear | 1 << q if current >> q & 1 else 0
-             for q, clear in enumerate(layout.clear)]
+    nodes = [current & cut | 1 << q if current >> q & 1 else 0
+             for q, cut in enumerate(clear)]
     links = [0] * width
     acc = [0] * width
-    for scope_mask, scope_nodes, offs, enc, rows, cuts, unions in \
-            layout.constraints:
-        if current & scope_mask == scope_mask:
-            for q, cut, union in zip(scope_nodes, cuts, unions):
-                nodes[q] &= cut
-                links[q] |= union
-            continue
+    for outside, scope_nodes, offs, enc, rows in layout:
         for row, at in zip(rows, enc):
             if not row & missing:
                 for off, a in zip(offs, at):
                     acc[off + a] |= row
-        outside = ~scope_mask
         for q in scope_nodes:
             nodes[q] &= acc[q] | outside
             links[q] |= acc[q]
@@ -230,8 +200,7 @@ def build_pair_network(inst: Instance) -> PairNetwork:
     alive = sum(1 << q for q, row in enumerate(nodes) if row >> q & 1)
     nodes = [row & alive if alive >> q & 1 else 0
              for q, row in enumerate(nodes)]
-    return PairNetwork(inst.variables, layout.elements, layout.offsets,
-                       nodes, links)
+    return PairNetwork(inst.variables, elements, offsets, nodes, links)
 
 
 def enforce_cycle_consistency(inst: Instance) -> PropagationResult:

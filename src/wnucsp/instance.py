@@ -47,6 +47,8 @@ class Constraint:
             object.__setattr__(self, "scope", tuple(self.scope))
         if len(self.scope) != self.relation.arity:
             raise FormatError("scope length must equal the relation arity")
+        if not self.scope:
+            raise FormatError("a constraint needs at least one variable")
 
     def sort_key(self):
         return (self.scope, self.relation.sort_key())

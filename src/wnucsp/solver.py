@@ -36,7 +36,6 @@ from .consistency import (
 from .errors import (
     AffineStructureViolation,
     ConfigError,
-    EmptyRelationError,
     InternalError,
 )
 from .instance import (
@@ -332,10 +331,7 @@ class Solver:
     # -- the linear phase (Steps 7-13)
 
     def _linear_phase(self, inst: Instance, depth, t3):
-        try:
-            system, factors = factorize_to_linear(inst)
-        except EmptyRelationError:
-            return False, None
+        system, factors = factorize_to_linear(inst)
         for f in factors:
             if len(inst.domain(f.var)) > 1:
                 alg = inst.domain_algebra(f.var)

@@ -262,6 +262,31 @@ def test_solve_command_trace(z4_file):
     assert "[trace]" in err
 
 
+def step2_instance_text():
+    """x = y and y = z mod 2 and x + y + z odd over Z4: Step 1 passes and
+    Step 2 reduces x to its odd class."""
+
+    def parity(arity, rhs):
+        return [" ".join(map(str, t))
+                for t in itertools.product(range(4), repeat=arity)
+                if sum(t) % 2 == rhs]
+
+    lines = ["DOMAIN D 4", "WNU D 5 SUM", "VAR x D", "VAR y D", "VAR z D",
+             "REL P 2 D D", *parity(2, 0), "END",
+             "REL O 3 D D D", *parity(3, 1), "END",
+             "CON P x y", "CON P y z", "CON O x y z"]
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_trace_prints_a_step2_reduction(tmp_path):
+    path = tmp_path / "step2.csp"
+    path.write_text(step2_instance_text())
+    code, _, err = run_cli(["solve", str(path), "--trace"])
+    assert code == 0
+    assert "[trace] step 2 (depth 0, t3 0): reduce x to [1, 3]" in \
+        err.splitlines()
+
+
 def test_solve_json_counts_the_printed_trace_events(z4_file):
     code, out, err = run_cli(["solve", z4_file, "--trace", "--json"])
     assert code == 0

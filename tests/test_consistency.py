@@ -422,8 +422,8 @@ def test_step1_on_shared_layouts_matches_the_bit_rows(solver_instances):
     shape, which the instances ``apply_reduction`` derived during the
     solves share with their parents.  Some instances take a layout that
     was built before for another instance, with constraints whose scope
-    domains are all full (rows taken whole) and constraints whose scope
-    domains shrank (rows filtered)."""
+    domains are all full (every row passes the filter) and constraints
+    whose scope domains shrank (some rows are filtered out)."""
 
     owners = {}
     scopes = set()

@@ -437,6 +437,16 @@ def test_constructor_rejects_malformed_input(z2min, z4):
     Instance(x, (z4,), (full4,), (Constraint(z4_unary, x),))
 
 
+def test_constraint_rejects_an_empty_scope():
+    """A constraint on no variable is refused where it is built, both the
+    empty and the full relation of arity 0; no file can state one, since
+    ``REL`` and ``CON`` need a domain and a variable."""
+
+    for tuples in (frozenset(), frozenset({()})):
+        with pytest.raises(FormatError):
+            Constraint(Relation(0, (), tuples), ())
+
+
 def _rebuilt_through_constructor(real, built):
     """Wrap the derived-instance builder so every instance it makes is also
     built, and so checked, by ``Instance(...)``."""

@@ -72,16 +72,6 @@ def test_unlinked_only_second_component_satisfiable(z2min):
     assert outcome.assignment == {"x": 1, "y": 1}
 
 
-def test_all_components_unsat(z2min):
-    eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
-    ne = Relation(2, (z2min, z2min), {(0, 1), (1, 0)})
-    inst = Instance(("x", "y"), (z2min,) * 2, (frozenset({0, 1}),) * 2, (
-        Constraint(eq, ("x", "y")),
-        Constraint(ne, ("x", "y")),
-    ))
-    assert not solve(inst).satisfiable
-
-
 def _relation(coords, holds):
     return Relation(len(coords), coords, {
         t for t in itertools.product(*(a.elements for a in coords))
@@ -339,16 +329,17 @@ def _traced(inst):
 
 def test_trace_events_of_each_reduction(z2min, maj2, and3, dd3):
     """The exact events of small solves, one for each way Steps 1-6 end
-    other than passing on, besides Step 1's reduction (above) and Step 3's
-    (below)."""
+    other than passing on, besides Step 1's reduction (above) and Steps 2
+    and 3's (below)."""
 
     eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
     neq = Relation(2, (z2min, z2min), {(0, 1), (1, 0)})
     binary = (frozenset({0, 1}),) * 2
-    # x = y and x != y: Step 1 empties the pair
-    assert _traced(Instance(("x", "y"), (z2min,) * 2, binary, (
-        Constraint(eq, ("x", "y")), Constraint(neq, ("x", "y"))))) == [
-        ("1", "propagation emptied a pair", 0, 0)]
+    # x = y and x != y: Step 1 empties the pair, so the solve is unsat
+    clash = Instance(("x", "y"), (z2min,) * 2, binary, (
+        Constraint(eq, ("x", "y")), Constraint(neq, ("x", "y"))))
+    assert _traced(clash) == [("1", "propagation emptied a pair", 0, 0)]
+    assert not solve(clash).satisfiable
     # x = y alone: two linked components, the first one solves
     assert _traced(Instance(("x", "y"), (z2min,) * 2, binary,
                             (Constraint(eq, ("x", "y")),))) == [
@@ -382,6 +373,43 @@ def test_trace_events_of_a_step3_reduction(z4):
     assert len(events) == 95
     assert [ev for ev in events if ev[0] == "3"] == [
         ("3", "reduce x1 to [0, 2]", 1, 0)]
+
+
+def _step2_instance(z4, *extra):
+    """x, y and z over Z4 with x = y and y = z mod 2 and x + y + z odd, and
+    the constraints ``extra``.  Every pair projection of the ternary
+    constraint is full, so Step 1 passes.  When x is even so are y and z,
+    and their sum is even: only the odd class of x has a solution."""
+
+    same = parity_relation(z4, (0, 1), 0, arity=2)
+    return Instance(("x", "y", "z"), (z4,) * 3, (frozenset(range(4)),) * 3, (
+        Constraint(same, ("x", "y")),
+        Constraint(same, ("y", "z")),
+        Constraint(parity_relation(z4, (0, 1, 2), 1), ("x", "y", "z")),
+    ) + extra)
+
+
+def test_step2_reduces_through_the_solver(z4):
+    """Step 2 is the first step to act at depth 0: pinning x to an even
+    value leaves a projection with no solution."""
+
+    inst = _step2_instance(z4)
+    assert [ev for ev in _traced(inst) if ev[2] == 0][0] == \
+        ("2", "reduce x to [1, 3]", 0, 0)
+    assert solve(inst).assignment == {"x": 1, "y": 1, "z": 1}
+    assert brute_force(inst, "decision") is not None
+
+
+def test_step2_finds_no_solution_through_the_solver(z4):
+    """The same instance with x + z + y even as well: no class of x has a
+    solution of its projection."""
+
+    inst = _step2_instance(z4, Constraint(
+        parity_relation(z4, (0, 1, 2), 0), ("x", "z", "y")))
+    assert [ev for ev in _traced(inst) if ev[2] == 0] == [
+        ("2", "projection solution set empty", 0, 0)]
+    assert not solve(inst).satisfiable
+    assert brute_force(inst, "decision") is None
 
 
 def components_linked_reference(inst, comps):
