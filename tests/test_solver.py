@@ -72,6 +72,20 @@ def test_unlinked_only_second_component_satisfiable(z2min):
     assert outcome.assignment == {"x": 1, "y": 1}
 
 
+def test_all_components_unsat(z2min):
+    """x = y and x != y on one pair: Step 1 empties the pair at depth 0, so
+    no component is solved; ``test_every_linked_component_unsat`` covers
+    the case where every linked component is reached and fails."""
+
+    eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
+    ne = Relation(2, (z2min, z2min), {(0, 1), (1, 0)})
+    inst = Instance(("x", "y"), (z2min,) * 2, (frozenset({0, 1}),) * 2, (
+        Constraint(eq, ("x", "y")),
+        Constraint(ne, ("x", "y")),
+    ))
+    assert not solve(inst).satisfiable
+
+
 def _relation(coords, holds):
     return Relation(len(coords), coords, {
         t for t in itertools.product(*(a.elements for a in coords))
