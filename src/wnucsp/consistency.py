@@ -1,17 +1,23 @@
 """Constraint propagation and structural checks on instances.
 
-Three procedures: the pairwise (2,3)-consistency fixpoint that establishes
+Four procedures: the pairwise (2,3)-consistency fixpoint that establishes
 cycle-consistency, the decomposition of the (variable, value) pairs into
-linked components, and the irreducibility check driven by maximal
-congruences.  The first two share one network: a bitset per (variable,
-value) node over all nodes, holding the node's pair relations for the
-fixpoint (Mohr and Henderson's path-consistency closure, "Arc and path
-consistency revisited", AIJ 28(2), 1986, revised a whole row at a time),
-and a union row per node, the nodes it shares an effective tuple with, from
-which the components are read.  The constraints' tuples are laid out as
+linked components, a bounded search for solutions that assign every value,
+and the irreducibility check driven by maximal congruences.  The first
+three share one network: a bitset per (variable, value) node over all
+nodes, holding the node's pair relations for the fixpoint (Mohr and
+Henderson's path-consistency closure, "Arc and path consistency
+revisited", AIJ 28(2), 1986, revised a whole row at a time), and a union
+row per node, the nodes it shares an effective tuple with, from which the
+components are read.  The constraints' tuples are laid out as
 bit rows once per instance shape (``instance.Shape``), as Compact-Table
 lays out its tables once (Demeulenaere et al., CP 2016), and each call
-filters the rows by the current domains.  The irreducibility check solves
+filters the rows by the current domains.  The search (``witness_cover``)
+runs on the fixpoint network with forward checking; solutions of the
+instance that together assign every value prove that the irreducibility
+check answers "ok" and that the solver's Step 3 passes, since a solution
+solves every pinned projection onto a linked set and every pinned weakened
+instance, so the solver then skips both.  The irreducibility check solves
 each distinct linked set's projection once per call, pinning one member to
 one value at a time and skipping every value an earlier solution of the
 call already assigned (``pinned_supports``, which Step 3 of the solver
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import maximal_congruences
-from .errors import ArgumentError
+from .errors import ArgumentError, InternalError
 from .instance import (
     Instance,
     apply_reduction,
@@ -306,6 +312,102 @@ def value_components(inst: Instance, network: PairNetwork | None = None):
             for j, (var, elems) in enumerate(zip(net.variables, net.elements))
             for a in _BITS[net.block(comp, j)]))
     return tuple(sorted(comps, key=min))
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+# Search nodes (one per value tried) that one ``witness_cover`` call may
+# visit before it gives up.
+WITNESS_NODES = 2000
+
+
+def witness_cover(inst: Instance, network: PairNetwork) -> bool:
+    """Whether solutions of ``inst`` that together assign every value of
+    every variable turn up within ``WITNESS_NODES`` search nodes.
+    ``network`` is the network of ``enforce_cycle_consistency(inst)``
+    passing.
+
+    A depth-first search with forward checking on the network: it pins
+    each node no solution has assigned yet, lowest bit first, then assigns
+    the unassigned variable with the fewest values allowed, the allowed
+    values being the AND of the assigned nodes' rows.  A row keeps only
+    pairs that every constraint's projection allows, so unary and binary
+    constraints hold by construction; a wider constraint is checked once
+    its scope is assigned, and every solution is checked against ``inst``.
+    Each solution covers every node it assigns.  The answer is False when
+    a pinned node has no solution or the budget runs out.
+
+    A True answer proves that Steps 2 and 3 pass.  Every weakened
+    constraint is implied by a constraint of ``inst``, so a solution of
+    ``inst`` solves ``weaken_all(inst)`` pinned at each value it assigns;
+    and its restriction to a linked set X solves ``project_instance(inst,
+    X)`` pinned the same way (SAC-3's greedy branches, Lecoutre and
+    Cardon, IJCAI 2005)."""
+
+    nodes, offsets, elements = network.nodes, network.offsets, network.elements
+    n = len(offsets)
+    fulls = [(1 << len(elems)) - 1 for elems in elements]
+    owner = [k for k, elems in enumerate(elements) for _ in elems]
+    checks = [[] for _ in range(n)]
+    for c in inst.constraints:
+        if len(c.scope) > 2:
+            ks = tuple([inst.index(v) for v in c.scope])
+            for k in ks:
+                checks[k].append((ks, c.relation.tuples))
+    value = [None] * n
+    budget = WITNESS_NODES
+
+    def holds(k):
+        for ks, tuples in checks[k]:
+            at = [value[i] for i in ks]
+            if None not in at and tuple(
+                    [elements[i][a] for i, a in zip(ks, at)]) not in tuples:
+                return False
+        return True
+
+    def extend(allowed):
+        nonlocal budget
+        best, fewest = -1, None
+        for j in range(n):
+            if value[j] is None:
+                block = allowed >> offsets[j] & fulls[j]
+                if not block:
+                    return False
+                count = block.bit_count()
+                if fewest is None or count < fewest:
+                    best, fewest, values = j, count, block
+        if best < 0:
+            return True
+        off = offsets[best]
+        for a in _BITS[values]:
+            budget -= 1
+            if budget < 0:
+                return False
+            value[best] = a
+            if holds(best) and extend(allowed & nodes[off + a]):
+                return True
+        value[best] = None
+        return False
+
+    left = sum(1 << q for q, row in enumerate(nodes) if row)
+    while left:
+        q = (left & -left).bit_length() - 1
+        budget -= 1
+        if budget < 0:
+            return False
+        value[:] = [None] * n
+        value[owner[q]] = q - offsets[owner[q]]
+        if not extend(nodes[q]):
+            return False
+        solution = {var: elems[a] for var, elems, a
+                    in zip(inst.variables, elements, value)}
+        if not inst.assignment_satisfies(solution):
+            raise InternalError("witness search found a non-solution")
+        for off, a in zip(offsets, value):
+            left &= ~(1 << off + a)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,17 @@ linear congruences, parameterizes the solution set of the system plus the
 learned equations, probes the zero point, computes a crucial weakening, and
 learns one new equation per round.
 
+Irreducibility and the weakened-instance check pass on witnesses: when a
+bounded search on the cycle-consistent network (``witness_cover``) finds
+solutions of the instance that together assign every value of every
+variable, both are skipped.  A solution of the instance solves its
+projection onto any variable set, and it solves the weakened instance,
+whose every constraint is implied by a constraint of the instance; so each
+pinned sub-instance of the two steps has a solution and both would pass.
+Otherwise both run exactly, with their pinned sub-solves, and only then
+does a weakened-instance descent meet the type-3 depth cap and descent
+check.
+
 Recursion bookkeeping follows the four call types: single-domain reductions
 loop in place, linked components and parameter-point reductions strictly
 shrink domains, and weakened-instance descents are guarded by the
@@ -32,6 +43,7 @@ from .consistency import (
     is_linked,
     pinned_supports,
     value_components,
+    witness_cover,
 )
 from .errors import (
     AffineStructureViolation,
@@ -122,8 +134,10 @@ class Solver:
             ok, assignment = self._solve(inst, 0, 0)
         finally:
             # the shape data is shared with the instances derived in the
-            # solve; the caller's instance does not keep it
+            # solve, and the memo key belongs to this solve's memo; the
+            # caller's instance keeps neither
             inst.__dict__.pop("_shape", None)
+            inst.__dict__.pop("_key", None)
         if ok:
             return SolveOutcome("sat", assignment)
         return SolveOutcome("unsat")
@@ -183,6 +197,8 @@ class Solver:
             # shrinks domains and restarts the loop; the first that does
             # not pass ends the round below
             step, res = "1", enforce_cycle_consistency(inst)
+            later = (("3", self._step3), ("4", self._step4),
+                     ("5", self._step5), ("6", self._step6))
             if res.status == "ok":
                 # not linked: solve per linked component (type 2).  Every
                 # variable is constrained, the scopes connect them all and
@@ -192,11 +208,14 @@ class Solver:
                 comps = value_components(inst, res.network)
                 if len(comps) > 1:
                     return self._solve_unlinked(inst, comps, depth, t3)
-                step, res = "2", check_irreducibility(
-                    inst, lambda sub: self._solve(sub, depth + 1, t3)[1])
+                # solutions that assign every value pass Steps 2 and 3
+                if witness_cover(inst, res.network):
+                    later = later[1:]
+                else:
+                    step, res = "2", check_irreducibility(
+                        inst, lambda sub: self._solve(sub, depth + 1, t3)[1])
             if res.status == "ok":
-                for step, run in (("3", self._step3), ("4", self._step4),
-                                  ("5", self._step5), ("6", self._step6)):
+                for step, run in later:
                     res = run(inst, depth, t3)
                     if res is not None:
                         break
@@ -240,7 +259,13 @@ class Solver:
         weakened instance is a witness for every value it assigns: a value
         an earlier sub-solve of the same call already used is good without
         a solve (``pinned_supports``).  The answer is the same as with one
-        sub-solve per value, since each is exact."""
+        sub-solve per value, since each is exact.
+
+        ``_solve_main`` calls this step only when ``witness_cover`` found
+        no solutions of the instance that assign every value: such
+        solutions solve the weakened instance through each value they
+        assign, since every weakened constraint is implied by a constraint
+        of the instance, so the step would pass."""
 
         weakened = weaken_all(inst)
         if t3 + 1 > MAX_TYPE3_DEPTH:

@@ -14,6 +14,7 @@ from wnucsp.harness import GenParams, random_instance
 from wnucsp.instance import Constraint, Instance
 from wnucsp.relation import Relation
 from wnucsp import classify as classify_module
+from wnucsp import consistency as consistency_module
 from wnucsp import instance as instance_module
 from wnucsp import relation as relation_module
 from wnucsp import solver as solver_module
@@ -71,6 +72,26 @@ def z4_example(z4):
     return Instance(vs, (z4,) * 4, (frozenset(range(4)),) * 4, constraints)
 
 
+def solver_fixture_params():
+    """The ``GenParams`` of the instances ``solver_recording`` solves:
+    eight seeds of each family, odd ones planted.  A family is (domain
+    size, WNU arity, WNU table), None being the canonical searched special
+    WNU."""
+
+    families = (
+        (2, 3, minority_table()),
+        (2, 3, majority_table()),
+        (2, 3, conjunction_table(3)),
+        (3, 3, dual_discriminator_table()),
+        (4, 5, sum_table(4, 5)),
+        (3, 3, None),
+        (4, 3, None),
+    )
+    return [GenParams(n, m, 6, 6, 3, 400_000 + i,
+                      satisfiable_bias=bool(i % 2), wnu=wnu)
+            for n, m, wnu in families for i in range(8)]
+
+
 @pytest.fixture(scope="session")
 def solver_recording():
     """Solve eight seeded desk-size instances (6 variables, 6 constraints)
@@ -85,19 +106,9 @@ def solver_recording():
     ``factorize_to_linear`` reads its rows for.  The weakening,
     per-projection cover and linear rows caches are cleared first, so each
     weakening and factorization the solves ask for is computed under the
-    recording."""
+    recording.  The witness search gets no budget, so every round takes
+    the exact Steps 2 and 3 and their sub-solves are recorded too."""
 
-    # (domain size, WNU arity, WNU table); None is the canonical searched
-    # special WNU
-    families = (
-        (2, 3, minority_table()),
-        (2, 3, majority_table()),
-        (2, 3, conjunction_table(3)),
-        (3, 3, dual_discriminator_table()),
-        (4, 5, sum_table(4, 5)),
-        (3, 3, None),
-        (4, 3, None),
-    )
     seen, linked, cylinders, weakened, derived, linear = ([], [], [], [],
                                                           [], [])
     original = Solver._solve
@@ -138,6 +149,7 @@ def solver_recording():
     linear_rows.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Solver, "_solve", recording)
+        mp.setattr(consistency_module, "WITNESS_NODES", 0)
         mp.setattr(solver_module, "value_components", recording_components)
         for module in (relation_module, instance_module):
             mp.setattr(module, "cylinder_implies", recording_cylinder)
@@ -147,11 +159,8 @@ def solver_recording():
         mp.setattr(instance_module, "_derived_relation", recording_derived)
         mp.setattr(classify_module, "_derived", recording_derived)
         mp.setattr(instance_module, "_linear_rows", recording_linear)
-        for n, m, wnu in families:
-            for i in range(8):
-                params = GenParams(n, m, 6, 6, 3, 400_000 + i,
-                                   satisfiable_bias=bool(i % 2), wnu=wnu)
-                Solver().solve(random_instance(params)[0])
+        for params in solver_fixture_params():
+            Solver().solve(random_instance(params)[0])
     return (tuple(seen), tuple(linked), tuple(cylinders), tuple(weakened),
             tuple(derived), tuple(linear))
 

@@ -24,13 +24,16 @@ from wnucsp.consistency import (
     is_linked,
     linked_components,
     value_components,
+    witness_cover,
 )
+from wnucsp import consistency as consistency_module
 from wnucsp.errors import ArgumentError
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp.instance import (
     Constraint,
     Instance,
     apply_reduction,
+    fragment_variable_sets,
     project_instance,
 )
 from wnucsp.relation import Relation
@@ -981,3 +984,93 @@ def test_irreducibility_matches_the_class_reductions_by_brute_force(maj2,
                     for images in corr.values())
     assert overlapping
     assert any(len(sub.variables) > 1 for sub in handed)
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+def _step1_fixpoint(inst):
+    """``inst`` reduced by Step 1 until it passes, with its network, or
+    None when Step 1 finds no solution."""
+
+    while True:
+        res = enforce_cycle_consistency(inst)
+        if res.status == "ok":
+            return inst, res.network
+        if res.status == "nosolution":
+            return None
+        inst = apply_reduction(inst, res.reduction)
+
+
+def test_witness_cover_matches_brute_force(monkeypatch):
+    """With a budget the search cannot exhaust, the cover is found exactly
+    when every value of every variable occurs in some solution, on
+    random instances of the five desk families and the searched special
+    WNUs on 3 and 4 elements, at 5 and 6 variables, planted and not.  The
+    seed window holds the planted Z4 seed 100 075, which passes Step 1
+    with values that no solution assigns."""
+
+    monkeypatch.setattr(consistency_module, "WITNESS_NODES", 10 ** 6)
+    families = ((2, 3, minority_table()), (2, 3, majority_table()),
+                (2, 3, conjunction_table(3)),
+                (3, 3, dual_discriminator_table()), (4, 5, sum_table(4, 5)),
+                (3, 3, search_special_wnu(3, [], 3).table),
+                (4, 3, search_special_wnu(4, [], 3).table))
+    answers = []
+    for n, m, table in families:
+        for i in range(12):
+            size = 6 - i // 2 % 2
+            params = GenParams(n, m, size, size, 3, 100_070 + i,
+                               satisfiable_bias=i % 2 == 1, wnu=table)
+            passed = _step1_fixpoint(random_instance(params)[0])
+            if passed is None:
+                continue
+            inst, network = passed
+            assigned = {(v, a) for sol in brute_force(inst, "all")
+                        for v, a in sol.items()}
+            want = all((v, a) in assigned for v, dom
+                       in zip(inst.variables, inst.current_domains)
+                       for a in dom)
+            assert witness_cover(inst, network) == want
+            answers.append(want)
+    assert True in answers and False in answers
+
+
+def test_witness_cover_passes_steps_2_and_3(solver_instances, monkeypatch):
+    """On every instance the solver is called on that passes Step 1 and is
+    linked, a cover means that Step 2 answers "ok" and Step 3 passes.  With
+    no budget there is no cover."""
+
+    solver = Solver()
+    covered = 0
+    for inst in solver_instances:
+        if (len(fragment_variable_sets(inst)) > 1 or not inst.constraints
+                or inst.all_singleton()):
+            continue
+        res = enforce_cycle_consistency(inst)
+        if res.status != "ok" or len(value_components(inst,
+                                                      res.network)) > 1:
+            continue
+        if witness_cover(inst, res.network):
+            covered += 1
+            assert check_irreducibility(
+                inst, lambda sub: solver._solve(sub, 1, 0)[1]).status == "ok"
+            assert solver._step3(inst, 0, 0) is None
+            with monkeypatch.context() as patch:
+                patch.setattr(consistency_module, "WITNESS_NODES", 0)
+                assert not witness_cover(inst, res.network)
+    assert covered
+
+
+def test_witness_budget_counts_every_value_tried(z2min, monkeypatch):
+    """x = y = z over Z2 takes two witnesses, 000 and 111, of three search
+    nodes each: the pinned value of x and the values of y and z."""
+
+    eq3 = Relation(3, (z2min,) * 3, {(0, 0, 0), (1, 1, 1)})
+    inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
+                    (Constraint(eq3, ("x", "y", "z")),))
+    network = enforce_cycle_consistency(inst).network
+    for budget, covered in ((6, True), (5, False), (0, False)):
+        monkeypatch.setattr(consistency_module, "WITNESS_NODES", budget)
+        assert witness_cover(inst, network) == covered

@@ -16,6 +16,7 @@ from wnucsp.algebra import (
     sum_table,
 )
 from wnucsp.classify import verify_structure_report
+from wnucsp import consistency as consistency_module
 from wnucsp.consistency import PropagationResult, value_components
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp import instance as instance_module
@@ -24,7 +25,7 @@ from wnucsp.relation import Relation
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
 
-from conftest import linear_relation
+from conftest import linear_relation, solver_fixture_params
 
 
 def test_golden_z4_instance(z4_example):
@@ -377,16 +378,55 @@ def test_trace_events_of_each_reduction(z2min, maj2, and3, dd3):
         ("1", "reduce y to [0]", 0, 0), ("6", "PC class x to [0]", 0, 0)]
 
 
-def test_trace_events_of_a_step3_reduction(z4):
+def test_trace_events_of_a_step3_reduction(z4, monkeypatch):
     """The first Step 3 reduction of ``STEP3_REDUCING_SEEDS``, among the
-    95 events of its solve."""
+    95 events of its solve with no witness budget, where every round runs
+    the exact Steps 2 and 3.  At the default budget the witnesses skip
+    sub-solves, and the events at depth 0 stay the same."""
 
     params = GenParams(4, 5, 6, 6, 3, 206, satisfiable_bias=True,
                        wnu=sum_table(4, 5))
-    events = _traced(random_instance(params)[0])
+    inst = random_instance(params)[0]
+    default = _traced(inst)
+    monkeypatch.setattr(consistency_module, "WITNESS_NODES", 0)
+    events = _traced(inst)
     assert len(events) == 95
     assert [ev for ev in events if ev[0] == "3"] == [
         ("3", "reduce x1 to [0, 2]", 1, 0)]
+    assert [ev for ev in default if ev[2] == 0] == [
+        ev for ev in events if ev[2] == 0]
+
+
+def _answers(instances):
+    """Per instance: the outcome, its assignment's variable order, the
+    learned equations and the depth-0 trace events of a fresh solve."""
+
+    out = []
+    for inst in instances:
+        sunk = []
+        solver = Solver(SolverConfig(trace_sink=sunk.append))
+        outcome = solver.solve(inst)
+        out.append((outcome, list(outcome.assignment or ()), solver.learned,
+                    [ev for ev in sunk if ev.depth == 0]))
+    return out
+
+
+def test_witnesses_change_no_answer(monkeypatch):
+    """The fixture families solved at the default witness budget and with
+    none, which runs the exact Steps 2 and 3 in every round, give the same
+    outcomes, assignments, learned equations and depth-0 trace; the
+    witnesses save sub-solves."""
+
+    instances = [random_instance(params)[0]
+                 for params in solver_fixture_params()]
+    calls = _counting_solve(monkeypatch)
+    default = _answers(instances)
+    used = len(calls)
+    calls.clear()
+    monkeypatch.setattr(consistency_module, "WITNESS_NODES", 0)
+    assert _answers(instances) == default
+    assert used < len(calls)
+    assert {outcome.kind for outcome, _, _, _ in default} == {"sat", "unsat"}
 
 
 def _step2_instance(z4, *extra):
@@ -709,8 +749,8 @@ def test_six_element_mixed_prime_domain():
 
 
 def _odd_parity_instance(z2min):
-    """x + y + z = 1 over Z2: it survives propagation and reaches the
-    weakened-instance checks."""
+    """x + y + z = 1 over Z2: it survives propagation and, with no
+    witness budget, reaches the weakened-instance checks."""
 
     odd = Relation(3, (z2min,) * 3, {
         t for t in itertools.product(range(2), repeat=3) if sum(t) % 2 == 1})
@@ -724,6 +764,7 @@ def test_type3_descent_guard(z2min, monkeypatch):
     from wnucsp.errors import InternalError
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "MAX_TYPE3_DEPTH", 0)
+        patch.setattr(consistency_module, "WITNESS_NODES", 0)
         with pytest.raises(InternalError):
             Solver().solve(inst)
     assert solve(inst).satisfiable  # the default cap handles it
@@ -737,6 +778,7 @@ def test_type3_descent_guard_rejects_a_weakening_that_is_not_below(
     from wnucsp.errors import InternalError
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "weaken_all", lambda inst: inst)
+        patch.setattr(consistency_module, "WITNESS_NODES", 0)
         with pytest.raises(InternalError, match="weakened constraint is not "
                                                 "strictly below any parent"):
             Solver().solve(inst)
@@ -818,12 +860,12 @@ def test_z4_sum_of_five_seed_100016_large_parameter_space_sat():
 
 
 def test_solve_leaves_the_instance_only_its_own_caches(z4_example):
-    """The shape data the solve shares among derived instances is dropped
-    from the solved instance: it keeps only what it kept before the
-    shape existed."""
+    """The shape data the solve shares among derived instances and the
+    memo key are dropped from the solved instance: it keeps its index, its
+    domain algebras and its effective relations."""
 
     fields = {"variables", "base_algebras", "current_domains", "constraints"}
-    kept = fields | {"_index", "_algebras", "_effs", "_key"}
+    kept = fields | {"_index", "_algebras", "_effs"}
     families = ((2, 3, minority_table()), (3, 3, dual_discriminator_table()),
                 (4, 5, sum_table(4, 5)))
     instances = [Instance(z4_example.variables, z4_example.base_algebras,
@@ -835,7 +877,7 @@ def test_solve_leaves_the_instance_only_its_own_caches(z4_example):
                 wnu=table))[0])
     for inst in instances:
         Solver().solve(inst)
-        assert "_key" in inst.__dict__
+        assert "_key" not in inst.__dict__
         assert set(inst.__dict__) <= kept
 
 
