@@ -44,7 +44,9 @@ class OperationTable:
     """Explicit value table of an m-ary operation on positions {0..n-1}.
 
     Entries are listed over argument tuples in lexicographic order with the
-    first argument most significant.
+    first argument most significant.  A table computes its hash and its
+    entries as a read-only int64 array (``array``) once, on first use; both
+    are left out of equality and pickles.
     """
 
     arity: int
@@ -63,6 +65,25 @@ class OperationTable:
             )
         if min(self.entries) < 0 or max(self.entries) >= self.domain_size:
             raise FormatError("table entry out of range")
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.arity, self.domain_size, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return OperationTable, (self.arity, self.domain_size, self.entries)
+
+    @property
+    def array(self):
+        arr = self.__dict__.get("_array")
+        if arr is None:
+            arr = np.array(self.entries, dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return arr
 
     def apply(self, args):
         idx = 0
@@ -84,6 +105,7 @@ class Algebra:
     elements: tuple
     wnu: OperationTable
     positions: dict = field(init=False, repr=False)  # element id -> position
+    carrier: frozenset = field(init=False, repr=False)  # the element ids
 
     def __new__(cls, elements, wnu):
         elements = tuple(elements)
@@ -99,6 +121,7 @@ class Algebra:
             object.__setattr__(alg, "wnu", wnu)
             object.__setattr__(alg, "positions",
                                {e: i for i, e in enumerate(elements)})
+            object.__setattr__(alg, "carrier", frozenset(elements))
             object.__setattr__(alg, "_hash", hash(key))
             _ALGEBRAS[key] = alg
         return alg
@@ -137,9 +160,15 @@ def verify_special_wnu(table: OperationTable):
     """Check idempotence, the WNU identities, and specialness.
 
     Returns a list of (identity, witness) pairs; empty means the table is a
-    special WNU.
+    special WNU.  Equal tables are checked once while the bounded cache
+    holds their result.
     """
 
+    return list(_wnu_violations(table))
+
+
+@lru_cache(maxsize=32)
+def _wnu_violations(table):
     n, m = table.domain_size, table.arity
     violations = []
     for a in range(n):
@@ -161,7 +190,7 @@ def verify_special_wnu(table: OperationTable):
             c = vals.pop()
             if table.apply([a] * (m - 1) + [c]) != c:
                 violations.append(("specialness", (a, b)))
-    return violations
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -397,7 +426,7 @@ def abelian_sum_structure(alg: Algebra):
     fold = np.arange(n, dtype=np.int64)
     for _ in range(m - 1):
         fold = add[fold[:, None], np.arange(n)[None, :]].ravel()
-    if not np.array_equal(fold, np.asarray(table.entries, dtype=np.int64)):
+    if not np.array_equal(fold, table.array):
         return None
     return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse))
 
@@ -639,20 +668,25 @@ def restrict_algebra(alg: Algebra, subset: frozenset) -> Algebra:
     """Subalgebra induced on ``subset``; element ids are preserved."""
 
     subset = frozenset(subset)
-    if not subset <= set(alg.elements):
+    if not subset <= alg.carrier:
         raise ArgumentError("subset not within the carrier")
     elems = tuple(sorted(subset))
     if elems == alg.elements:
         return alg
     if not is_subuniverse(alg, subset):
         raise InvariantError("subset is not a subuniverse")
-    k = len(elems)
     m = alg.arity
-    entries = tuple(
-        elems.index(alg.op(args))
-        for args in itertools.product(elems, repeat=m)
-    )
-    return Algebra(elems, OperationTable(m, k, entries))
+    # table positions of the argument tuples over the subset, in table order
+    pos = np.array([alg.positions[e] for e in elems], dtype=np.int64)
+    index = pos
+    for _ in range(m - 1):
+        index = (index[:, None] * alg.size + pos[None, :]).ravel()
+    # the subuniverse check keeps every value inside the subset
+    renumber = np.zeros(alg.size, dtype=np.int64)
+    renumber[pos] = np.arange(len(elems))
+    entries = renumber[alg.wnu.array[index]]
+    return Algebra(elems, OperationTable(m, len(elems),
+                                         tuple(entries.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -817,11 +851,15 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     callers and must not be mutated.
     """
 
-    if set(cong.carrier) != set(alg.elements):
+    if set(cong.carrier) != alg.carrier:
         raise InvariantError("partition does not cover the carrier")
     if cong.is_equality and list(alg.elements) == sorted(alg.elements):
         # block i is the i-th element, so the induced table is the table
         return Algebra(tuple(range(alg.size)), alg.wnu), dict(cong.kernel())
+    if cong.is_full:
+        # every operation is compatible with the one-block partition
+        return (Algebra((0,), OperationTable(alg.arity, 1, (0,))),
+                dict(cong.kernel()))
     if not _kernel_compatible(alg, cong.kernel()):
         raise InvariantError("partition is not compatible with the operation")
     k = len(cong.blocks)
@@ -830,7 +868,7 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     # per table position: the block of its value, and the index of its
     # argument blocks' combination (first argument most significant)
     block = np.array([kernel[e] for e in alg.elements], dtype=np.int64)
-    value_block = block[np.asarray(alg.wnu.entries, dtype=np.int64)]
+    value_block = block[alg.wnu.array]
     combo = block
     for _ in range(m - 1):
         combo = (combo[:, None] * k + block[None, :]).ravel()
@@ -925,7 +963,7 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
         # closure in the product group
         closed = _coset_closure([group] * ncells, list(current))
         return frozenset(map(tuple, closed)), True
-    entries = np.asarray(alg.wnu.entries, dtype=np.int64)
+    entries = alg.wnu.array
     old = np.empty((0, ncells), dtype=np.int64)
     frontier = np.array(list(current), dtype=np.int64)
     while True:

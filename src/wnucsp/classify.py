@@ -254,7 +254,7 @@ def _search_center(alg: Algebra, arity_cap) -> CenterSearch:
     complete = alg.size - 1 <= arity_cap
     for h in range(2, h_max + 1):
         for rel, center in _central_relations(alg, h):
-            if center != set(alg.elements):
+            if center != alg.carrier:
                 return CenterSearch(
                     center,
                     CenterWitness("central_relation", relation=rel),
@@ -432,7 +432,7 @@ def verify_structure_report(alg: Algebra, report: StructureReport):
     problems = []
     if report.kind == "binary_absorbing":
         b_set, t = report.subuniverse, report.term
-        if not b_set or b_set == set(alg.elements):
+        if not b_set or b_set == alg.carrier:
             problems.append("absorbing set not proper and nonempty")
         if b_set not in all_subuniverses(alg):
             problems.append("absorbing set is not a subuniverse")
@@ -447,7 +447,7 @@ def verify_structure_report(alg: Algebra, report: StructureReport):
                 if carrier[t.apply((pos[a], pos[b]))] not in b_set:
                     problems.append("t(A,B) leaves B")
     elif report.kind == "center":
-        if not report.subuniverse or report.subuniverse == set(alg.elements):
+        if not report.subuniverse or report.subuniverse == alg.carrier:
             problems.append("center not proper and nonempty")
         if report.subuniverse not in all_subuniverses(alg):
             problems.append("center is not a subuniverse")

@@ -13,11 +13,19 @@ WNU is verified (identities plus preservation of every relation touching
 its domain) before an instance is produced.  A relation that an earlier
 build already validated, on the same algebras with the same tuples, is
 reused rather than built and checked again.
+
+The tuple lines of a REL block are gathered until its END, then converted
+with one ``int`` pass over the block's tokens and range-checked column by
+column; when that finds a fault the lines are checked one at a time, so
+every ``FormatError`` names the first bad line.  Variable names are
+interned, and every variable of one algebra gets the algebra's own carrier
+frozenset as its domain, so parses of one text share both.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import weakref
 from dataclasses import dataclass, field
 
@@ -49,37 +57,70 @@ class ParsedFile:
     constraints: list = field(default_factory=list)  # (rel name, var names)
 
 
+_DIRECTIVES = frozenset(("DOMAIN", "WNU", "VAR", "REL", "CON"))
+
+
+def _block_tuples(name, doms, lines, sizes):
+    """The tuple set of one REL block, from its (line number, tokens)
+    pairs.  A block without faults costs one ``int`` pass over its tokens
+    and one range check per column; otherwise the lines are checked in
+    order and the first fault raises with its line number."""
+
+    r = len(doms)
+    if lines and all(len(tokens) == r for _, tokens in lines):
+        try:
+            values = list(map(int, itertools.chain.from_iterable(
+                tokens for _, tokens in lines)))
+        except ValueError:
+            pass
+        else:
+            columns = [values[c::r] for c in range(r)]
+            if all(min(col) >= 0 and max(col) < sizes[d]
+                   for col, d in zip(columns, doms)):
+                # through a set, as the line-by-line check builds it, so the
+                # frozenset keeps the same iteration order
+                return frozenset(set(zip(*columns)))
+    tuples = set()
+    for lineno, tokens in lines:
+        if len(tokens) != r:
+            raise FormatError("tuple arity mismatch in REL %s" % name,
+                              line=lineno)
+        try:
+            values = tuple(map(int, tokens))
+        except ValueError:
+            raise FormatError("non-integer tuple entry", line=lineno)
+        for v, d in zip(values, doms):
+            if not 0 <= v < sizes[d]:
+                raise FormatError("tuple entry %d outside %s" % (v, d),
+                                  line=lineno)
+        tuples.add(values)
+    return frozenset(tuples)
+
+
 def parse_instance_text(text) -> ParsedFile:
     parsed = ParsedFile()
-    rel_open = None  # (name, domain names, tuples, line)
+    declared = set()  # variable names
+    rel_open = None  # (name, domain names, (line number, tokens) pairs, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if rel_open is not None and tokens[0] not in ("END",):
-            name, doms, tuples, opened = rel_open
-            if tokens[0] in ("DOMAIN", "WNU", "VAR", "REL", "CON"):
-                raise FormatError("REL %s missing END" % name, line=opened)
-            if len(tokens) != len(doms):
-                raise FormatError("tuple arity mismatch in REL %s" % name,
-                                  line=lineno)
-            try:
-                values = tuple(int(t) for t in tokens)
-            except ValueError:
-                raise FormatError("non-integer tuple entry", line=lineno)
-            for v, d in zip(values, doms):
-                if not 0 <= v < parsed.domains[d]:
-                    raise FormatError("tuple entry %d outside %s" % (v, d),
-                                      line=lineno)
-            tuples.add(values)
-            continue
         key = tokens[0]
+        if rel_open is not None and key != "END":
+            if key in _DIRECTIVES:
+                # a fault in the block's lines comes first
+                name, doms, lines, opened = rel_open
+                _block_tuples(name, doms, lines, parsed.domains)
+                raise FormatError("REL %s missing END" % name, line=opened)
+            rel_open[2].append((lineno, tokens))
+            continue
         if key == "END":
             if rel_open is None:
                 raise FormatError("END without REL", line=lineno)
-            name, doms, tuples, _ = rel_open
-            parsed.relations[name] = (tuple(doms), frozenset(tuples))
+            name, doms, lines, _ = rel_open
+            parsed.relations[name] = (
+                tuple(doms), _block_tuples(name, doms, lines, parsed.domains))
             rel_open = None
         elif key == "DOMAIN":
             if len(tokens) != 3:
@@ -117,8 +158,7 @@ def parse_instance_text(text) -> ParsedFile:
                         "WNU table needs %d entries, got %d"
                         % (n ** arity, len(entries)), line=lineno)
                 try:
-                    table = OperationTable(
-                        arity, n, tuple(int(e) for e in entries))
+                    table = OperationTable(arity, n, tuple(map(int, entries)))
                 except ValueError:
                     raise FormatError("non-integer table entry", line=lineno)
             if dom in parsed.wnus:
@@ -135,10 +175,11 @@ def parse_instance_text(text) -> ParsedFile:
                 raise FormatError("VAR needs a name and a domain", line=lineno)
             if tokens[2] not in parsed.domains:
                 raise FormatError("unknown domain %s" % tokens[2], line=lineno)
-            if any(v == tokens[1] for v, _ in parsed.variables):
+            if tokens[1] in declared:
                 raise FormatError("duplicate variable %s" % tokens[1],
                                   line=lineno)
-            parsed.variables.append((tokens[1], tokens[2]))
+            declared.add(tokens[1])
+            parsed.variables.append((sys.intern(tokens[1]), tokens[2]))
         elif key == "REL":
             if len(tokens) < 4:
                 raise FormatError("REL needs a name, arity, and domains",
@@ -157,7 +198,7 @@ def parse_instance_text(text) -> ParsedFile:
             for d in doms:
                 if d not in parsed.domains:
                     raise FormatError("unknown domain %s" % d, line=lineno)
-            rel_open = (name, doms, set(), lineno)
+            rel_open = (name, doms, [], lineno)
         elif key == "CON":
             if len(tokens) < 3:
                 raise FormatError("CON needs a relation and variables",
@@ -170,15 +211,17 @@ def parse_instance_text(text) -> ParsedFile:
                 raise FormatError("CON %s has %d variables for arity %d"
                                   % (tokens[1], len(tokens) - 2, arity),
                                   line=lineno)
-            known = {v for v, _ in parsed.variables}
             for v in tokens[2:]:
-                if v not in known:
+                if v not in declared:
                     raise FormatError("unknown variable %s" % v, line=lineno)
-            parsed.constraints.append((tokens[1], tuple(tokens[2:])))
+            parsed.constraints.append(
+                (tokens[1], tuple(map(sys.intern, tokens[2:]))))
         else:
             raise FormatError("unknown directive %s" % key, line=lineno)
     if rel_open is not None:
-        raise FormatError("REL %s missing END" % rel_open[0], line=rel_open[3])
+        name, doms, lines, opened = rel_open
+        _block_tuples(name, doms, lines, parsed.domains)
+        raise FormatError("REL %s missing END" % name, line=opened)
     return parsed
 
 
@@ -245,7 +288,7 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
         constraints.append(normalize_scope(relations[relname], scope))
     variables = tuple(v for v, _ in parsed.variables)
     bases = tuple(algebras[d] for _, d in parsed.variables)
-    domains = tuple(frozenset(a.elements) for a in bases)
+    domains = tuple(a.carrier for a in bases)
     return Instance(variables, bases, domains, tuple(constraints))
 
 
@@ -302,7 +345,7 @@ def serialize_instance(inst: Instance) -> str:
     for i, v in enumerate(inst.variables):
         dom = inst.current_domains[i]
         alg = inst.base_algebras[i]
-        if dom != frozenset(alg.elements):
+        if dom != alg.carrier:
             name = emit_relation((alg,), frozenset((e,) for e in dom))
             con_lines.append("CON %s %s" % (name, v))
     return "\n".join(lines + rel_lines + con_lines) + "\n"

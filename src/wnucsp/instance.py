@@ -95,7 +95,7 @@ class Instance:
         for dom, alg in zip(self.current_domains, self.base_algebras):
             if not dom:
                 raise FormatError("empty current domain")
-            if not dom <= set(alg.elements):
+            if not dom <= alg.carrier:
                 raise FormatError("domain outside base carrier")
             if not is_subuniverse(alg, dom):
                 raise FormatError("current domain is not a subuniverse")
@@ -105,8 +105,7 @@ class Instance:
             for var, alg in zip(c.scope, c.relation.coords):
                 if var not in index:
                     raise FormatError("unknown scope variable %r" % (var,))
-                if not set(alg.elements) <= set(
-                        self.base_algebras[index[var]].elements):
+                if not alg.carrier <= self.base_algebras[index[var]].carrier:
                     raise FormatError("relation coords exceed variable carrier")
 
     def index(self, var):

@@ -129,7 +129,7 @@ def factorize(rel: Relation, congs) -> Relation:
     quotients = []
     kernels = []
     for alg, cong in zip(rel.coords, congs):
-        if set(cong.carrier) != set(alg.elements):
+        if set(cong.carrier) != alg.carrier:
             raise InvariantError("congruence carrier mismatch")
         q, kmap = quotient_algebra(alg, cong)
         quotients.append(q)

@@ -15,7 +15,9 @@ from wnucsp.algebra import (
     OperationTable,
     abelian_sum_structure,
     _restricted_growth_strings,
+    _wnu_violations,
     all_congruences,
+    all_subuniverses,
     binary_terms,
     dual_discriminator_table,
     is_closed,
@@ -730,6 +732,46 @@ def test_quotient_rejects_representative_dependence(monkeypatch, dd3):
         quotient_algebra(dd3, cong)
 
 
+def test_quotient_by_full_equals_the_general_path(monkeypatch, dd3, z4):
+    """The one-block shortcut against the general table construction, which
+    runs when ``is_full`` reads False."""
+
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    algebras = (z4, dd3, z6, Algebra((2, 0, 1), dd3.wnu))
+    fulls = [Congruence((alg.elements,)) for alg in algebras]
+    fast = [quotient_algebra(alg, full) for alg, full in zip(algebras, fulls)]
+    monkeypatch.setattr(Congruence, "is_full", property(lambda self: False))
+    for alg, full, (quotient, kmap) in zip(algebras, fulls, fast):
+        general, general_map = quotient_algebra.__wrapped__(alg, full)
+        assert quotient is general
+        assert kmap == general_map == full.kernel()
+        assert quotient.wnu.entries == naive_quotient_entries(alg, full)
+
+
+def naive_restrict_entries(alg, subset):
+    """Subalgebra table from the operation applied to every m-tuple over the
+    subset, taken in ascending order."""
+
+    elems = tuple(sorted(subset))
+    return tuple(elems.index(alg.op(args))
+                 for args in itertools.product(elems, repeat=alg.arity))
+
+
+def test_restrict_matches_per_tuple_reference(z2min, maj2, and3, dd3, z4):
+    algebras = (z2min, maj2, and3, dd3, z4, searched3(),
+                Algebra((2, 0, 1), dd3.wnu))
+    cases = [(alg, sub) for alg in algebras for sub in all_subuniverses(alg)]
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    cases += [(z6, frozenset({0, 2, 4})), (z6, frozenset({0, 3}))]
+    for alg, sub in cases:
+        part = restrict_algebra(alg, sub)
+        assert part.elements == tuple(sorted(sub))
+        assert part.wnu.entries == naive_restrict_entries(alg, sub)
+    for alg, sub in ((z4, {0, 1}), (z6, {0, 1}), (z6, {0, 2, 3})):
+        with pytest.raises(InvariantError, match="subuniverse"):
+            restrict_algebra(alg, frozenset(sub))
+
+
 # --- pointwise closure rounds against T -> T | w(T^m) ---------------------------
 
 
@@ -840,6 +882,37 @@ def test_equal_tables_compare_equal():
     assert c != OperationTable(3, 3, (0,) * 27)
     with pytest.raises(FormatError):
         OperationTable(3, 2, a.entries[:8])
+
+
+def test_table_hash_and_array_stay_out_of_equality_and_pickles():
+    import pickle
+
+    import numpy as np
+
+    t = OperationTable(3, 3, tuple(dual_discriminator_table().entries))
+    assert hash(t) == hash((t.arity, t.domain_size, t.entries))
+    arr = t.array
+    assert t.array is arr and arr.dtype == np.int64
+    assert arr.tolist() == list(t.entries)
+    with pytest.raises(ValueError):
+        arr[0] = 1
+    assert t == dual_discriminator_table()
+    data = pickle.dumps(t)
+    assert data == pickle.dumps(OperationTable(3, 3, t.entries))
+    back = pickle.loads(data)
+    assert back == t and hash(back) == hash(t)
+    assert "_array" not in vars(back)
+
+
+def test_verify_special_wnu_checks_equal_tables_once():
+    table = OperationTable(3, 2, tuple(proj_table(2, 3, 0).entries))
+    first = verify_special_wnu(table)
+    hits = _wnu_violations.cache_info().hits
+    again = verify_special_wnu(OperationTable(3, 2, table.entries))
+    assert _wnu_violations.cache_info().hits == hits + 1
+    assert first == again and first
+    first.clear()
+    assert verify_special_wnu(table) == again
 
 
 def test_algebras_are_interned():

@@ -119,6 +119,42 @@ def test_parse_out_of_range_tuple():
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1 x", "non-integer"), ("1 2", "outside"), ("1 0 1", "arity mismatch")])
+def test_parse_fault_on_a_third_tuple_line_names_it(line, message):
+    text = ("DOMAIN B 2\nVAR x B\nVAR y B\nREL R 2 B B\n0 0\n0 1\n%s\n"
+            "1 1\nEND\nCON R x y\n" % line)
+    with pytest.raises(FormatError, match=message) as err:
+        parse_instance_text(text)
+    assert err.value.line == 7
+
+
+def test_parse_names_the_first_faulty_tuple_line():
+    # out of range on line 6, non-integer on line 7, no END
+    text = "DOMAIN B 2\nVAR x B\nREL R 1 B\n0\n1\n2\ny\nCON R x\n"
+    with pytest.raises(FormatError, match="outside") as err:
+        parse_instance_text(text)
+    assert err.value.line == 6
+    with pytest.raises(FormatError, match="non-integer") as err:
+        parse_instance_text(text.replace("\n2\n", "\n1\n"))
+    assert err.value.line == 7
+    with pytest.raises(FormatError, match="missing END") as err:
+        parse_instance_text(text.replace("\n2\ny\n", "\n1\n"))
+    assert err.value.line == 3
+
+
+def test_parses_of_one_text_share_domains_and_names():
+    text = z4_instance_text()
+    first, second = parse_instance(text), parse_instance(text)
+    carrier = first.base_algebras[0].carrier
+    assert all(d is carrier for d in
+               first.current_domains + second.current_domains)
+    assert all(u is v for u, v in zip(first.variables, second.variables))
+    for c, d in zip(first.constraints, second.constraints):
+        assert all(u is first.variables[first.index(u)] for u in c.scope)
+        assert all(u is v for u, v in zip(c.scope, d.scope))
+
+
 def test_parse_con_arity_mismatch():
     text = "DOMAIN B 2\nVAR x B\nVAR y B\nREL R 1 B\n0\nEND\nCON R x y\n"
     with pytest.raises(FormatError) as err:
