@@ -9,17 +9,24 @@ import pytest
 
 import wnucsp
 
+from wnucsp import algebra as algebra_module
 from wnucsp.algebra import (
     Algebra,
     Congruence,
     OperationTable,
     abelian_sum_structure,
+    _coset_closure,
+    _product_table,
     _restricted_growth_strings,
+    _table_closure,
+    _tuple_group,
     _wnu_violations,
     all_congruences,
     all_subuniverses,
     binary_terms,
+    conjunction_table,
     dual_discriminator_table,
+    is_affine,
     is_closed,
     is_polynomially_complete,
     is_subuniverse,
@@ -38,7 +45,7 @@ from wnucsp.algebra import (
     wnu_closure,
     wnu_image,
 )
-from wnucsp.errors import FormatError, InvariantError, SizeError
+from wnucsp.errors import ArgumentError, FormatError, InvariantError, SizeError
 
 from helpers import subuniverse_closure
 
@@ -1052,3 +1059,101 @@ def test_is_closed_matches_image_containment(z2min, z4, dd3, maj2):
             assert is_closed(coords, tuples) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# --- closure kernel paths ----------------------------------------------------
+
+
+def test_sum_table_matches_itertools_definition():
+    for n, m in ((2, 3), (4, 5), (3, 5), (6, 7)):
+        want = tuple(sum(args) % n
+                     for args in itertools.product(range(n), repeat=m))
+        table = sum_table(n, m)
+        assert (table.arity, table.domain_size) == (m, n)
+        assert table.entries == want
+
+
+def test_mixed_wnu_arities_raise_on_every_path(z2min, z4, maj2):
+    """Coordinates whose WNU arities differ have no coordinatewise WNU:
+    group sums (Z2 minority with Z4 sum-of-5, within and past the group
+    table), non-group algebras under the table cap and past it."""
+
+    and5 = make_algebra(range(2), conjunction_table(5))
+    for coords in ((z2min, z4), (z2min,) + (z4,) * 4, (maj2, and5),
+                   (maj2,) + (and5,) * 3):
+        seed = {tuple(alg.elements[0] for alg in coords),
+                tuple(alg.elements[1] for alg in coords)}
+        with pytest.raises(ArgumentError, match="disagree on wnu arity"):
+            wnu_closure(coords, seed)
+        with pytest.raises(ArgumentError, match="disagree on wnu arity"):
+            is_closed(coords, seed)
+
+
+def _image_fixpoint(coords, seed):
+    current = set(seed)
+    while True:
+        image = wnu_image(coords, current)
+        if image <= current:
+            return frozenset(current)
+        current |= image
+
+
+def _coset_by_positions(coords, seed):
+    groups = [abelian_sum_structure(alg) for alg in coords]
+    rng = range(len(coords))
+    pos = [tuple(coords[c].positions[t[c]] for c in rng) for t in seed]
+    closed = _coset_closure(pos, *_tuple_group(groups))
+    return frozenset(tuple(coords[c].elements[p[c]] for c in rng)
+                     for p in closed)
+
+
+@pytest.mark.parametrize("vector_min", [None, 1])
+def test_closure_paths_agree(monkeypatch, vector_min, z2min, maj2, and3, dd3,
+                             z4):
+    """The product table, the image iterated to its fixpoint and the coset
+    closure give one closure wherever each applies; the table is built
+    only under its cap and the image is reached only past it.  With
+    ``vector_min`` 1 every table round is evaluated as one array."""
+
+    if vector_min is not None:
+        monkeypatch.setattr(algebra_module, "_VECTOR_MIN", vector_min)
+
+    and5 = make_algebra(range(2), conjunction_table(5))
+    searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
+    searched4 = make_algebra(range(4), search_special_wnu(4, [], 3).table)
+    odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
+    odd_min = make_algebra((3, 9), minority_table())
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    under = [(z2min,) * 3, (maj2,) * 3, (and3,) * 3, (and5,) * 3,
+             (dd3,) * 3, (searched3,) * 3, (searched4,) * 2, (z4,),
+             (odd_ids,) * 2, (odd_min, z2min, odd_min),
+             (maj2, dd3, odd_ids), (searched4, and3, z2min)]
+    past = [(searched4,) * 3, (and5,) * 4, (z4,) * 2, (z6,),
+            (odd_ids,) * 4]
+    images = []
+
+    def counted_image(coords, tuples):
+        images.append(coords)
+        return wnu_image(coords, tuples)
+
+    monkeypatch.setattr(algebra_module, "wnu_image", counted_image)
+    rng = random.Random(47)
+    for coords in under + past:
+        space = list(itertools.product(*(alg.elements for alg in coords)))
+        entry = _product_table(coords)
+        if coords in under:
+            n, m = len(space), coords[0].arity
+            assert len(entry[0]) == n ** m <= 1 << 16
+        else:
+            assert entry is None
+        affine = all(is_affine(alg) for alg in coords)
+        for _ in range(15):
+            seed = set(rng.sample(space, min(len(space), rng.randint(1, 4))))
+            want = _image_fixpoint(coords, seed)
+            assert _table_closure(coords, seed) == (
+                want if coords in under else None)
+            if affine:
+                assert _coset_by_positions(coords, seed) == want
+            del images[:]
+            assert wnu_closure(coords, seed) == want
+            assert bool(images) == (coords in past and not affine)

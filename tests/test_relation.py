@@ -367,18 +367,26 @@ def searched3():
 
 
 def test_minimal_weaker_matches_reference(z2min, maj2, dd3, z4, searched3):
-    # the reference walks the whole superset lattice: ternary relations on
-    # three elements take up to a minute there, so those stay binary
+    # the reference walks the whole superset lattice, whose size grows as
+    # the seed shrinks: a ternary relation on three elements closed from
+    # one tuple takes seconds there, one closed from three tuples a
+    # fraction of a second, so the ternary dd3 relations come from seeds
+    # of three tuples
     rng = random.Random(11)
+    rels = []
     for alg, max_arity in ((z2min, 3), (maj2, 3), (dd3, 2), (z4, 3),
                            (searched3, 2)):
         for _ in range(12):
-            rel = _random_closed(rng, alg, rng.randint(1, max_arity))
-            ref = weaker_relations(rel)
-            got = minimal_weaker_relations(rel)
-            assert set(got) <= set(ref)
-            for sub, cand in ref:
-                assert any(_implies(s, r, sub, cand) for s, r in got)
+            rels.append(_random_closed(rng, alg, rng.randint(1, max_arity)))
+    space = list(itertools.product(dd3.elements, repeat=3))
+    for _ in range(6):
+        rels.append(close_relation((dd3,) * 3, rng.sample(space, 3)))
+    for rel in rels:
+        ref = weaker_relations(rel)
+        got = minimal_weaker_relations(rel)
+        assert set(got) <= set(ref)
+        for sub, cand in ref:
+            assert any(_implies(s, r, sub, cand) for s, r in got)
 
 
 def test_minimal_weaker_keeps_covers_of_dummy_projections(maj2):
