@@ -443,96 +443,68 @@ def is_affine(alg: Algebra) -> bool:
     return abelian_sum_structure(alg) is not None
 
 
-def _coset_closure(seed, shift, neg, zero):
-    """Least coset of a subgroup containing ``seed``, a list of elements of
-    a product group in either representation: ``shift(x)`` is the map
-    y -> x + y, ``neg(x)`` is -x and ``zero`` the identity.  Generators
-    extend the subgroup one at a time by their cyclic multiples, so members
-    of the current subgroup cost one lookup and effective generators are
-    logarithmically few.  Returns the coset as an iterable."""
+def _coset_closure(groups, positions_seed):
+    """Least coset of a subgroup of the product group containing the seed
+    (tuples of positions).  Generators extend the subgroup one at a time by
+    their cyclic multiples, so members of the current subgroup cost one
+    lookup and effective generators are logarithmically few.  Returns the
+    coset's size and an iterator over its tuples, so a caller that needs
+    only the size builds none."""
+
+    seed = list(positions_seed)
+    rng = range(len(groups))
+    adds = [g.add for g in groups]
+
+    def shift(x):
+        # y -> x + y, by the addition rows of x's coordinates
+        rows = [adds[c][x[c]] for c in rng]
+        return lambda y: tuple([rows[c][y[c]] for c in rng])
 
     t0 = seed[0]
-    back = shift(neg(t0))
-    span = {zero}
+    back = shift([groups[c].inverse[t0[c]] for c in rng])
+    sub = {tuple(g.identity for g in groups)}
     for t in seed[1:]:
         g = back(t)
-        if g in span:
+        if g in sub:
             continue
         step = shift(g)
         shifts = []
         mult = g
-        while mult not in span:
+        while mult not in sub:
             shifts.append(mult)
             mult = step(mult)
-        grown = set(span)
+        grown = set(sub)
         for x in shifts:
-            grown.update(map(shift(x), span))
-        span = grown
-    return map(shift(t0), span)
-
-
-def _tuple_group(groups):
-    """The product of ``groups`` on tuples of positions, as the (shift,
-    neg, zero) that ``_coset_closure`` takes."""
-
-    rng = range(len(groups))
-    adds = [g.add for g in groups]
-    inverses = [g.inverse for g in groups]
-
-    def shift(x):
-        rows = [adds[c][x[c]] for c in rng]
-        return lambda y: tuple([rows[c][y[c]] for c in rng])
-
-    def neg(x):
-        return tuple([inverses[c][x[c]] for c in rng])
-
-    return shift, neg, tuple(g.identity for g in groups)
+            grown.update(map(shift(x), sub))
+        sub = grown
+    return len(sub), map(shift(t0), sub)
 
 
 # ---------------------------------------------------------------------------
 # closures under the coordinatewise WNU
 #
 # ``wnu_closure`` takes one of three paths, by its coordinates:
-# - every coordinate a group sum: the coset closure above, on tuple codes
-#   with the product group's addition as one table when the product has at
-#   most ``_TABLE_TUPLES`` tuples, else on tuples of positions;
+# - every coordinate a group sum: the coset closure above, on tuples of
+#   positions;
 # - otherwise, up to ``_TABLE_TUPLES`` tuples whose m-ary table has at most
 #   ``_TABLE_ENTRIES`` entries (for a ternary WNU at most 40 tuples:
 #   relations of arity up to 5 on 2 elements, 3 on 3 elements, 2 on 4 to
-#   6 elements): the product algebra's WNU as one table on tuple codes, so
-#   each m-tuple of a closure round is one index and one lookup;
+#   6 elements): the product algebra's WNU as one ``bytes`` table on tuple
+#   codes, so each m-tuple of a closure round is one index and one lookup.
+#   A tuple's code is its positions in mixed radix, first coordinate most
+#   significant; the table is built once per coordinate tuple from each
+#   coordinate's table array and kept in a bounded cache;
 # - past that cap (for a ternary WNU, ternary relations on 4 elements and
 #   wider ones on 5 and 6): the layered image.  It fixes arguments one
 #   position at a time; each coordinate contributes a small deterministic
 #   automaton over residual table slices, the joint state is a vector of
 #   per-coordinate state ids, deduplicated level by level, and structured
 #   operations collapse to few states per level.
-# A tuple's code is its positions in mixed radix, first coordinate most
-# significant; the tables are ``bytes``, built once per coordinate tuple
-# from each coordinate's table array and kept in bounded caches.
 # Coordinates whose WNU arities differ have no coordinatewise WNU:
 # ``wnu_closure`` raises before choosing a path.
 
 _TABLE_TUPLES = 256        # so a tuple code fits in a byte
 _TABLE_ENTRIES = 1 << 16
-# A split of a closure round with this many m-tuples or more is one numpy
-# gather; smaller ones index the table from Python lists.
-_VECTOR_MIN = 256
-
-
-def _product_codes(coords):
-    """(each coordinate's position digit of every code, the code of each
-    tuple, the tuple of each code) for the product of ``coords``."""
-
-    sizes = [alg.size for alg in coords]
-    codes = np.arange(prod(sizes), dtype=np.int64)
-    digits = []
-    stride = len(codes)
-    for size in sizes:
-        stride //= size
-        digits.append((codes // stride % size, stride))
-    decode = list(itertools.product(*(alg.elements for alg in coords)))
-    return digits, {t: i for i, t in enumerate(decode)}, decode
 
 
 @lru_cache(maxsize=64)
@@ -546,101 +518,61 @@ def _product_table(coords):
     m = coords[0].arity
     if n > _TABLE_TUPLES or n ** m > _TABLE_ENTRIES:
         return None
-    digits, encode, decode = _product_codes(coords)
+    codes = np.arange(n, dtype=np.int64)
     table = np.zeros(n ** m, dtype=np.int64)
-    for alg, (digit, stride) in zip(coords, digits):
+    stride = n
+    for alg in coords:
+        stride //= alg.size
+        digit = codes // stride % alg.size
         index = digit
         for _ in range(m - 1):
             index = (index[:, None] * alg.size + digit[None, :]).ravel()
         table += alg.wnu.array[index] * stride
+    decode = list(itertools.product(*(alg.elements for alg in coords)))
+    encode = {t: i for i, t in enumerate(decode)}
     weights = [n ** (m - 1 - j) for j in range(m)]
     return table.astype(np.uint8).tobytes(), encode, decode, weights
 
 
-@lru_cache(maxsize=64)
-def _product_group(coords):
-    """(addition table, code of each negative, code of zero, code of each
-    tuple, tuple of each code) of the product of group-sum coordinates, or
-    None past ``_TABLE_TUPLES``.  Row x of the table lists x + y over the
-    codes y."""
+def _round_splits(weights, old, frontier):
+    """Table indices of the m-tuples of codes from ``old + frontier`` that
+    use a frontier code, each once, as one list per split: split k holds
+    the m-tuples whose first frontier code is at position k, so the codes
+    before k are old ones."""
 
-    n = prod(alg.size for alg in coords)
-    if n > _TABLE_TUPLES:
-        return None
-    digits, encode, decode = _product_codes(coords)
-    add = np.zeros((n, n), dtype=np.int64)
-    neg = np.zeros(n, dtype=np.int64)
-    zero = 0
-    for alg, (digit, stride) in zip(coords, digits):
-        g = abelian_sum_structure(alg)
-        add += np.array(g.add)[digit[:, None], digit[None, :]] * stride
-        neg += np.array(g.inverse)[digit] * stride
-        zero += g.identity * stride
-    return (add.astype(np.uint8).tobytes(), neg.tolist(), zero, encode,
-            decode)
+    every = old + frontier
+    m = len(weights)
+    for k in range(m if old else 1):
+        index = [0]
+        for w, pool in zip(weights, [old] * k + [frontier]
+                           + [every] * (m - 1 - k)):
+            index = [i + c * w for i in index for c in pool]
+        yield index
 
 
 def _table_closure(coords, tuples):
     """Closure of the set ``tuples`` on the product table, or None past
     the cap.  Semi-naive: a round applies w only to the m-tuples of codes
-    that use one added by the previous round, each once, split by the
-    position k of its first such code (codes before k are older ones)."""
+    that use one added by the previous round."""
 
     entry = _product_table(coords)
     if entry is None:
         return None
     table, encode, decode, weights = entry
-    m = len(weights)
     seen = set(map(encode.__getitem__, tuples))
     old, frontier = [], list(seen)
     while True:
-        every = old + frontier
         image = set()
-        for k in range(m if old else 1):
-            pools = [old] * k + [frontier] + [every] * (m - 1 - k)
-            if prod(map(len, pools)) < _VECTOR_MIN:
-                index = [0]
-                for w, pool in zip(weights, pools):
-                    index = [i + c * w for i in index for c in pool]
-                image.update(map(table.__getitem__, index))
-            else:
-                index = np.zeros(1, dtype=np.int64)
-                for w, pool in zip(weights, pools):
-                    index = (index[:, None]
-                             + np.array(pool, dtype=np.int64) * w).ravel()
-                image.update(np.flatnonzero(
-                    np.bincount(np.frombuffer(table, np.uint8)[index])
-                ).tolist())
-        frontier = image.difference(seen)
-        if not frontier:
+        for index in _round_splits(weights, old, frontier):
+            image.update(map(table.__getitem__, index))
+        added = image.difference(seen)
+        if not added:
             break
-        seen |= frontier
-        old, frontier = every, list(frontier)
+        seen |= added
+        old, frontier = old + frontier, list(added)
     if len(seen) == len(tuples):
         return frozenset(tuples)
     return frozenset(map(decode.__getitem__, seen))
-
-
-def _group_closure(coords, groups, tuples):
-    """Closure of the set ``tuples`` on group-sum coordinates: the least
-    coset containing it."""
-
-    entry = _product_group(coords)
-    if entry is None:
-        maps = [alg.positions for alg in coords]
-        rng = range(len(coords))
-        seed = [tuple([maps[c][t[c]] for c in rng]) for t in tuples]
-        closed = _coset_closure(seed, *_tuple_group(groups))
-        return frozenset(
-            tuple([coords[c].elements[p[c]] for c in rng]) for p in closed)
-    add, neg, zero, encode, decode = entry
-    n = len(decode)
-    closed = set(_coset_closure(list(map(encode.__getitem__, tuples)),
-                                lambda x: add[x * n:x * n + n].__getitem__,
-                                neg.__getitem__, zero))
-    if len(closed) == len(tuples):
-        return frozenset(tuples)
-    return frozenset(map(decode.__getitem__, closed))
 
 
 @lru_cache(maxsize=1024)
@@ -735,7 +667,14 @@ def wnu_closure(coords, seed):
         return frozenset()
     groups = _group_coords(coords)
     if groups is not None:
-        return _group_closure(coords, groups, current)
+        rng = range(len(coords))
+        maps = [alg.positions for alg in coords]
+        size, closed = _coset_closure(
+            groups, [tuple([maps[c][t[c]] for c in rng]) for t in current])
+        if size == len(current):
+            return frozenset(current)
+        return frozenset(
+            tuple([coords[c].elements[p[c]] for c in rng]) for p in closed)
     closed = _table_closure(coords, current)
     if closed is not None:
         return closed
@@ -1120,8 +1059,7 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
     if group is not None:
         # value vectors are tuples over the carrier: exactly the coset
         # closure in the product group
-        closed = _coset_closure(list(current),
-                                *_tuple_group([group] * ncells))
+        _, closed = _coset_closure([group] * ncells, list(current))
         return frozenset(closed), True
     entries = alg.wnu.array
     old = np.empty((0, ncells), dtype=np.int64)

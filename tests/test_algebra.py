@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import pathlib
@@ -18,8 +19,8 @@ from wnucsp.algebra import (
     _coset_closure,
     _product_table,
     _restricted_growth_strings,
+    _round_splits,
     _table_closure,
-    _tuple_group,
     _wnu_violations,
     all_congruences,
     all_subuniverses,
@@ -1102,21 +1103,17 @@ def _coset_by_positions(coords, seed):
     groups = [abelian_sum_structure(alg) for alg in coords]
     rng = range(len(coords))
     pos = [tuple(coords[c].positions[t[c]] for c in rng) for t in seed]
-    closed = _coset_closure(pos, *_tuple_group(groups))
-    return frozenset(tuple(coords[c].elements[p[c]] for c in rng)
-                     for p in closed)
+    size, closed = _coset_closure(groups, pos)
+    closed = frozenset(tuple(coords[c].elements[p[c]] for c in rng)
+                       for p in closed)
+    assert len(closed) == size
+    return closed
 
 
-@pytest.mark.parametrize("vector_min", [None, 1])
-def test_closure_paths_agree(monkeypatch, vector_min, z2min, maj2, and3, dd3,
-                             z4):
+def test_closure_paths_agree(monkeypatch, z2min, maj2, and3, dd3, z4):
     """The product table, the image iterated to its fixpoint and the coset
     closure give one closure wherever each applies; the table is built
-    only under its cap and the image is reached only past it.  With
-    ``vector_min`` 1 every table round is evaluated as one array."""
-
-    if vector_min is not None:
-        monkeypatch.setattr(algebra_module, "_VECTOR_MIN", vector_min)
+    only under its cap and the image is reached only past it."""
 
     and5 = make_algebra(range(2), conjunction_table(5))
     searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
@@ -1157,3 +1154,37 @@ def test_closure_paths_agree(monkeypatch, vector_min, z2min, maj2, and3, dd3,
             del images[:]
             assert wnu_closure(coords, seed) == want
             assert bool(images) == (coords in past and not affine)
+
+
+def test_table_rounds_enumerate_each_m_tuple_once(maj2, and3, dd3):
+    """One table round is checked on its own, not only through the
+    fixpoint, where the WNU identities can repeat a skipped m-tuple's
+    value: the splits of a round list exactly the index of every m-tuple
+    of old and frontier codes that uses a frontier code, each once, and
+    a first round's values are the image of the seed."""
+
+    and5 = make_algebra(range(2), conjunction_table(5))
+    searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
+    odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
+    rng = random.Random(53)
+    for coords in ((maj2,) * 3, (and5,) * 3, (dd3,) * 3, (searched3,) * 2,
+                   (odd_ids, dd3), (maj2, and3, maj2)):
+        table, encode, decode, weights = _product_table(coords)
+        for _ in range(10):
+            codes = rng.sample(range(len(decode)),
+                               rng.randint(1, min(len(decode), 12)))
+            cut = rng.randint(0, len(codes) - 1)
+            old, frontier = codes[:cut], codes[cut:]
+            got = collections.Counter(
+                itertools.chain.from_iterable(
+                    _round_splits(weights, old, frontier)))
+            want = collections.Counter(
+                sum(c * w for c, w in zip(args, weights))
+                for args in itertools.product(codes, repeat=len(weights))
+                if not set(args) <= set(old))
+            assert got == want
+            seed = [decode[c] for c in codes]
+            first = itertools.chain.from_iterable(
+                _round_splits(weights, [], codes))
+            assert {decode[table[i]] for i in first} == wnu_image(coords,
+                                                                  seed)

@@ -369,8 +369,8 @@ def searched3():
 def test_minimal_weaker_matches_reference(z2min, maj2, dd3, z4, searched3):
     # the reference walks the whole superset lattice, whose size grows as
     # the seed shrinks: a ternary relation on three elements closed from
-    # one tuple takes seconds there, one closed from three tuples a
-    # fraction of a second, so the ternary dd3 relations come from seeds
+    # one tuple takes several seconds there, one closed from three tuples
+    # about one second, so the four ternary dd3 relations come from seeds
     # of three tuples
     rng = random.Random(11)
     rels = []
@@ -379,7 +379,7 @@ def test_minimal_weaker_matches_reference(z2min, maj2, dd3, z4, searched3):
         for _ in range(12):
             rels.append(_random_closed(rng, alg, rng.randint(1, max_arity)))
     space = list(itertools.product(dd3.elements, repeat=3))
-    for _ in range(6):
+    for _ in range(4):
         rels.append(close_relation((dd3,) * 3, rng.sample(space, 3)))
     for rel in rels:
         ref = weaker_relations(rel)
