@@ -92,6 +92,19 @@ class OperationTable:
         return self.entries[idx]
 
 
+def _derived_table(arity, domain_size, array) -> OperationTable:
+    """A table derived from valid ones, skipping the checks of
+    ``OperationTable.__post_init__``: callers pass an int64 array of
+    ``domain_size ** arity`` entries in range, which the table keeps as
+    its ``array``."""
+
+    array.flags.writeable = False
+    table = object.__new__(OperationTable)
+    table.__dict__.update(arity=arity, domain_size=domain_size,
+                          entries=tuple(array.tolist()), _array=array)
+    return table
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Algebra:
     """An ordered carrier of element ids plus a WNU table over positions.
@@ -783,8 +796,7 @@ def restrict_algebra(alg: Algebra, subset: frozenset) -> Algebra:
     renumber = np.zeros(alg.size, dtype=np.int64)
     renumber[pos] = np.arange(len(elems))
     entries = renumber[alg.wnu.array[index]]
-    return Algebra(elems, OperationTable(m, len(elems),
-                                         tuple(entries.tolist())))
+    return Algebra(elems, _derived_table(m, len(elems), entries))
 
 
 # ---------------------------------------------------------------------------
@@ -976,8 +988,7 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     entries[combo] = value_block
     if not np.array_equal(entries[combo], value_block):
         raise InvariantError("quotient table depends on representatives")
-    quotient = Algebra(tuple(range(k)),
-                       OperationTable(m, k, tuple(entries.tolist())))
+    quotient = Algebra(tuple(range(k)), _derived_table(m, k, entries))
     return quotient, dict(kernel)
 
 
@@ -1284,8 +1295,9 @@ def sum_table(n, m) -> OperationTable:
 
     entries = np.zeros(1, dtype=np.int64)
     for _ in range(m):
-        entries = ((entries[:, None] + np.arange(n)) % n).ravel()
-    return OperationTable(m, n, tuple(entries.tolist()))
+        entries = (entries[:, None] + np.arange(n)).ravel()
+        entries %= n
+    return _derived_table(m, n, entries)
 
 
 def minority_table() -> OperationTable:

@@ -319,11 +319,15 @@ def value_components(inst: Instance, network: PairNetwork | None = None):
 
 
 # Search nodes (one per value tried) that one ``witness_cover`` call may
-# visit before it gives up.
+# visit before it gives up.  At 0 there is no search and no pool is read,
+# so every round of the solver takes the exact Steps 2 and 3.
 WITNESS_NODES = 2000
 
+# Solutions one shape's witness pool keeps (``instance.Shape.witnesses``).
+WITNESS_POOL = 256
 
-def witness_cover(inst: Instance, network: PairNetwork) -> bool:
+
+def witness_cover(inst: Instance, network: PairNetwork, pool=None) -> bool:
     """Whether solutions of ``inst`` that together assign every value of
     every variable turn up within ``WITNESS_NODES`` search nodes.
     ``network`` is the network of ``enforce_cycle_consistency(inst)``
@@ -339,6 +343,24 @@ def witness_cover(inst: Instance, network: PairNetwork) -> bool:
     Each solution covers every node it assigns.  The answer is False when
     a pinned node has no solution or the budget runs out.
 
+    A variable with one live value takes it in every solution, so it is
+    assigned once per call and only the other variables are branched
+    over; the budget still charges each pin one node per such variable,
+    as if it were tried.  Its node is in every live node's row, since each
+    live node has a support in its block and the fixpoint's rows are
+    symmetric, so assigning it allows no fewer values.  A wider constraint
+    with at most one branched-over variable is not checked: each live
+    value of that variable has a tuple of the constraint inside the
+    current domains, and the others' values are fixed.
+
+    ``pool``, when given, is a list of solutions of instances with the
+    shape of ``inst`` (``Shape.witnesses``), each the row of its nodes.  A
+    pooled row inside the live nodes is a solution of ``inst``, since the
+    instances share their variables, base algebras and constraints and
+    the row passed ``assignment_satisfies`` when it was found: its nodes
+    are covered before the search starts, and each solution the call finds
+    is appended while the pool holds fewer than ``WITNESS_POOL`` rows.
+
     A True answer proves that Steps 2 and 3 pass.  Every weakened
     constraint is implied by a constraint of ``inst``, so a solution of
     ``inst`` solves ``weaken_all(inst)`` pinned at each value it assigns;
@@ -346,18 +368,38 @@ def witness_cover(inst: Instance, network: PairNetwork) -> bool:
     X)`` pinned the same way (SAC-3's greedy branches, Lecoutre and
     Cardon, IJCAI 2005)."""
 
+    budget = WITNESS_NODES
+    if budget <= 0:
+        return False
     nodes, offsets, elements = network.nodes, network.offsets, network.elements
     n = len(offsets)
     fulls = [(1 << len(elems)) - 1 for elems in elements]
     owner = [k for k, elems in enumerate(elements) for _ in elems]
+    left = alive = sum(1 << q for q, row in enumerate(nodes) if row)
+    if pool:
+        dead = ~alive
+        for row in pool:
+            if not row & dead:
+                left &= ~row
+        if not left:
+            return True
+    value = [None] * n
+    free = []
+    for k in range(n):
+        block = alive >> offsets[k] & fulls[k]
+        if block & block - 1:
+            free.append(k)
+        else:
+            value[k] = block.bit_length() - 1
+    forced = n - len(free)
     checks = [[] for _ in range(n)]
     for c in inst.constraints:
         if len(c.scope) > 2:
             ks = tuple([inst.index(v) for v in c.scope])
-            for k in ks:
-                checks[k].append((ks, c.relation.tuples))
-    value = [None] * n
-    budget = WITNESS_NODES
+            unset = [k for k in ks if value[k] is None]
+            if len(unset) > 1:
+                for k in unset:
+                    checks[k].append((ks, c.relation.tuples))
 
     def holds(k):
         for ks, tuples in checks[k]:
@@ -370,7 +412,7 @@ def witness_cover(inst: Instance, network: PairNetwork) -> bool:
     def extend(allowed):
         nonlocal budget
         best, fewest = -1, None
-        for j in range(n):
+        for j in free:
             if value[j] is None:
                 block = allowed >> offsets[j] & fulls[j]
                 if not block:
@@ -391,22 +433,28 @@ def witness_cover(inst: Instance, network: PairNetwork) -> bool:
         value[best] = None
         return False
 
-    left = sum(1 << q for q, row in enumerate(nodes) if row)
     while left:
         q = (left & -left).bit_length() - 1
-        budget -= 1
-        if budget < 0:
-            return False
-        value[:] = [None] * n
-        value[owner[q]] = q - offsets[owner[q]]
-        if not extend(nodes[q]):
+        k = owner[q]
+        for j in free:
+            value[j] = None
+        if value[k] is None:
+            budget -= 1 + forced
+            value[k] = q - offsets[k]
+        else:
+            budget -= forced
+        if budget < 0 or not extend(nodes[q]):
             return False
         solution = {var: elems[a] for var, elems, a
                     in zip(inst.variables, elements, value)}
         if not inst.assignment_satisfies(solution):
             raise InternalError("witness search found a non-solution")
+        row = 0
         for off, a in zip(offsets, value):
-            left &= ~(1 << off + a)
+            row |= 1 << off + a
+        left &= ~row
+        if pool is not None and len(pool) < WITNESS_POOL:
+            pool.append(row)
     return True
 
 

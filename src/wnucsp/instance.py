@@ -15,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Algebra, is_subuniverse, restrict_algebra
+from .algebra import (
+    Algebra,
+    is_subuniverse,
+    linear_structure,
+    restrict_algebra,
+)
 from .classify import ConLinResult, con_lin
 from .errors import (
     EmptyRelationError,
@@ -57,14 +62,17 @@ class Constraint:
 class Shape:
     """Data fixed by an instance's variables, base algebras and
     constraints, filled on first read: the fragments, the constraint part
-    of the memo key and Step 1's network layout (``consistency``).  Shared
-    by the instances ``apply_reduction`` derives from one instance, and
-    dropped from the root instance when ``Solver.solve`` returns."""
+    of the memo key and Step 1's network layout (``consistency``), and
+    the witness pool: the solutions ``consistency.witness_cover`` has
+    found for instances of this shape, each as the bit row of its nodes.
+    Shared by the instances ``apply_reduction`` derives from one instance,
+    and dropped from the root instance when ``Solver.solve`` returns."""
 
-    __slots__ = ("fragments", "constraint_key", "pair_layout")
+    __slots__ = ("fragments", "constraint_key", "pair_layout", "witnesses")
 
     def __init__(self):
         self.fragments = self.constraint_key = self.pair_layout = None
+        self.witnesses = []
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,11 @@ def _derived(parent: Instance, variables, base_algebras, current_domains,
 
 @lru_cache(maxsize=65536)
 def _effective(rel: Relation, coords, doms) -> Relation:
+    """``rel`` restricted to ``doms``, the carriers of ``coords``; ``rel``
+    itself when ``coords`` are its own, as every tuple is then kept."""
+
+    if coords == rel.coords:
+        return rel
     return restrict_relation(rel, coords, doms)
 
 
@@ -391,11 +404,21 @@ def _linear_rows(eff: Relation):
     """``relation_to_equations`` of the nonempty relation ``eff`` factorized
     by each coordinate's minimal linear congruence.  A constraint's
     effective relation lives on its scope's domain algebras, so the rows
-    depend on ``eff`` alone."""
+    depend on ``eff`` alone; many relations factorize to one relation,
+    whose rows are computed once (``_factored_rows``)."""
 
-    conlins = [con_lin(alg) for alg in eff.coords]
-    fact = factorize(eff, [cl.congruence for cl in conlins])
-    return tuple(relation_to_equations(fact, [cl.iso for cl in conlins]))
+    fact = factorize(eff, [con_lin(alg).congruence for alg in eff.coords])
+    return _factored_rows(fact)
+
+
+@lru_cache(maxsize=4096)
+def _factored_rows(fact: Relation):
+    """``relation_to_equations`` of a relation on linear quotients.  Each
+    coordinate's iso is ``linear_structure`` of its quotient, the iso that
+    ``con_lin`` found for it, so the rows depend on ``fact`` alone."""
+
+    return tuple(relation_to_equations(
+        fact, [linear_structure(q) for q in fact.coords]))
 
 
 def relation_to_equations(rel: Relation, isos):

@@ -208,8 +208,9 @@ class Solver:
                 comps = value_components(inst, res.network)
                 if len(comps) > 1:
                     return self._solve_unlinked(inst, comps, depth, t3)
-                # solutions that assign every value pass Steps 2 and 3
-                if witness_cover(inst, res.network):
+                # solutions that assign every value pass Steps 2 and 3;
+                # those found for the shape before are reused
+                if witness_cover(inst, res.network, inst.shape().witnesses):
                     later = later[1:]
                 else:
                     step, res = "2", check_irreducibility(

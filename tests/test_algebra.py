@@ -878,6 +878,45 @@ def test_unary_polynomial_closure_matches_naive_rounds(dd3, maj2):
         assert unary_polynomial_closure(alg) == naive_iterates(alg, seed)[-1]
 
 
+def test_table_constructor_keeps_every_check():
+    """``OperationTable(...)`` rejects a bad arity or size, a wrong entry
+    count and an entry out of range, each with a ``FormatError``."""
+
+    for args, message in (((0, 2, (0,)), "positive"),
+                          ((3, 0, ()), "positive"),
+                          ((3, 2, (0,) * 7), "needs 8 entries"),
+                          ((2, 2, (0, 1, -1, 1)), "out of range"),
+                          ((2, 2, (0, 1, 2, 1)), "out of range")):
+        with pytest.raises(FormatError, match=message):
+            OperationTable(*args)
+
+
+def test_derived_tables_equal_their_checked_rebuild(z4, dd3):
+    """The tables the package derives (sums, quotients, subalgebras) keep
+    the array they were built from, read-only, and equal the table that
+    ``OperationTable(...)`` builds, with its checks, from their entries."""
+
+    import numpy as np
+
+    mod2 = next(c for c in all_congruences(z4)
+                if not c.is_equality and not c.is_full)
+    tables = [sum_table(6, 7), sum_table(3, 3),
+              quotient_algebra(z4, mod2)[0].wnu,
+              restrict_algebra(dd3, frozenset({0, 2})).wnu,
+              restrict_algebra(z4, frozenset({1, 3})).wnu]
+    for table in tables:
+        rebuilt = OperationTable(table.arity, table.domain_size,
+                                 table.entries)
+        assert rebuilt == table and hash(rebuilt) == hash(table)
+        assert type(table.entries) is tuple
+        assert all(type(e) is int for e in table.entries)
+        arr = vars(table)["_array"]
+        assert table.array is arr and arr.dtype == np.int64
+        assert arr.tolist() == list(table.entries)
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_equal_tables_compare_equal():
     import copy
 

@@ -41,7 +41,7 @@ from wnucsp.solver import Solver, SolverConfig
 
 import reference_consistency as reference
 from conftest import linear_relation
-from helpers import full_relation
+from helpers import full_relation, reference_witness_rows
 
 
 def test_cc_contradictory_order_chain(maj2):
@@ -1074,3 +1074,76 @@ def test_witness_budget_counts_every_value_tried(z2min, monkeypatch):
     for budget, covered in ((6, True), (5, False), (0, False)):
         monkeypatch.setattr(consistency_module, "WITNESS_NODES", budget)
         assert witness_cover(inst, network) == covered
+
+
+def _node_row(network, assignment):
+    """The bit row of the nodes of ``assignment``, aligned with the
+    network's variables."""
+
+    return sum(1 << off + elems.index(a) for off, elems, a
+               in zip(network.offsets, network.elements, assignment))
+
+
+def test_witness_pool_rows_outside_the_domains_are_never_used(
+        z2min, monkeypatch):
+    """With x pinned to 0 and y free under the full binary relation, the
+    live nodes are x0, y0 and y1, and covering them takes two solutions of
+    two search nodes each.  Pooled rows through x1 are never used, so a
+    budget of 3 still fails; the call then appends the solutions it finds,
+    and a later call on the same pool needs no search."""
+
+    full = full_relation((z2min, z2min))
+    inst = Instance(("x", "y"), (z2min,) * 2,
+                    (frozenset({0}), frozenset({0, 1})),
+                    (Constraint(full, ("x", "y")),))
+    network = enforce_cycle_consistency(inst).network
+    outside = [_node_row(network, (1, 0)), _node_row(network, (1, 1))]
+    for budget, covered in ((3, False), (4, True)):
+        monkeypatch.setattr(consistency_module, "WITNESS_NODES", budget)
+        pool = list(outside)
+        assert witness_cover(inst, network, pool) == covered
+    assert pool == outside + [_node_row(network, (0, 0)),
+                              _node_row(network, (0, 1))]
+    monkeypatch.setattr(consistency_module, "WITNESS_NODES", 1)
+    assert witness_cover(inst, network, pool)
+    assert not witness_cover(inst, network)
+    assert len(pool) == 4
+
+
+def test_witness_pool_keeps_at_most_its_bound(z2min, monkeypatch):
+    """x = y = z over Z2 has two solutions; a pool bounded to one row keeps
+    the first."""
+
+    eq3 = Relation(3, (z2min,) * 3, {(0, 0, 0), (1, 1, 1)})
+    inst = Instance(("x", "y", "z"), (z2min,) * 3, (frozenset({0, 1}),) * 3,
+                    (Constraint(eq3, ("x", "y", "z")),))
+    network = enforce_cycle_consistency(inst).network
+    monkeypatch.setattr(consistency_module, "WITNESS_POOL", 1)
+    pool = []
+    assert witness_cover(inst, network, pool)
+    assert pool == [_node_row(network, (0, 0, 0))]
+
+
+def test_witness_search_finds_the_reference_solutions(solver_instances):
+    """On every instance the solver fixtures call the solver on that passes
+    Step 1 and is linked, the search that assigns the variables with one
+    live value once per call gives the answer and finds the solutions, in
+    order, of the search that branches over every variable
+    (``helpers.reference_witness_rows``), with and without a pool."""
+
+    forced = 0
+    for inst in solver_instances:
+        if (len(fragment_variable_sets(inst)) > 1 or not inst.constraints
+                or inst.all_singleton()):
+            continue
+        res = enforce_cycle_consistency(inst)
+        if res.status != "ok" or len(value_components(inst,
+                                                      res.network)) > 1:
+            continue
+        covered, rows = reference_witness_rows(inst, res.network)
+        pool = []
+        assert witness_cover(inst, res.network, pool) == covered
+        assert pool == rows
+        assert witness_cover(inst, res.network) == covered
+        forced += any(len(dom) == 1 for dom in inst.current_domains)
+    assert forced

@@ -290,6 +290,45 @@ def test_linear_rows_equal_their_uncached_computation(linear_relations):
         assert instance_module._linear_rows(eff) == tuple(want)
 
 
+def test_equal_factorizations_share_their_linear_rows(z4):
+    """x = y and x = y mod 2 over Z4 sum-of-5 are different relations that
+    both factorize by the mod-2 congruence to equality on Z2, so their
+    rows are computed once; the rows are those computed afresh."""
+
+    equal = Relation(2, (z4, z4), {(a, a) for a in range(4)})
+    parity = linear_relation(z4, (2, 2), 0)
+    assert equal != parity
+    rows, factored = instance_module._linear_rows, instance_module._factored_rows
+    rows.cache_clear()
+    factored.cache_clear()
+    cl = con_lin(z4)
+    for rel in (equal, parity):
+        fact = factorize(rel, [cl.congruence] * 2)
+        assert rows(rel) == tuple(relation_to_equations(fact, [cl.iso] * 2))
+    assert rows.cache_info().misses == 2
+    assert factored.cache_info().misses == 1
+    assert factored.cache_info().hits == 1
+
+
+def test_effective_relation_on_its_own_coordinates_is_the_relation(dd3):
+    """On full domains over the relation's own coordinates the effective
+    relation is the relation itself; a smaller domain restricts it."""
+
+    rel = Relation(2, (dd3, dd3), {(0, 0), (1, 1), (2, 2), (0, 1)})
+    c = Constraint(rel, ("x", "y"))
+    inst = Instance(("x", "y"), (dd3,) * 2, (frozenset(range(3)),) * 2,
+                    (c,))
+    assert inst.effective(c) is rel
+    sub = frozenset({0, 1})
+    small = restrict_algebra(dd3, sub)
+    assert instance_module._effective(rel, (dd3, small),
+                                      (frozenset(range(3)), sub)) == \
+        Relation(2, (dd3, small), {(0, 0), (1, 1), (0, 1)})
+    reduced = apply_reduction(inst, {"y": sub})
+    assert reduced.effective(c) == restrict_relation(
+        rel, (dd3, small), (frozenset(range(3)), sub))
+
+
 def test_linear_rows_reject_a_non_coset_on_every_call(z2min):
     """A failed coset check is not cached: the second call raises too."""
 

@@ -17,7 +17,12 @@ from wnucsp.algebra import (
 )
 from wnucsp.classify import verify_structure_report
 from wnucsp import consistency as consistency_module
-from wnucsp.consistency import PropagationResult, value_components
+from wnucsp.consistency import (
+    PropagationResult,
+    enforce_cycle_consistency,
+    value_components,
+    witness_cover,
+)
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp import instance as instance_module
 from wnucsp.instance import Constraint, Instance, apply_reduction, weaken_all
@@ -427,6 +432,42 @@ def test_witnesses_change_no_answer(monkeypatch):
     assert _answers(instances) == default
     assert used < len(calls)
     assert {outcome.kind for outcome, _, _, _ in default} == {"sat", "unsat"}
+
+
+def test_no_witness_budget_takes_the_exact_steps_over_a_full_pool(
+        z2min, monkeypatch):
+    """With no witness budget the solver runs the exact Steps 2 and 3 at
+    the root although the shape's pool holds solutions through every
+    value; with a budget of one node, too small for a search of its own,
+    the pool alone lets the root skip both."""
+
+    full = Relation(2, (z2min, z2min), set(itertools.product(range(2),
+                                                             repeat=2)))
+    inst = Instance(("x", "y"), (z2min,) * 2, (frozenset({0, 1}),) * 2,
+                    (Constraint(full, ("x", "y")),))
+    exact = []
+    step2 = solver_module.check_irreducibility
+    step3 = Solver._step3
+
+    def recording_step2(sub, callback):
+        exact.append(("2", sub is inst))
+        return step2(sub, callback)
+
+    def recording_step3(self, sub, depth, t3):
+        exact.append(("3", sub is inst))
+        return step3(self, sub, depth, t3)
+
+    monkeypatch.setattr(solver_module, "check_irreducibility",
+                        recording_step2)
+    monkeypatch.setattr(Solver, "_step3", recording_step3)
+    for budget, root_steps in ((0, [("2", True), ("3", True)]), (1, [])):
+        network = enforce_cycle_consistency(inst).network
+        assert witness_cover(inst, network, inst.shape().witnesses)
+        exact.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(consistency_module, "WITNESS_NODES", budget)
+            assert Solver().solve(inst).satisfiable
+        assert [step for step in exact if step[1]] == root_steps
 
 
 def _step2_instance(z4, *extra):
