@@ -12,7 +12,13 @@ row per node, the nodes it shares an effective tuple with, from which the
 components are read.  The constraints' tuples are laid out as
 bit rows once per instance shape (``instance.Shape``), as Compact-Table
 lays out its tables once (Demeulenaere et al., CP 2016), and each call
-filters the rows by the current domains.  The search (``witness_cover``)
+filters the rows by the current domains.  A call may start from the
+fixpoint network of an earlier call on larger domains of the same shape,
+as the solver's next round does after a reduction: the unary and binary
+constraints cannot cut that fixpoint's pairs inside the current domains,
+so only the wider constraints are scanned, and when neither the cut to
+the current domains nor a wider constraint changes a row, the start is
+the fixpoint and no sweep runs.  The search (``witness_cover``)
 runs on the fixpoint network with forward checking; solutions of the
 instance that together assign every value prove that the irreducibility
 check answers "ok" and that the solver's Step 3 passes, since a solution
@@ -51,14 +57,17 @@ class PairNetwork:
     the b with (a, b) in R_ij, block i holds only a's own bit, and the row
     is 0 when a is out of i's domain.  ``links[offsets[i] + a]`` is the
     union of a's rows in the constraints' projections: the nodes that
-    share an effective tuple with (i, a).  ``get`` and ``pairs`` decode to
-    sets of element pairs."""
+    share an effective tuple with (i, a); ``narrow`` is the same union over
+    the unary and binary constraints alone, from which a later build on
+    smaller domains starts (``build_pair_network``).  ``get`` and
+    ``pairs`` decode to sets of element pairs."""
 
     variables: tuple
     elements: tuple   # base carrier per variable
     offsets: tuple    # bit of each variable's first position
     nodes: list       # pair row per node
     links: list       # union row per node
+    narrow: list      # union row per node over constraints of arity <= 2
 
     def block(self, row, j):
         return row >> self.offsets[j] & (1 << len(self.elements[j])) - 1
@@ -92,7 +101,9 @@ _BITS = _BitTable()
 class PropagationResult:
     """How a step of the solver ends: it passes ("ok"), finds no solution
     ("nosolution"), or shrinks the domains in ``reduction``.  Step 1 also
-    hands on its pair network when it passes."""
+    hands on its fixpoint network when it passes or reduces: the solver
+    reads the components and witnesses from it when it passes, and starts
+    the next round's Step 1 from it after any reduction."""
 
     status: str  # "ok" | "nosolution" | "reduce"
     network: PairNetwork | None = None
@@ -146,7 +157,8 @@ def _pair_layout(inst):
     on first read: per constraint, every bit outside its scope's blocks,
     the scope's nodes and offsets, and its tuples as base-carrier positions
     (``_encoded``) and as global rows of their nodes.  The rows are kept as
-    plain ints, with no container per tuple."""
+    plain ints, with no container per tuple.  Returns the constraints of
+    arity at most 2 and the wider ones as two lists."""
 
     shape = inst.shape()
     if shape.pair_layout is not None:
@@ -154,7 +166,7 @@ def _pair_layout(inst):
     bases = inst.base_algebras
     offsets, _, _, spans, masks = _node_layout(
         tuple([alg.size for alg in bases]))
-    layout = []
+    narrow, wide = [], []
     for c in inst.constraints:
         ks = [inst.index(v) for v in c.scope]
         offs = [offsets[k] for k in ks]
@@ -168,32 +180,21 @@ def _pair_layout(inst):
         scope_mask = 0
         for k in ks:
             scope_mask |= masks[k]
-        layout.append((~scope_mask, [q for k in ks for q in spans[k]], offs,
-                       enc, rows))
-    shape.pair_layout = layout
-    return layout
+        (narrow if len(ks) <= 2 else wide).append(
+            (~scope_mask, [q for k in ks for q in spans[k]], offs, enc, rows))
+    shape.pair_layout = narrow, wide
+    return shape.pair_layout
 
 
-def build_pair_network(inst: Instance) -> PairNetwork:
-    """Initial network.  A tuple inside the current domains is read as the
-    row of its nodes; a node's row in a constraint is the OR of its tuples'
-    rows.  Each node's pair row is the AND of its rows in the constraints on
-    its variable (the other blocks start as the current domains), so a
-    value without a tuple in one of them loses its own bit and is dropped,
-    and the other rows are cut to the surviving nodes.  Its union row is
-    the OR of the same rows.  The tuple rows come from the shape's layout
-    (``_pair_layout``) and are filtered by the current domains."""
+def _scan(layout, current, nodes, links):
+    """Cut ``nodes`` by the constraints of ``layout`` and add to ``links``.
+    A tuple inside ``current``, the mask of the current nodes, is read as
+    the row of its nodes; a node's row in a constraint is the OR of its
+    tuples' rows, which its pair row is ANDed with (outside the scope's
+    blocks) and its union row ORed with."""
 
-    layout = _pair_layout(inst)
-    elements = tuple([alg.elements for alg in inst.base_algebras])
-    offsets, clear, _, _, _ = _node_layout(tuple(map(len, elements)))
-    width = len(clear)
-    current = _current_nodes(inst, offsets)
     missing = ~current
-    nodes = [current & cut | 1 << q if current >> q & 1 else 0
-             for q, cut in enumerate(clear)]
-    links = [0] * width
-    acc = [0] * width
+    acc = [0] * len(nodes)
     for outside, scope_nodes, offs, enc, rows in layout:
         for row, at in zip(rows, enc):
             if not row & missing:
@@ -203,13 +204,68 @@ def build_pair_network(inst: Instance) -> PairNetwork:
             nodes[q] &= acc[q] | outside
             links[q] |= acc[q]
             acc[q] = 0
-    alive = sum(1 << q for q, row in enumerate(nodes) if row >> q & 1)
-    nodes = [row & alive if alive >> q & 1 else 0
-             for q, row in enumerate(nodes)]
-    return PairNetwork(inst.variables, elements, offsets, nodes, links)
 
 
-def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
+def build_pair_network(inst: Instance,
+                       start: PairNetwork | None = None) -> PairNetwork:
+    """Initial network.  Each node's pair row is the AND of its rows in the
+    constraints on its variable (``_scan``; the other blocks start as the
+    current domains), so a value without a tuple in one of them loses its
+    own bit and is dropped, and the other rows are cut to the surviving
+    nodes.  Its union row is the OR of the same rows.  The tuple rows come
+    from the shape's layout (``_pair_layout``) and are filtered by the
+    current domains.
+
+    ``start``, when given, is the fixpoint network of
+    ``enforce_cycle_consistency`` on an instance of the same shape whose
+    live nodes contain the current domains (an ``ArgumentError``
+    otherwise), such as the previous round's instance before a reduction.
+    Each pair row then starts as the start's row cut to the current nodes,
+    each union row as its ``narrow`` row cut the same way, and only the
+    constraints wider than two are scanned.  The pair rows so built lie
+    inside those built from scratch and have the same fixpoint: it lies
+    inside the start's, as the current domains lie inside the start's, and
+    a pair of the start with both values in the current domains has a
+    tuple inside them in every unary and binary constraint, so only the
+    wider constraints can cut it.  The union rows of the live nodes are
+    those of a build from scratch; a node left with no tuple inside the
+    current domains in a binary constraint keeps its own bit, and the
+    fixpoint drops it.  When no row changed, the start's rows are the
+    fixpoint and the dropped nodes are not cut again."""
+
+    narrow_layout, wide_layout = _pair_layout(inst)
+    elements = tuple([alg.elements for alg in inst.base_algebras])
+    offsets, clear, _, _, _ = _node_layout(tuple(map(len, elements)))
+    current = _current_nodes(inst, offsets)
+    if start is None:
+        nodes = [current & cut | 1 << q if current >> q & 1 else 0
+                 for q, cut in enumerate(clear)]
+        links = [0] * len(clear)
+        _scan(narrow_layout, current, nodes, links)
+        narrow = links[:]
+    else:
+        if start.variables != inst.variables or \
+                start.elements != elements or current & ~sum(
+                    1 << q for q, row in enumerate(start.nodes) if row):
+            raise ArgumentError("start network does not contain the "
+                                "current domains")
+        nodes = [row & current if current >> q & 1 else 0
+                 for q, row in enumerate(start.nodes)]
+        narrow = [row & current if current >> q & 1 else 0
+                  for q, row in enumerate(start.narrow)]
+        links = narrow[:]
+    _scan(wide_layout, current, nodes, links)
+    if start is None or nodes != start.nodes:
+        alive = sum(1 << q for q, row in enumerate(nodes) if row >> q & 1)
+        nodes = [row & alive if alive >> q & 1 else 0
+                 for q, row in enumerate(nodes)]
+    return PairNetwork(inst.variables, elements, offsets, nodes, links,
+                       narrow)
+
+
+def enforce_cycle_consistency(inst: Instance,
+                              start: PairNetwork | None = None
+                              ) -> PropagationResult:
     """Fixpoint of the triangle rule on the pair network.  Revising node
     (i, a) ANDs its row, for every other variable k, with the OR of the
     rows of the nodes (k, c) in its block k: (a, b) stays in R_ij only when
@@ -217,10 +273,19 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
     a node that loses its own bit is dropped.  The nodes are revised in
     sweeps until one changes nothing.  An empty domain means no solution;
     otherwise every variable whose surviving nodes are fewer than its
-    current domain is reduced to them, all at once."""
+    current domain is reduced to them, all at once.
 
-    net = build_pair_network(inst)
+    ``start`` is handed to ``build_pair_network``: the previous round's
+    fixpoint network, from which the build starts.  When the build leaves
+    its rows unchanged, they are still a fixpoint over exactly the current
+    domains, so the step passes with no sweep."""
+
+    net = build_pair_network(inst, start)
     nodes, elements = net.nodes, net.elements
+    if start is not None and nodes == start.nodes:
+        # the start's fixpoint, whose live nodes are the current ones: they
+        # contain them, and every other node's row was 0 already
+        return PropagationResult("ok", net)
     work = [(q, 1 << q, others)
             for off, elems, others in zip(
                 net.offsets, elements,
@@ -242,17 +307,18 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
             if row != old:
                 nodes[p] = row
                 changed = True
+    alive = sum(1 << q for q, row in enumerate(nodes) if row)
     reduction = {}
     for i, var in enumerate(inst.variables):
-        off, size = net.offsets[i], len(elements[i])
-        proj = sum(1 << a for a in range(size) if nodes[off + a])
+        elems = elements[i]
+        proj = alive >> net.offsets[i] & (1 << len(elems)) - 1
         if not proj:
             return PropagationResult("nosolution")
         if proj != _domain_mask(inst.base_algebras[i],
                                 inst.current_domains[i]):
-            reduction[var] = frozenset(elements[i][a] for a in _BITS[proj])
+            reduction[var] = frozenset(elems[a] for a in _BITS[proj])
     if reduction:
-        return PropagationResult("reduce", reduction=reduction)
+        return PropagationResult("reduce", net, reduction)
     return PropagationResult("ok", net)
 
 

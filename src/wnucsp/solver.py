@@ -178,12 +178,17 @@ class Solver:
                     assignment[frag[0]] = min(inst.domain(frag[0]))
                     continue
                 sub = restrict_to_variables(inst, frag)
+                # one connected component with every constraint on it
+                sub.shape().fragments = (frag,)
                 ok, a = self._solve(sub, depth + 1, t3)
                 if not ok:
                     return False, None
                 assignment.update(a)
             return True, assignment
 
+        # Step 1's last network: after a reduction, the next round's Step 1
+        # starts from it and scans only the constraints wider than two
+        network = None
         while True:
             if inst.all_singleton():
                 assignment = {
@@ -196,7 +201,8 @@ class Solver:
             # Steps 1-6 in turn.  Each passes, finds no solution, or
             # shrinks domains and restarts the loop; the first that does
             # not pass ends the round below
-            step, res = "1", enforce_cycle_consistency(inst)
+            step, res = "1", enforce_cycle_consistency(inst, network)
+            network = res.network
             later = (("3", self._step3), ("4", self._step4),
                      ("5", self._step5), ("6", self._step6))
             if res.status == "ok":

@@ -129,7 +129,8 @@ def _revise(rows, n, i, j):
 def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
     """Fixpoint of the triangle rule on the pair network.  An empty pair or
     domain means no solution; otherwise every variable whose projection is
-    smaller than its current domain is reduced to it, all at once."""
+    smaller than its current domain is reduced to it, all at once.  The
+    fixpoint network comes with "ok" and with "reduce"."""
 
     net = build_pair_network(inst)
     n = len(inst.variables)
@@ -168,7 +169,7 @@ def enforce_cycle_consistency(inst: Instance) -> PropagationResult:
                                 inst.current_domains[i]):
             reduction[var] = frozenset(elems[a] for a in _BITS[proj])
     if reduction:
-        return PropagationResult("reduce", reduction=reduction)
+        return PropagationResult("reduce", net, reduction)
     return PropagationResult("ok", net)
 
 

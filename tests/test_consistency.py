@@ -6,6 +6,7 @@ import pytest
 from wnucsp.algebra import (
     conjunction_table,
     dual_discriminator_table,
+    is_subuniverse,
     majority_table,
     make_algebra,
     maximal_congruences,
@@ -37,10 +38,11 @@ from wnucsp.instance import (
     project_instance,
 )
 from wnucsp.relation import Relation
+from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig
 
 import reference_consistency as reference
-from conftest import linear_relation
+from conftest import linear_relation, solver_fixture_params
 from helpers import full_relation, reference_witness_rows
 
 
@@ -539,6 +541,188 @@ def test_cc_matches_bit_rows_on_one_two_and_three_variables(maj2, z2min,
                 rng.randint(1, 4), 3, plant=i % 3 != 0, closed=i % 2 == 0)
             statuses.update(assert_step1_matches_bit_rows(inst))
         assert statuses == {"ok", "reduce", "nosolution"}
+
+
+# --- Step 1 restarted from the previous round's network ------------------
+
+
+def assert_restart_matches_scratch(inst, start):
+    """Step 1 on ``inst`` from ``start`` and from scratch: equal status,
+    reduction, pairs and components, equal pair rows, and equal union rows
+    at every live node.  A node the fixpoint drops may keep its own bit in
+    its union rows from ``start``.  Returns the result from ``start``."""
+
+    got = enforce_cycle_consistency(inst, start)
+    want = enforce_cycle_consistency(inst)
+    assert step1_outcome(got) == step1_outcome(want)
+    if want.network is not None:
+        net, scratch = got.network, want.network
+        assert net.nodes == scratch.nodes
+        for rows in ("links", "narrow"):
+            assert [row for q, row in enumerate(getattr(net, rows))
+                    if net.nodes[q]] == \
+                [row for q, row in enumerate(getattr(scratch, rows))
+                 if scratch.nodes[q]]
+        assert value_components(inst, net) == value_components(inst, scratch)
+    return got
+
+
+def random_subuniverse_reduction(rng, inst, network):
+    """One or two variables reduced to random nonempty proper subuniverses
+    inside the live nodes of ``network``, as Steps 4-6 reduce, or None
+    when every domain is a singleton."""
+
+    choices = []
+    for i, var in enumerate(inst.variables):
+        elems, off = network.elements[i], network.offsets[i]
+        live = [e for a, e in enumerate(elems) if network.nodes[off + a]]
+        subs = [frozenset(s) for r in range(1, len(live))
+                for s in itertools.combinations(live, r)
+                if is_subuniverse(inst.base_algebras[i], frozenset(s))]
+        if subs:
+            choices.append((var, subs))
+    if not choices:
+        return None
+    picked = rng.sample(choices, min(len(choices), rng.randint(1, 2)))
+    return {var: rng.choice(subs) for var, subs in picked}
+
+
+def assert_restarts_match_scratch(inst, rng):
+    """Step 1 on ``inst``, then from each network on the instance its
+    reduction leads to, or, when it passes, on the instance reduced to
+    random subuniverses inside its live nodes.  Returns the statuses seen
+    from a start."""
+
+    statuses = []
+    start = None
+    while True:
+        result = assert_restart_matches_scratch(inst, start)
+        if start is not None:
+            statuses.append(result.status)
+        if result.status == "nosolution":
+            return statuses
+        reduction = result.reduction
+        if result.status == "ok":
+            reduction = random_subuniverse_reduction(rng, inst,
+                                                     result.network)
+            if reduction is None:
+                return statuses
+        inst, start = apply_reduction(inst, reduction), result.network
+
+
+def test_restart_matches_scratch_on_solver_instances(solver_instances):
+    rng = random.Random(30)
+    statuses = set()
+    for inst in solver_instances:
+        statuses.update(assert_restarts_match_scratch(inst, rng))
+    assert statuses == {"ok", "reduce", "nosolution"}
+
+
+def test_restart_matches_scratch_on_mixed_carriers(maj2, z2min, dd3):
+    rng = random.Random(31)
+    odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
+    statuses = set()
+    for inst in mixed_carrier_instances(maj2, z2min, dd3):
+        statuses.update(assert_restarts_match_scratch(inst, rng))
+    for i in range(120):
+        inst = random_mixed_instance(
+            rng, (maj2, z2min, dd3, odd_ids), rng.randint(1, 6),
+            rng.randint(1, 6), 3, plant=i % 3 != 0, closed=i % 2 == 0)
+        statuses.update(assert_restarts_match_scratch(inst, rng))
+    assert statuses == {"ok", "reduce", "nosolution"}
+
+
+def test_restart_scans_the_wide_constraints(maj2):
+    """The first round reduces y, z and w; restarted from its network, the
+    ternary constraint alone cuts the pairs that supported x = 0."""
+
+    one_hot = Relation(3, (maj2,) * 3, {(1, 0, 0), (0, 1, 0), (0, 0, 1)})
+    y_zero = Relation(2, (maj2,) * 2, {(0, 0), (1, 0)})
+    eq = Relation(2, (maj2,) * 2, {(0, 0), (1, 1)})
+    pin = Relation(1, (maj2,), {(0,)})
+    inst = Instance(("x", "y", "z", "w"), (maj2,) * 4,
+                    (frozenset({0, 1}),) * 4, (
+                        Constraint(one_hot, ("x", "y", "z")),
+                        Constraint(y_zero, ("x", "y")),
+                        Constraint(eq, ("z", "w")),
+                        Constraint(pin, ("w",)),
+                    ))
+    first = enforce_cycle_consistency(inst)
+    assert first.status == "reduce" and first.network is not None
+    reduced = apply_reduction(inst, first.reduction)
+    second = assert_restart_matches_scratch(reduced, first.network)
+    assert second.reduction == {"x": frozenset({1})}
+    third = assert_restart_matches_scratch(
+        apply_reduction(reduced, second.reduction), second.network)
+    assert third.status == "ok"
+
+
+def test_restart_from_an_unchanged_fixpoint_runs_no_sweep(maj2,
+                                                          monkeypatch):
+    """Restarted on the live nodes of a binary instance's network, the
+    build changes no row, so the fixpoint is the start's rows: ``_BITS``,
+    which every sweep reads, is not read."""
+
+    le = Relation(2, (maj2, maj2), {(0, 0), (0, 1), (1, 1)})
+    pin = Relation(1, (maj2,), {(1,)})
+    inst = Instance(("x", "y", "z"), (maj2,) * 3, (frozenset({0, 1}),) * 3,
+                    (Constraint(le, ("x", "y")), Constraint(le, ("y", "z")),
+                     Constraint(pin, ("x",))))
+    first = enforce_cycle_consistency(inst)
+    assert first.reduction == {v: frozenset({1}) for v in ("x", "y", "z")}
+    reduced = apply_reduction(inst, first.reduction)
+
+    class Unread(dict):
+        def __missing__(self, mask):
+            raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(consistency_module, "_BITS", Unread())
+    second = enforce_cycle_consistency(reduced, first.network)
+    assert second.status == "ok"
+    assert second.network.nodes == first.network.nodes
+
+
+def test_restart_refuses_a_start_without_the_current_domains(maj2):
+    le = Relation(2, (maj2, maj2), {(0, 0), (0, 1), (1, 1)})
+    inst = Instance(("x", "y"), (maj2,) * 2, (frozenset({0, 1}),) * 2,
+                    (Constraint(le, ("x", "y")),))
+    smaller = apply_reduction(inst, {"x": frozenset({1})})
+    start = enforce_cycle_consistency(smaller).network
+    with pytest.raises(ArgumentError):
+        enforce_cycle_consistency(inst, start)
+    with pytest.raises(ArgumentError):
+        build_pair_network(inst, start)
+    other = Instance(("x", "z"), (maj2,) * 2, (frozenset({0, 1}),) * 2,
+                     (Constraint(le, ("x", "z")),))
+    with pytest.raises(ArgumentError):
+        enforce_cycle_consistency(
+            other, enforce_cycle_consistency(inst).network)
+    assert assert_restart_matches_scratch(
+        smaller, enforce_cycle_consistency(inst).network).reduction == {
+            "y": frozenset({1})}
+
+
+def test_solver_restarts_step1_from_an_earlier_network(monkeypatch):
+    """Every start the solver hands Step 1 is a network an earlier Step 1
+    call returned, and gives the result from scratch."""
+
+    calls = []
+    original = solver_module.enforce_cycle_consistency
+
+    def recording(inst, start=None):
+        if start is not None:
+            assert any(start is net for _, net in calls)
+            assert step1_outcome(original(inst, start)) == \
+                step1_outcome(original(inst))
+        result = original(inst, start)
+        calls.append((start is not None, result.network))
+        return result
+
+    monkeypatch.setattr(solver_module, "enforce_cycle_consistency",
+                        recording)
+    for params in solver_fixture_params():
+        Solver().solve(random_instance(params)[0])
+    assert {restarted for restarted, _ in calls} == {True, False}
 
 
 def assert_components_match_union_find(inst):

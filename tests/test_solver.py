@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import random
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wnucsp.algebra import (
+    conjunction_table,
     dual_discriminator_table,
     majority_table,
     make_algebra,
@@ -25,7 +28,13 @@ from wnucsp.consistency import (
 )
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp import instance as instance_module
-from wnucsp.instance import Constraint, Instance, apply_reduction, weaken_all
+from wnucsp.instance import (
+    Constraint,
+    Instance,
+    apply_reduction,
+    fragment_variable_sets,
+    weaken_all,
+)
 from wnucsp.relation import Relation
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
@@ -168,6 +177,24 @@ def test_fragmented_instances_merge(z2min, maj2):
     )
     outcome = solve(inst)
     assert outcome.assignment == {"a": 0, "b": 0, "c": 1}
+
+
+def test_fragments_carry_their_partition(solver_instances):
+    """A fragment the solver splits off is one connected component that
+    keeps every constraint on its variables, so the partition preset on
+    its shape is what ``fragment_variable_sets`` computes for a copy with
+    a shape of its own."""
+
+    preset = 0
+    for inst in solver_instances:
+        copy = instance_module._derived(
+            inst, inst.variables, inst.base_algebras, inst.current_domains,
+            tuple(list(inst.constraints)))
+        assert copy.shape() is not inst.shape()
+        assert fragment_variable_sets(inst) == fragment_variable_sets(copy)
+        # a preset partition holds the fragment's own variables tuple
+        preset += inst.shape().fragments[0] is inst.variables
+    assert preset > 0
 
 
 def test_free_variable_takes_least_value_without_a_sub_instance(z2min, dd3):
@@ -966,3 +993,72 @@ def test_linear_rows_and_effective_caches_are_transparent(monkeypatch):
     # linear phase and report their linear quotients
     assert any(report.kind == "linear_quotient"
                for _, _, reports, _ in cold for _, report in reports)
+
+
+# --- golden outputs -------------------------------------------------------
+
+
+def golden_params():
+    """Seeded instances of the five desk families: per family, thirty
+    6-variable instances (odd seeds planted) and twenty planted
+    10-variable ones, whose rounds restart Step 1 after a reduction more
+    often."""
+
+    families = ((2, 3, minority_table()), (2, 3, majority_table()),
+                (2, 3, conjunction_table(3)),
+                (3, 3, dual_discriminator_table()), (4, 5, sum_table(4, 5)))
+    sizes = [(6, i % 2 == 1) for i in range(30)] + [(10, True)] * 20
+    return [GenParams(n, m, size, size, 3, 600_000 + i,
+                      satisfiable_bias=planted, wnu=wnu)
+            for n, m, wnu in families
+            for i, (size, planted) in enumerate(sizes)]
+
+
+def canonical(value):
+    """``value`` as nested tuples of ints, strings and None, with sets and
+    dicts sorted and dataclasses spelled out by their compared fields, so
+    its repr does not depend on hash seeds or on object identity."""
+
+    if isinstance(value, (set, frozenset)):
+        return ("set",) + tuple(sorted(map(canonical, value), key=repr))
+    if isinstance(value, dict):
+        return ("dict",) + tuple(sorted(
+            ((canonical(k), canonical(v)) for k, v in value.items()),
+            key=repr))
+    if isinstance(value, (list, tuple)):
+        return tuple(map(canonical, value))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            (f.name, canonical(getattr(value, f.name)))
+            for f in dataclasses.fields(value) if f.compare)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise TypeError("no canonical form for %r" % type(value))
+
+
+def solver_outputs_digest():
+    """sha256 over the outcome, the assignment, ``Solver.reports``,
+    ``Solver.learned`` and every ``TraceEvent`` of two solves of each
+    ``golden_params`` instance in this process, the second on warm
+    caches."""
+
+    digest = hashlib.sha256()
+    instances = [random_instance(params)[0] for params in golden_params()]
+    for _ in range(2):
+        for inst in instances:
+            events = []
+            solver = Solver(SolverConfig(trace_sink=events.append))
+            outcome = solver.solve(inst)
+            digest.update(repr(canonical(
+                (outcome, solver.reports, solver.learned, events))).encode())
+    return digest.hexdigest()
+
+
+# ``solver_outputs_digest`` as computed when the golden set was made.  A
+# change that alters the solver's outputs updates it and says why.
+GOLDEN_DIGEST = (
+    "7a8701bb391a9eb1c31ea3e6a438701975e5e9a294f405f1a4a53c2079f90bc8")
+
+
+def test_solver_outputs_match_the_golden_digest():
+    assert solver_outputs_digest() == GOLDEN_DIGEST
