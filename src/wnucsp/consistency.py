@@ -11,8 +11,14 @@ revisited", AIJ 28(2), 1986, revised a whole row at a time), and a union
 row per node, the nodes it shares an effective tuple with, from which the
 components are read.  The constraints' tuples are laid out as
 bit rows once per instance shape (``instance.Shape``), as Compact-Table
-lays out its tables once (Demeulenaere et al., CP 2016), and each call
-filters the rows by the current domains.  A call may start from the
+lays out its tables once (Demeulenaere et al., CP 2016), next to what the
+carrier sizes fix (each variable's block of bits, each node's variable,
+its entry in the sweep and its row over full domains), and each call
+filters the rows by the current domains.  As Compact-Table carries its
+mask of valid tuples from call to call, the network carries the mask of
+its current nodes and of its live ones: the build computes them, the
+sweep keeps the live mask up to date, and the read-out, the components
+and the witness search read them.  A call may start from the
 fixpoint network of an earlier call on larger domains of the same shape,
 as the solver's next round does after a reduction: the unary and binary
 constraints cannot cut that fixpoint's pairs inside the current domains,
@@ -59,8 +65,13 @@ class PairNetwork:
     union of a's rows in the constraints' projections: the nodes that
     share an effective tuple with (i, a); ``narrow`` is the same union over
     the unary and binary constraints alone, from which a later build on
-    smaller domains starts (``build_pair_network``).  ``get`` and
-    ``pairs`` decode to sets of element pairs."""
+    smaller domains starts (``build_pair_network``).  ``current`` is the
+    mask of the nodes in the instance's current domains and ``alive`` the
+    mask of the nodes whose pair row is not 0: the build computes both,
+    and Step 1's sweep clears a node's bit in ``alive`` when its row
+    empties, so the start check, the components and the witness search
+    read them instead of summing the rows.  ``get`` and ``pairs`` decode
+    to sets of element pairs."""
 
     variables: tuple
     elements: tuple   # base carrier per variable
@@ -68,6 +79,8 @@ class PairNetwork:
     nodes: list       # pair row per node
     links: list       # union row per node
     narrow: list      # union row per node over constraints of arity <= 2
+    alive: int        # mask of the nodes with a nonzero pair row
+    current: int      # mask of the nodes in the current domains
 
     def block(self, row, j):
         return row >> self.offsets[j] & (1 << len(self.elements[j])) - 1
@@ -125,47 +138,56 @@ def _encoded(rel, bases):
     return tuple(tuple(p[e] for p, e in zip(pos, t)) for t in rel.tuples)
 
 
-def _current_nodes(inst, offsets):
-    """The mask of the nodes in the current domains."""
-
-    return sum(_domain_mask(alg, dom) << off for alg, dom, off
-               in zip(inst.base_algebras, inst.current_domains, offsets))
-
-
 @lru_cache(maxsize=1024)
 def _node_layout(sizes):
-    """What Step 1 takes from the carrier sizes alone: each variable's first
-    bit, per node every bit but its variable's block, and per variable the
-    (offset, mask) of the other blocks, its nodes and the mask of its
-    block."""
+    """What Step 1 takes from the carrier sizes alone: per variable its
+    first bit and its block ``(offset, full mask)``; per node its variable,
+    its entry ``(q, 1 << q, the other variables' blocks)`` in the sweep,
+    and its pair row over full domains, every bit outside its variable's
+    block and its own; and the mask of all nodes."""
 
     offsets, width = [], 0
     for size in sizes:
         offsets.append(width)
         width += size
-    blocks = [(off, (1 << size) - 1) for off, size in zip(offsets, sizes)]
-    clear = [~(full << off) for off, full in blocks
-             for _ in range(full.bit_length())]
+    blocks = tuple((off, (1 << size) - 1) for off, size in zip(offsets, sizes))
+    owner = tuple(i for i, size in enumerate(sizes) for _ in range(size))
     others = [blocks[:i] + blocks[i + 1:] for i in range(len(blocks))]
-    spans = [range(off, off + size) for off, size in zip(offsets, sizes)]
-    masks = [full << off for off, full in blocks]
-    return tuple(offsets), clear, others, spans, masks
+    every = (1 << width) - 1
+    work = tuple((q, 1 << q, others[i]) for q, i in enumerate(owner))
+    rows = tuple(every & ~(blocks[i][1] << blocks[i][0]) | 1 << q
+                 for q, i in enumerate(owner))
+    return tuple(offsets), blocks, owner, work, rows, every
 
 
-def _pair_layout(inst):
+class _Layout:
+    """Step 1's data fixed by an instance's shape (``_pair_layout``): the
+    constraint entries of arity at most 2 (``narrow``) and wider
+    (``wide``), the base carriers, and ``_node_layout`` of their sizes."""
+
+    __slots__ = ("narrow", "wide", "elements", "offsets", "blocks", "owner",
+                 "work", "rows", "every")
+
+    def __init__(self, narrow, wide, elements, node_layout):
+        self.narrow, self.wide, self.elements = narrow, wide, elements
+        (self.offsets, self.blocks, self.owner, self.work, self.rows,
+         self.every) = node_layout
+
+
+def _pair_layout(inst) -> _Layout:
     """The part of the pair network that the instance's shape fixes, built
     on first read: per constraint, every bit outside its scope's blocks,
     the scope's nodes and offsets, and its tuples as base-carrier positions
     (``_encoded``) and as global rows of their nodes.  The rows are kept as
-    plain ints, with no container per tuple.  Returns the constraints of
-    arity at most 2 and the wider ones as two lists."""
+    plain ints, with no container per tuple."""
 
     shape = inst.shape()
     if shape.pair_layout is not None:
         return shape.pair_layout
     bases = inst.base_algebras
-    offsets, _, _, spans, masks = _node_layout(
-        tuple([alg.size for alg in bases]))
+    elements = tuple([alg.elements for alg in bases])
+    node_layout = _node_layout(tuple(map(len, elements)))
+    offsets, blocks = node_layout[:2]
     narrow, wide = [], []
     for c in inst.constraints:
         ks = [inst.index(v) for v in c.scope]
@@ -177,12 +199,14 @@ def _pair_layout(inst):
             for off, a in zip(offs, at):
                 row |= 1 << off + a
             rows.append(row)
-        scope_mask = 0
+        scope_mask, scope_nodes = 0, []
         for k in ks:
-            scope_mask |= masks[k]
+            off, full = blocks[k]
+            scope_mask |= full << off
+            scope_nodes.extend(range(off, off + full.bit_length()))
         (narrow if len(ks) <= 2 else wide).append(
-            (~scope_mask, [q for k in ks for q in spans[k]], offs, enc, rows))
-    shape.pair_layout = narrow, wide
+            (~scope_mask, scope_nodes, offs, enc, rows))
+    shape.pair_layout = _Layout(narrow, wide, elements, node_layout)
     return shape.pair_layout
 
 
@@ -191,19 +215,28 @@ def _scan(layout, current, nodes, links):
     A tuple inside ``current``, the mask of the current nodes, is read as
     the row of its nodes; a node's row in a constraint is the OR of its
     tuples' rows, which its pair row is ANDed with (outside the scope's
-    blocks) and its union row ORed with."""
+    blocks) and its union row ORed with.  A node with no such tuple loses
+    its own bit, and its pair row is set to 0 at once.  Returns the mask
+    of the nodes so stripped whose row was not 0 already."""
 
     missing = ~current
     acc = [0] * len(nodes)
+    dead = 0
     for outside, scope_nodes, offs, enc, rows in layout:
         for row, at in zip(rows, enc):
             if not row & missing:
                 for off, a in zip(offs, at):
                     acc[off + a] |= row
         for q in scope_nodes:
-            nodes[q] &= acc[q] | outside
-            links[q] |= acc[q]
-            acc[q] = 0
+            row = acc[q]
+            if row:
+                nodes[q] &= row | outside
+                links[q] |= row
+                acc[q] = 0
+            elif nodes[q]:
+                nodes[q] = 0
+                dead |= 1 << q
+    return dead
 
 
 def build_pair_network(inst: Instance,
@@ -214,7 +247,10 @@ def build_pair_network(inst: Instance,
     own bit and is dropped, and the other rows are cut to the surviving
     nodes.  Its union row is the OR of the same rows.  The tuple rows come
     from the shape's layout (``_pair_layout``) and are filtered by the
-    current domains.
+    current domains, whose masks are computed once per call; over full
+    domains the pair rows start as the layout's.  ``_scan`` reports the
+    nodes it strips of their own bit, so the live nodes are the current
+    ones less those, and the rows are cut to them only when one died.
 
     ``start``, when given, is the fixpoint network of
     ``enforce_cycle_consistency`` on an instance of the same shape whose
@@ -231,22 +267,25 @@ def build_pair_network(inst: Instance,
     those of a build from scratch; a node left with no tuple inside the
     current domains in a binary constraint keeps its own bit, and the
     fixpoint drops it.  When no row changed, the start's rows are the
-    fixpoint and the dropped nodes are not cut again."""
+    fixpoint."""
 
-    narrow_layout, wide_layout = _pair_layout(inst)
-    elements = tuple([alg.elements for alg in inst.base_algebras])
-    offsets, clear, _, _, _ = _node_layout(tuple(map(len, elements)))
-    current = _current_nodes(inst, offsets)
+    layout = _pair_layout(inst)
+    current = 0
+    for alg, dom, off in zip(inst.base_algebras, inst.current_domains,
+                             layout.offsets):
+        current |= _domain_mask(alg, dom) << off
     if start is None:
-        nodes = [current & cut | 1 << q if current >> q & 1 else 0
-                 for q, cut in enumerate(clear)]
-        links = [0] * len(clear)
-        _scan(narrow_layout, current, nodes, links)
+        if current == layout.every:
+            nodes = list(layout.rows)
+        else:
+            nodes = [row & current if current >> q & 1 else 0
+                     for q, row in enumerate(layout.rows)]
+        links = [0] * len(nodes)
+        dead = _scan(layout.narrow, current, nodes, links)
         narrow = links[:]
     else:
         if start.variables != inst.variables or \
-                start.elements != elements or current & ~sum(
-                    1 << q for q, row in enumerate(start.nodes) if row):
+                start.elements != layout.elements or current & ~start.alive:
             raise ArgumentError("start network does not contain the "
                                 "current domains")
         nodes = [row & current if current >> q & 1 else 0
@@ -254,13 +293,14 @@ def build_pair_network(inst: Instance,
         narrow = [row & current if current >> q & 1 else 0
                   for q, row in enumerate(start.narrow)]
         links = narrow[:]
-    _scan(wide_layout, current, nodes, links)
-    if start is None or nodes != start.nodes:
-        alive = sum(1 << q for q, row in enumerate(nodes) if row >> q & 1)
-        nodes = [row & alive if alive >> q & 1 else 0
-                 for q, row in enumerate(nodes)]
-    return PairNetwork(inst.variables, elements, offsets, nodes, links,
-                       narrow)
+        dead = 0
+    dead |= _scan(layout.wide, current, nodes, links)
+    alive = current & ~dead
+    if dead:
+        # the dead rows are 0 already
+        nodes = [row & alive for row in nodes]
+    return PairNetwork(inst.variables, layout.elements, layout.offsets,
+                       nodes, links, narrow, alive, current)
 
 
 def enforce_cycle_consistency(inst: Instance,
@@ -270,10 +310,14 @@ def enforce_cycle_consistency(inst: Instance,
     (i, a) ANDs its row, for every other variable k, with the OR of the
     rows of the nodes (k, c) in its block k: (a, b) stays in R_ij only when
     some c has (a, c) in R_ik and (c, b) in R_kj, for every j at once, and
-    a node that loses its own bit is dropped.  The nodes are revised in
-    sweeps until one changes nothing.  An empty domain means no solution;
-    otherwise every variable whose surviving nodes are fewer than its
-    current domain is reduced to them, all at once.
+    a node that loses its own bit is dropped: its row becomes 0 and its
+    bit in the network's ``alive`` is cleared.  The nodes are revised in
+    sweeps until one changes nothing, each sweep in the shape's node order
+    over the nodes the build left alive.  An empty domain means no
+    solution; otherwise every variable whose surviving nodes are fewer
+    than its current domain is reduced to them, all at once: each
+    variable's block of ``alive`` is compared with its block of
+    ``current``, the domain masks of the call.
 
     ``start`` is handed to ``build_pair_network``: the previous round's
     fixpoint network, from which the build starts.  When the build leaves
@@ -281,16 +325,14 @@ def enforce_cycle_consistency(inst: Instance,
     domains, so the step passes with no sweep."""
 
     net = build_pair_network(inst, start)
-    nodes, elements = net.nodes, net.elements
+    nodes = net.nodes
     if start is not None and nodes == start.nodes:
         # the start's fixpoint, whose live nodes are the current ones: they
         # contain them, and every other node's row was 0 already
         return PropagationResult("ok", net)
-    work = [(q, 1 << q, others)
-            for off, elems, others in zip(
-                net.offsets, elements,
-                _node_layout(tuple(map(len, elements)))[2])
-            for q in range(off, off + len(elems)) if nodes[q]]
+    layout = _pair_layout(inst)
+    work = [entry for entry, row in zip(layout.work, nodes) if row]
+    alive = net.alive
     changed = True
     while changed:
         changed = False
@@ -307,19 +349,20 @@ def enforce_cycle_consistency(inst: Instance,
             if row != old:
                 nodes[p] = row
                 changed = True
-    alive = sum(1 << q for q, row in enumerate(nodes) if row)
+                if not row:
+                    alive &= ~own
+    net.alive, current = alive, net.current
+    if alive == current:
+        return PropagationResult("ok", net)
     reduction = {}
-    for i, var in enumerate(inst.variables):
-        elems = elements[i]
-        proj = alive >> net.offsets[i] & (1 << len(elems)) - 1
+    for var, elems, (off, full) in zip(inst.variables, layout.elements,
+                                       layout.blocks):
+        proj = alive >> off & full
         if not proj:
             return PropagationResult("nosolution")
-        if proj != _domain_mask(inst.base_algebras[i],
-                                inst.current_domains[i]):
+        if proj != current >> off & full:
             reduction[var] = frozenset(elems[a] for a in _BITS[proj])
-    if reduction:
-        return PropagationResult("reduce", net, reduction)
-    return PropagationResult("ok", net)
+    return PropagationResult("reduce", net, reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +399,13 @@ def is_linked(inst: Instance) -> bool:
 def value_components(inst: Instance, network: PairNetwork | None = None):
     """``linked_components`` without its fragment check, read from the
     union rows of ``network``, which must be built from ``inst`` (it is
-    built when not given).  The union rows are ORs of the constraints'
-    projections: the AND-ed pair rows, before or after the fixpoint, can
-    split a component that the tuples join."""
+    built when not given), over its ``current`` nodes.  The union rows are
+    ORs of the constraints' projections: the AND-ed pair rows, before or
+    after the fixpoint, can split a component that the tuples join."""
 
     net = network if network is not None else build_pair_network(inst)
     links = net.links
-    left = _current_nodes(inst, net.offsets)
+    left = net.current
     comps = []
     while left:
         comp = todo = left & -left
@@ -397,7 +440,8 @@ def witness_cover(inst: Instance, network: PairNetwork, pool=None) -> bool:
     """Whether solutions of ``inst`` that together assign every value of
     every variable turn up within ``WITNESS_NODES`` search nodes.
     ``network`` is the network of ``enforce_cycle_consistency(inst)``
-    passing.
+    passing; its ``alive`` mask gives the values left to cover, and the
+    shape's layout gives each variable's block and each node's variable.
 
     A depth-first search with forward checking on the network: it pins
     each node no solution has assigned yet, lowest bit first, then assigns
@@ -438,10 +482,10 @@ def witness_cover(inst: Instance, network: PairNetwork, pool=None) -> bool:
     if budget <= 0:
         return False
     nodes, offsets, elements = network.nodes, network.offsets, network.elements
+    layout = _pair_layout(inst)
+    blocks, owner = layout.blocks, layout.owner
     n = len(offsets)
-    fulls = [(1 << len(elems)) - 1 for elems in elements]
-    owner = [k for k, elems in enumerate(elements) for _ in elems]
-    left = alive = sum(1 << q for q, row in enumerate(nodes) if row)
+    left = alive = network.alive
     if pool:
         dead = ~alive
         for row in pool:
@@ -451,8 +495,8 @@ def witness_cover(inst: Instance, network: PairNetwork, pool=None) -> bool:
             return True
     value = [None] * n
     free = []
-    for k in range(n):
-        block = alive >> offsets[k] & fulls[k]
+    for k, (off, full) in enumerate(blocks):
+        block = alive >> off & full
         if block & block - 1:
             free.append(k)
         else:
@@ -480,7 +524,8 @@ def witness_cover(inst: Instance, network: PairNetwork, pool=None) -> bool:
         best, fewest = -1, None
         for j in free:
             if value[j] is None:
-                block = allowed >> offsets[j] & fulls[j]
+                off, full = blocks[j]
+                block = allowed >> off & full
                 if not block:
                     return False
                 count = block.bit_count()

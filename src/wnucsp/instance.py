@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .algebra import (
     Algebra,
@@ -62,16 +63,19 @@ class Constraint:
 class Shape:
     """Data fixed by an instance's variables, base algebras and
     constraints, filled on first read: the fragments, the constraint part
-    of the memo key and Step 1's network layout (``consistency``), and
+    of the memo key, Step 1's network layout (``consistency``), the
+    solution checks of ``Instance.assignment_satisfies`` (``checks``), and
     the witness pool: the solutions ``consistency.witness_cover`` has
     found for instances of this shape, each as the bit row of its nodes.
     Shared by the instances ``apply_reduction`` derives from one instance,
     and dropped from the root instance when ``Solver.solve`` returns."""
 
-    __slots__ = ("fragments", "constraint_key", "pair_layout", "witnesses")
+    __slots__ = ("fragments", "constraint_key", "pair_layout", "checks",
+                 "witnesses")
 
     def __init__(self):
-        self.fragments = self.constraint_key = self.pair_layout = None
+        self.fragments = self.constraint_key = None
+        self.pair_layout = self.checks = None
         self.witnesses = []
 
 
@@ -185,15 +189,44 @@ class Instance:
         return all(len(d) == 1 for d in self.current_domains)
 
     def assignment_satisfies(self, assignment) -> bool:
-        for i, var in enumerate(self.variables):
-            if assignment[var] not in self.current_domains[i]:
+        """Whether ``assignment`` (a dict over the variables) takes every
+        variable into its current domain and every constraint's scope into
+        its relation.  The scope tuples are read by getters made once per
+        shape (``Shape.checks``); an instance with no shape makes them for
+        the call only, so a root instance the solver has let go of keeps
+        nothing."""
+
+        for var, dom in zip(self.variables, self.current_domains):
+            if assignment[var] not in dom:
                 return False
+        shape = self.__dict__.get("_shape")
+        checks = shape.checks if shape is not None else None
+        if checks is None:
+            checks = _scope_checks(self.constraints)
+            if shape is not None:
+                shape.checks = checks
         # with every value in its domain, membership in the relation is
         # membership in the effective relation
-        for c in self.constraints:
-            if tuple(assignment[v] for v in c.scope) not in c.relation.tuples:
+        for get, tuples in checks:
+            if get(assignment) not in tuples:
                 return False
         return True
+
+
+def _scope_checks(constraints):
+    """Per constraint, a getter of its scope's values from an assignment
+    as a tuple, and the relation's tuples.  ``itemgetter`` of one key
+    returns the value itself, so a unary scope gets a one-tuple builder."""
+
+    checks = []
+    for c in constraints:
+        if len(c.scope) > 1:
+            get = itemgetter(*c.scope)
+        else:
+            def get(assignment, var=c.scope[0]):
+                return (assignment[var],)
+        checks.append((get, c.relation.tuples))
+    return checks
 
 
 def _derived(parent: Instance, variables, base_algebras, current_domains,

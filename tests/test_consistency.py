@@ -725,6 +725,58 @@ def test_solver_restarts_step1_from_an_earlier_network(monkeypatch):
     assert {restarted for restarted, _ in calls} == {True, False}
 
 
+# --- the masks a network carries -------------------------------------------
+
+
+def current_mask(inst):
+    """The nodes in the current domains, from the base carriers."""
+
+    mask, off = 0, 0
+    for alg, dom in zip(inst.base_algebras, inst.current_domains):
+        for a, e in enumerate(alg.elements):
+            if e in dom:
+                mask |= 1 << off + a
+        off += alg.size
+    return mask
+
+
+def assert_masks_hold(inst, net):
+    """``alive`` is the set of nodes with a nonzero pair row, no row holds
+    a node outside it, ``current`` is the mask of the current domains, and
+    the components read from ``net`` are those of a fresh build."""
+
+    assert net.alive == sum(1 << q for q, row in enumerate(net.nodes) if row)
+    assert all(not row & ~net.alive for row in net.nodes)
+    assert net.current == current_mask(inst)
+    assert value_components(inst, net) == value_components(inst)
+
+
+def test_networks_carry_their_live_and_current_masks(solver_instances):
+    """On the Step 1 chain of every solver instance, from scratch and from
+    the previous call's network: the build's masks, and the masks after
+    the sweep, hold.  The chains cover nodes stripped by the scan, nodes
+    dropped by the sweep and builds in which a node died."""
+
+    seen = set()
+    for inst in solver_instances:
+        start = None
+        while True:
+            for base in (None,) if start is None else (None, start):
+                net = build_pair_network(inst, base)
+                assert_masks_hold(inst, net)
+                seen.add(("build", net.alive != net.current))
+                result = enforce_cycle_consistency(inst, base)
+                if result.network is not None:
+                    assert_masks_hold(inst, result.network)
+                    seen.add(("sweep", result.network.alive != net.alive))
+            if result.status != "reduce":
+                break
+            inst, start = apply_reduction(inst, result.reduction), \
+                result.network
+    assert seen == {("build", False), ("build", True), ("sweep", False),
+                    ("sweep", True)}
+
+
 def assert_components_match_union_find(inst):
     want = reference.value_components(inst)
     assert value_components(inst) == want

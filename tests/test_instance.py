@@ -1,6 +1,7 @@
 import itertools
 import random
 from math import prod
+from operator import itemgetter
 
 import pytest
 
@@ -682,3 +683,67 @@ def test_assignment_satisfies_matches_effective_membership(solver_instances):
             assert inst.assignment_satisfies(assignment) == want
             outcomes.add(want)
     assert reduced and outcomes == {True, False}
+
+
+def _arity_instance(maj2):
+    """A unary, a binary and a ternary constraint over the majority
+    algebra; an assignment inside all three, and per constraint one
+    outside it alone."""
+
+    pin = Relation(1, (maj2,), {(1,)})
+    ne = Relation(2, (maj2,) * 2, {(0, 1), (1, 0)})
+    three = Relation(3, (maj2,) * 3, {(0, 1, 0), (1, 0, 1), (1, 1, 1)})
+    inst = Instance(("x", "y", "z"), (maj2,) * 3, (frozenset({0, 1}),) * 3,
+                    (Constraint(pin, ("y",)), Constraint(ne, ("x", "y")),
+                     Constraint(three, ("x", "y", "z"))))
+    inside = {"x": 0, "y": 1, "z": 0}
+    outside = [{"x": 1, "y": 0, "z": 1}, {"x": 1, "y": 1, "z": 1},
+               {"x": 0, "y": 1, "z": 1}]
+    return inst, inside, outside
+
+
+def test_assignment_satisfies_on_each_arity(maj2):
+    """With a shape and without one: an assignment inside every relation
+    holds, one outside a unary, a binary or a ternary relation does not,
+    and neither does one outside a current domain.  ``itemgetter`` of one
+    key gives the value, not a one-tuple, so unary scopes need their own
+    getter."""
+
+    assert itemgetter("y")({"y": 1}) == 1
+    inst, inside, outside = _arity_instance(maj2)
+    with_shape = Instance(inst.variables, inst.base_algebras,
+                          inst.current_domains, inst.constraints)
+    with_shape.shape()
+    for target in (inst, with_shape):
+        assert target.assignment_satisfies(inside)
+        for assignment in outside:
+            assert not target.assignment_satisfies(assignment)
+    reduced = apply_reduction(with_shape, {"z": {1}})
+    assert not reduced.assignment_satisfies(inside)
+    assert apply_reduction(with_shape, {"x": {0}}).assignment_satisfies(
+        inside)
+
+
+def test_scope_checks_are_built_once_per_shape(maj2, monkeypatch):
+    """The instances ``apply_reduction`` derives share their root's checks,
+    which are built on the first call; a call on an instance with no shape
+    builds them for itself and leaves the instance without a shape."""
+
+    built = []
+    original = instance_module._scope_checks
+
+    def recording(constraints):
+        built.append(constraints)
+        return original(constraints)
+
+    monkeypatch.setattr(instance_module, "_scope_checks", recording)
+    inst, inside, _ = _arity_instance(maj2)
+    assert inst.assignment_satisfies(inside)
+    assert inst.assignment_satisfies(inside)
+    assert "_shape" not in inst.__dict__ and len(built) == 2
+    shape = inst.shape()
+    derived = apply_reduction(inst, {"x": {0}})
+    for target in (inst, derived, inst, derived):
+        assert target.assignment_satisfies(inside)
+    assert len(built) == 3 and derived.shape() is shape
+    assert shape.checks is not None

@@ -26,6 +26,8 @@ from wnucsp.consistency import (
     value_components,
     witness_cover,
 )
+from wnucsp.errors import CspError
+from wnucsp.fileformat import parse_instance
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp import instance as instance_module
 from wnucsp.instance import (
@@ -949,8 +951,8 @@ def test_solve_leaves_the_instance_only_its_own_caches(z4_example):
         assert set(inst.__dict__) <= kept
 
 
-def _desk_instances(monkeypatch):
-    """The instances of the benchmark's seed-0 desk workload."""
+def _load_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded read-only."""
 
     root = Path(__file__).resolve().parent.parent
     path = root / "perfbench" / "workloads.py"
@@ -959,7 +961,13 @@ def _desk_instances(monkeypatch):
     # dataclasses look their module up while the module executes
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    return [item.inst for item in workloads.build("desk", 0)]
+    return workloads
+
+
+def _desk_instances(monkeypatch):
+    """The instances of the benchmark's seed-0 desk workload."""
+
+    return [item.inst for item in _load_workloads(monkeypatch).build("desk", 0)]
 
 
 def test_linear_rows_and_effective_caches_are_transparent(monkeypatch):
@@ -1019,20 +1027,20 @@ def canonical(value):
     dicts sorted and dataclasses spelled out by their compared fields, so
     its repr does not depend on hash seeds or on object identity."""
 
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(map(canonical, value))
     if isinstance(value, (set, frozenset)):
         return ("set",) + tuple(sorted(map(canonical, value), key=repr))
     if isinstance(value, dict):
         return ("dict",) + tuple(sorted(
             ((canonical(k), canonical(v)) for k, v in value.items()),
             key=repr))
-    if isinstance(value, (list, tuple)):
-        return tuple(map(canonical, value))
     if dataclasses.is_dataclass(value):
         return (type(value).__name__,) + tuple(
             (f.name, canonical(getattr(value, f.name)))
             for f in dataclasses.fields(value) if f.compare)
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
     raise TypeError("no canonical form for %r" % type(value))
 
 
@@ -1062,3 +1070,77 @@ GOLDEN_DIGEST = (
 
 def test_solver_outputs_match_the_golden_digest():
     assert solver_outputs_digest() == GOLDEN_DIGEST
+
+
+# --- outputs on the benchmark workloads ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def seed0_workloads():
+    """The items of every seed-0 benchmark workload, and the workloads
+    module that built them."""
+
+    with pytest.MonkeyPatch.context() as mp:
+        workloads = _load_workloads(mp)
+    return workloads, {name: workloads.build(name, 0)
+                       for name in workloads.WORKLOADS}
+
+
+def workload_outputs_digest(workloads, items):
+    """sha256 over the outcome (or the error class), the assignment,
+    ``Solver.reports``, ``Solver.learned`` and every ``TraceEvent`` of two
+    passes over ``items`` in this process, the second on warm caches.
+    Each solve reads its instance as ``perfbench/run.py`` does: a file
+    workload parses the item's text, and the center search reaches the
+    largest domain."""
+
+    digest = hashlib.sha256()
+    for _ in range(2):
+        for item in items:
+            inst = parse_instance(item.text) if item.text is not None \
+                else item.inst
+            events = []
+            solver = Solver(SolverConfig(
+                center_arity_cap=workloads.center_arity_cap(
+                    max(alg.size for alg in inst.base_algebras)),
+                trace_sink=events.append))
+            try:
+                outcome = solver.solve(inst)
+            except CspError as exc:
+                outcome = type(exc).__name__
+            digest.update(repr(canonical(
+                (outcome, solver.reports, solver.learned, events))).encode())
+    return digest.hexdigest()
+
+
+# ``workload_outputs_digest`` of each seed-0 workload at the default
+# witness budget and at ``WITNESS_NODES = 0``, where every round takes the
+# exact Steps 2 and 3.  A change that alters the solver's outputs updates
+# them and says why.
+WORKLOAD_DIGESTS = {
+    ("desk", 0):
+        "166f8d484dcd1e189e31bcb5b4590b7f42df4b2219e4ccff70e738ef0babda4f",
+    ("desk", 2000):
+        "0217723b1ded3587c0c52e6980bf53ee0589d6a2b51de710f77eb4363fa119ea",
+    ("files", 0):
+        "b1280b193ba2f12ccc03fea46b8179dc8b7ad1181d56ca83824622d1b47758b4",
+    ("files", 2000):
+        "c51b610e24e35d4c960eb57df535ee3ba8529932fb4945dc793824cc2bf6722e",
+    ("tail", 0):
+        "65a566a50f611fbf4125206e2b959a5f1246c4a47b6e38efdc6338f1dc5b81c8",
+    ("tail", 2000):
+        "e7561b7175ef156432f3d48dbb2a8ed7be1d5ecb5e1bc87c0ef996ed40c90af5",
+    ("wide", 0):
+        "b4c1b593e41ea62add1b45216996d830c85aea14663535ffeaa582ccc86e85df",
+    ("wide", 2000):
+        "32bfd903453592d857fc67e7bf401d182eb86e290a90d7bf3fca2202b88264c0",
+}
+
+
+@pytest.mark.parametrize("name,budget", sorted(WORKLOAD_DIGESTS))
+def test_workload_outputs_match_their_digests(seed0_workloads, name, budget,
+                                              monkeypatch):
+    workloads, items = seed0_workloads
+    monkeypatch.setattr(consistency_module, "WITNESS_NODES", budget)
+    assert workload_outputs_digest(workloads, items[name]) == \
+        WORKLOAD_DIGESTS[name, budget]
