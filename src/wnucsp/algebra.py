@@ -871,8 +871,9 @@ def _restricted_growth_strings(n, prefix=(), top=-1):
 
 def _kernel_compatible(alg: Algebra, kernel) -> bool:
     """Blockwise compatibility of an equivalence with the WNU, checked one
-    argument position at a time.  For abelian sums an equivalence is
-    compatible exactly when its blocks are the cosets of a subgroup."""
+    argument position at a time.  Group sums never need it: their
+    congruences are the subgroups' coset partitions (``all_congruences``)
+    and ``quotient_algebra`` checks a partition against the addition."""
 
     elems = alg.elements
     m = alg.arity
@@ -881,22 +882,6 @@ def _kernel_compatible(alg: Algebra, kernel) -> bool:
         classes.setdefault(kernel[e], []).append(e)
     multi = [c for c in classes.values() if len(c) > 1]
     if not multi:
-        return True
-    group = abelian_sum_structure(alg)
-    if group is not None:
-        pos = alg.positions
-        base = classes[kernel[elems[group.identity]]]
-        base_pos = {pos[e] for e in base}
-        sizes = {len(c) for c in classes.values()}
-        if sizes != {len(base)}:
-            return False
-        if not all(group.sub(x, y) in base_pos
-                   for x in base_pos for y in base_pos):
-            return False
-        for cls in classes.values():
-            rep = pos[cls[0]]
-            if {group.sub(pos[e], rep) for e in cls} != base_pos:
-                return False
         return True
     for j in range(m):
         for ctx in itertools.product(elems, repeat=m - 1):
@@ -910,12 +895,40 @@ def _kernel_compatible(alg: Algebra, kernel) -> bool:
     return True
 
 
+def _subgroups(group, n):
+    """Every subgroup of the group on positions 0..n-1, as frozensets."""
+
+    add = group.add
+    found = {frozenset([group.identity])}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for sub in frontier:
+            for x in range(n):
+                if x in sub:
+                    continue
+                join = set(sub)
+                join.add(x)
+                while True:
+                    sums = {add[a][b] for a in join for b in join}
+                    if sums <= join:
+                        break
+                    join |= sums
+                join = frozenset(join)
+                if join not in found:
+                    found.add(join)
+                    grown.append(join)
+        frontier = grown
+    return found
+
+
 @lru_cache(maxsize=1024)
 def all_congruences(alg: Algebra):
     """All congruences of the algebra, canonically sorted.
 
-    Enumerates every partition of the carrier (Bell(6) = 203 at the cap) and
-    filters by blockwise compatibility.
+    For a group sum these are the coset partitions of the subgroups.  Any
+    other algebra enumerates every partition of the carrier (Bell(6) = 203
+    at the cap) and filters by blockwise compatibility.
     """
 
     n = alg.size
@@ -924,6 +937,15 @@ def all_congruences(alg: Algebra):
                         % (n, DEFAULT_DOMAIN_CAP))
     elems = alg.elements
     out = []
+    group = abelian_sum_structure(alg)
+    if group is not None:
+        for sub in _subgroups(group, n):
+            cosets = {frozenset(group.add[x][h] for h in sub)
+                      for x in range(n)}
+            out.append(Congruence(tuple(tuple(elems[x] for x in c)
+                                        for c in cosets)))
+        out.sort(key=lambda c: c.sort_key(elems))
+        return tuple(out)
     for rgs in _restricted_growth_strings(n):
         kernel = {elems[i]: rgs[i] for i in range(n)}
         if _kernel_compatible(alg, kernel):
@@ -959,6 +981,19 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     Returns (quotient, element -> block index map).  The induced table is
     verified independent of block representatives.  The map is shared by all
     callers and must not be mutated.
+
+    When the WNU is a group sum (``abelian_sum_structure``), a partition
+    is a congruence exactly when it is compatible with the group's
+    addition, x + y being w(x, y, e, ..., e) for the identity e; its blocks
+    are then the cosets of a subgroup, and the quotient's WNU is the m-fold
+    sum of the quotient group (an affine algebra is polynomially equivalent
+    to a module, so its congruences are the cosets of subgroups).  The
+    quotient group's k x k addition table is read from one representative
+    per block and checked against every pair of elements, n^2 sums; the
+    k^m table is then folded from it as ``abelian_sum_structure`` folds,
+    and the n^m table is never read.  Any other WNU is checked blockwise
+    (``_kernel_compatible``), and its table is scattered into the k^m one
+    and gathered back, which finds representatives that disagree.
     """
 
     if set(cong.carrier) != alg.carrier:
@@ -970,24 +1005,38 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
         # every operation is compatible with the one-block partition
         return (Algebra((0,), OperationTable(alg.arity, 1, (0,))),
                 dict(cong.kernel()))
-    if not _kernel_compatible(alg, cong.kernel()):
-        raise InvariantError("partition is not compatible with the operation")
     k = len(cong.blocks)
     m = alg.arity
     kernel = cong.kernel()
-    # per table position: the block of its value, and the index of its
-    # argument blocks' combination (first argument most significant)
     block = np.array([kernel[e] for e in alg.elements], dtype=np.int64)
-    value_block = block[alg.wnu.array]
-    combo = block
-    for _ in range(m - 1):
-        combo = (combo[:, None] * k + block[None, :]).ravel()
-    # every combination occurs; storing any one of its value blocks and
-    # reading it back everywhere finds representatives that disagree
-    entries = np.empty(k ** m, dtype=np.int64)
-    entries[combo] = value_block
-    if not np.array_equal(entries[combo], value_block):
-        raise InvariantError("quotient table depends on representatives")
+    group = abelian_sum_structure(alg)
+    if group is not None:
+        add = np.array(group.add, dtype=np.int64)
+        pos = alg.positions
+        reps = [pos[b[0]] for b in cong.blocks]
+        block_add = block[add[np.ix_(reps, reps)]]
+        if not np.array_equal(block[add], block_add[np.ix_(block, block)]):
+            raise InvariantError(
+                "partition is not compatible with the operation")
+        entries = np.arange(k, dtype=np.int64)
+        for _ in range(m - 1):
+            entries = block_add[entries[:, None], np.arange(k)].ravel()
+    else:
+        if not _kernel_compatible(alg, kernel):
+            raise InvariantError(
+                "partition is not compatible with the operation")
+        # per table position: the block of its value, and the index of its
+        # argument blocks' combination (first argument most significant)
+        value_block = block[alg.wnu.array]
+        combo = block
+        for _ in range(m - 1):
+            combo = (combo[:, None] * k + block[None, :]).ravel()
+        # every combination occurs; storing any one of its value blocks and
+        # reading it back everywhere finds representatives that disagree
+        entries = np.empty(k ** m, dtype=np.int64)
+        entries[combo] = value_block
+        if not np.array_equal(entries[combo], value_block):
+            raise InvariantError("quotient table depends on representatives")
     quotient = Algebra(tuple(range(k)), _derived_table(m, k, entries))
     return quotient, dict(kernel)
 
@@ -1156,17 +1205,27 @@ def prime_factors(n):
 @dataclass(frozen=True)
 class LinearIso:
     """Bijection of a carrier onto a product of prime cyclic groups under
-    which the WNU is the componentwise sum of its arguments."""
+    which the WNU is the componentwise sum of its arguments.
+
+    ``to_group`` and ``from_group`` are dict lookups; the two dicts are
+    built once, when the iso is made, and equality, hash and pickles see
+    ``primes`` and ``forward`` alone."""
 
     primes: tuple
     forward: tuple  # pairs (element, group tuple)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_to", dict(self.forward))
+        object.__setattr__(self, "_from", {v: e for e, v in self.forward})
+
+    def __reduce__(self):
+        return LinearIso, (self.primes, self.forward)
+
     def to_group(self, element):
-        return dict(self.forward)[element]
+        return self._to[element]
 
     def from_group(self, vector):
-        inv = {v: e for e, v in self.forward}
-        return inv[tuple(vector)]
+        return self._from[tuple(vector)]
 
 
 def verify_linear_iso(alg: Algebra, iso: LinearIso) -> bool:

@@ -132,8 +132,11 @@ def _domain_mask(alg, dom):
 @lru_cache(maxsize=65536)
 def _encoded(rel, bases):
     """The relation's tuples as positions in ``bases``, the scope's base
-    algebras."""
+    algebras.  When every base carrier is its own positions 0..n-1, as for
+    every parsed or generated root, these are the tuples themselves."""
 
+    if all(alg.elements == tuple(range(alg.size)) for alg in bases):
+        return tuple(rel.tuples)
     pos = [alg.positions for alg in bases]
     return tuple(tuple(p[e] for p, e in zip(pos, t)) for t in rel.tuples)
 

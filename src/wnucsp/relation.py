@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
+from operator import contains, itemgetter
 
 from .algebra import (
     closed_sets_above,
@@ -142,13 +142,13 @@ def factorize(rel: Relation, congs) -> Relation:
 
 def restrict_relation(rel: Relation, coords, domains) -> Relation:
     """Relation induced on restricted coordinate algebras ``coords``, the
-    subalgebras on ``domains``; tuples filtered."""
+    subalgebras on ``domains``; the tuples whose every entry lies in its
+    coordinate's domain.  One comprehension tests each tuple with
+    ``map(contains, ...)``, with no generator per tuple."""
 
     domains = [frozenset(d) for d in domains]
-    tuples = frozenset(
-        t for t in rel.tuples
-        if all(t[c] in domains[c] for c in range(rel.arity))
-    )
+    tuples = frozenset([t for t in rel.tuples
+                        if all(map(contains, domains, t))])
     return _derived(tuple(coords), tuples)
 
 

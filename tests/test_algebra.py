@@ -14,6 +14,7 @@ from wnucsp import algebra as algebra_module
 from wnucsp.algebra import (
     Algebra,
     Congruence,
+    LinearIso,
     OperationTable,
     abelian_sum_structure,
     _coset_closure,
@@ -754,6 +755,145 @@ def test_quotient_by_full_equals_the_general_path(monkeypatch, dd3, z4):
         assert quotient is general
         assert kmap == general_map == full.kernel()
         assert quotient.wnu.entries == naive_quotient_entries(alg, full)
+
+
+def group_sum_algebras(z2min, z4):
+    """Group sums of every modulus the solver meets, a Z4 carrier that is
+    not ascending, and the coset subalgebra {1, 3} of Z4."""
+
+    return (z2min, make_algebra(range(3), sum_table(3, 4)), z4,
+            make_algebra(range(6), sum_table(6, 7)),
+            Algebra((2, 0, 3, 1), z4.wnu),
+            restrict_algebra(z4, frozenset({1, 3})))
+
+
+def test_group_sum_quotient_equals_the_general_path(monkeypatch, z2min, z4):
+    """The group-sum quotient against the per-tuple reference and the
+    scatter/gather table, which runs when ``abelian_sum_structure`` reads
+    None (blockwise compatibility is then taken as given: every partition
+    here is a congruence)."""
+
+    cases = [(alg, cong) for alg in group_sum_algebras(z2min, z4)
+             for cong in all_congruences(alg)]
+    assert all(is_affine(alg) for alg, _ in cases)
+    fast = [quotient_algebra.__wrapped__(alg, cong) for alg, cong in cases]
+    monkeypatch.setattr(algebra_module, "abelian_sum_structure",
+                        lambda alg: None)
+    monkeypatch.setattr(algebra_module, "_kernel_compatible",
+                        lambda alg, kernel: True)
+    for (alg, cong), (quotient, kmap) in zip(cases, fast):
+        general, general_map = quotient_algebra.__wrapped__(alg, cong)
+        assert quotient is general
+        assert kmap == general_map == cong.kernel()
+        assert quotient.wnu.entries == naive_quotient_entries(alg, cong)
+
+
+def test_group_sum_quotient_checks_every_pair(monkeypatch, z4):
+    """{0, 1} | {2, 3} is no coset partition of Z4: 1 + 1 = 2 but 0 + 1 = 1.
+    The pair check of the group-sum path rejects it, with the blockwise
+    compatibility test made to accept every partition."""
+
+    cong = Congruence(((0, 1), (2, 3)))
+    assert naive_quotient_entries(z4, cong) is None
+    monkeypatch.setattr("wnucsp.algebra._kernel_compatible",
+                        lambda alg, kernel: True)
+    with pytest.raises(InvariantError, match="not compatible"):
+        quotient_algebra.__wrapped__(z4, cong)
+
+
+def test_group_sum_quotient_reads_no_full_table(monkeypatch):
+    """The Z6 quotients by mod 2 and mod 3 never read the 6^7-entry table
+    (its one fold in ``abelian_sum_structure`` is cached beforehand)."""
+
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    assert abelian_sum_structure(z6) is not None
+    congs = (Congruence(((0, 2, 4), (1, 3, 5))),
+             Congruence(((0, 3), (1, 4), (2, 5))))
+    want = [sum_table(len(c.blocks), 7) for c in congs]
+    array = OperationTable.array
+
+    def guarded(table):
+        if table.domain_size ** table.arity > 6 ** 6:
+            raise AssertionError("read a %d^%d-entry table"
+                                 % (table.domain_size, table.arity))
+        return array.fget(table)
+
+    monkeypatch.setattr(OperationTable, "array", property(guarded))
+    with pytest.raises(AssertionError):
+        z6.wnu.array
+    for cong, table in zip(congs, want):
+        quotient, _ = quotient_algebra.__wrapped__(z6, cong)
+        assert quotient.wnu == table
+
+
+def test_linear_iso_maps_are_inverse_bijections(z2min, z4):
+    algebras = group_sum_algebras(z2min, z4)
+    isos = [linear_structure(alg) for alg in algebras]
+    # Z4 has an element of order 4, so neither Z4 carrier is linear
+    assert [iso is None for iso in isos] == [False, False, True, False,
+                                             True, False]
+    for alg, iso in zip(algebras, isos):
+        if iso is None:
+            continue
+        vectors = [iso.to_group(e) for e in alg.elements]
+        assert sorted(vectors) == sorted(
+            itertools.product(*(range(p) for p in iso.primes)))
+        assert [iso.from_group(list(v)) for v in vectors] == list(alg.elements)
+        if alg.size < 6:  # Z6 has 6^7 argument tuples
+            assert verify_linear_iso(alg, iso)
+
+
+def test_linear_iso_maps_stay_out_of_equality_and_pickles(z2min, z4):
+    import pickle
+
+    for alg in group_sum_algebras(z2min, z4):
+        iso = linear_structure(alg)
+        if iso is None:
+            continue
+        twin = LinearIso(iso.primes, iso.forward)
+        assert twin == iso and hash(twin) == hash((iso.primes, iso.forward))
+        assert twin != LinearIso(iso.primes, iso.forward[1:] + iso.forward[:1])
+        assert repr(twin) == "LinearIso(primes=%r, forward=%r)" % (
+            iso.primes, iso.forward)
+        assert iso.__reduce__() == (LinearIso, (iso.primes, iso.forward))
+        back = pickle.loads(pickle.dumps(iso))
+        assert back == iso and hash(back) == hash(iso)
+        assert [back.to_group(e) for e in alg.elements] == [
+            iso.to_group(e) for e in alg.elements]
+
+
+def bell_congruences(alg):
+    """Every partition of the carrier kept when blockwise compatible, in
+    the canonical order of ``all_congruences``."""
+
+    elems = alg.elements
+    out = []
+    for rgs in _restricted_growth_strings(alg.size):
+        kernel = dict(zip(elems, rgs))
+        if all(len({kernel[alg.op(ctx[:j] + (e,) + ctx[j:])] for e in cls}) == 1
+               for cls in ([e for e in elems if kernel[e] == b]
+                           for b in set(rgs))
+               for j in range(alg.arity)
+               for ctx in itertools.product(elems, repeat=alg.arity - 1)):
+            blocks = {}
+            for e in elems:
+                blocks.setdefault(kernel[e], []).append(e)
+            out.append(Congruence(tuple(map(tuple, blocks.values()))))
+    return sorted(out, key=lambda c: c.sort_key(elems))
+
+
+def test_group_sum_congruences_are_the_subgroup_cosets(z2min, z4):
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    for alg in group_sum_algebras(z2min, z4):
+        if alg.size < 6:
+            assert list(all_congruences.__wrapped__(alg)) == bell_congruences(alg)
+    # Z6: the cosets of its four subgroups Z6, <2>, <3> and 0
+    assert all_congruences.__wrapped__(z6) == (
+        Congruence(((0, 1, 2, 3, 4, 5),)),
+        Congruence(((0, 2, 4), (1, 3, 5))),
+        Congruence(((0, 3), (1, 4), (2, 5))),
+        Congruence(((0,), (1,), (2,), (3,), (4,), (5,))),
+    )
 
 
 def naive_restrict_entries(alg, subset):

@@ -20,7 +20,8 @@ from wnucsp.fileformat import (
     parse_instance_text,
     serialize_instance,
 )
-from wnucsp.harness import GenParams, random_instance
+from wnucsp.harness import GenParams, brute_force, random_instance
+from wnucsp.instance import apply_reduction
 from wnucsp.algebra import (
     OperationTable,
     conjunction_table,
@@ -271,6 +272,31 @@ def test_roundtrip_serialization():
         )
         assert parse_instance(serialize_instance(again)).canonical_key() \
             == again.canonical_key()
+
+
+def test_roundtrip_serialization_of_reduced_domains():
+    """Reduced domains are written as unary constraints, so the parsed
+    file, on full domains, has the solutions of the reduced instance.  Each
+    instance keeps a solution: x0 is pinned to its first solution's value
+    and x2 cut to that value's coset of {0, 2}."""
+
+    for seed in range(3):
+        for wnu in (minority_table(), sum_table(4, 5)):
+            n = wnu.domain_size
+            inst, _ = random_instance(GenParams(n, wnu.arity, 4, 4, 3, seed,
+                                                satisfiable_bias=True,
+                                                wnu=wnu))
+            first = brute_force(inst)
+            reduction = {"x0": {first["x0"]},
+                         "x2": {v for v in range(n) if v % 2 == first["x2"] % 2}}
+            reduced = apply_reduction(inst, reduction)
+            again = parse_instance(serialize_instance(reduced))
+            assert len(again.constraints) == len(inst.constraints) + 2
+            assert all(d == alg.carrier for d, alg in
+                       zip(again.current_domains, again.base_algebras))
+            solutions = brute_force(reduced, "all")
+            assert first in solutions
+            assert brute_force(again, "all") == solutions
 
 
 # --- commands -----------------------------------------------------------------

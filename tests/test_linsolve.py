@@ -6,6 +6,7 @@ from wnucsp.errors import AffineStructureViolation, FormatError
 from wnucsp.linsolve import (
     AffineParam,
     Equation,
+    LearnOutcome,
     LinearSystem,
     basis_points,
     learn_hyperplane,
@@ -161,6 +162,15 @@ def test_learn_full():
 def test_learn_empty():
     out = learn_hyperplane(lambda v: False, 3, 2)
     assert out.kind == "empty"
+
+
+def test_learn_in_zero_dimensions():
+    # Z_p^0 has one point, the empty vector: the set is full or empty
+    for accepted, kind in ((True, "full"), (False, "empty")):
+        asked = []
+        out = learn_hyperplane(lambda v: asked.append(v) or accepted, 3, 0)
+        assert out == LearnOutcome(kind, queries=1)
+        assert asked == [()]
 
 
 def test_learn_z3_equation():
