@@ -3,8 +3,9 @@
 # variables in Step 2 or shrink a domain in Step 3, difftests at 9-10
 # variables where Step 1 does most of the work, gen, solve, a traced solve
 # whose JSON event count matches its printed events, a traced Step 2
-# reduction, a traced depth-0 Step 3 reduction, classify to each kind of
-# report line, WNU search and an option check.
+# reduction, a traced Step 13 that finds no equation, a traced depth-0
+# Step 3 reduction, classify to each kind of report line, WNU search and
+# an option check.
 #
 # The arguments are the command that runs wnucsp, for example
 #
@@ -47,6 +48,24 @@ code=0; wnucsp oracle gen.csp --max-nodes 5 || code=$?; test "$code" -eq 3
 python3 -c 'import itertools as it; p = lambda n, r: [" ".join(map(str, t)) for t in it.product(range(4), repeat=n) if sum(t) % 2 == r]; print("\n".join(["DOMAIN D 4", "WNU D 5 SUM", "VAR x D", "VAR y D", "VAR z D", "REL P 2 D D", *p(2, 0), "END", "REL O 3 D D D", *p(3, 1), "END", "CON P x y", "CON P y z", "CON O x y z"]))' > step2.csp
 wnucsp solve step2.csp --trace 2> step2.err
 grep -qxF "[trace] step 2 (depth 0, t3 0): reduce x to [1, 3]" step2.err
+python3 - > step13.csp <<'PY'
+import itertools as it
+eqs = [("x3 x0 x5", (1, 3, 1), 0), ("x4 x0 x6", (1, 1, 3), 3),
+       ("x4 x1 x5", (3, 3, 2), 2), ("x6 x3 x2", (2, 1, 2), 3),
+       ("x7 x3", (2, 2), 0), ("x2 x0 x7", (3, 2, 1), 1),
+       ("x3 x5", (3, 3), 3), ("x4 x6 x5", (3, 3, 1), 2)]
+print("DOMAIN D 4", "WNU D 5 SUM", sep="\n")
+print(*("VAR x%d D" % i for i in range(8)), sep="\n")
+for i, (_, c, r) in enumerate(eqs):
+    print("REL E%d %d" % (i, len(c)), *["D"] * len(c))
+    for t in it.product(range(4), repeat=len(c)):
+        if sum(a * b for a, b in zip(c, t)) % 4 == r:
+            print(*t)
+    print("END")
+print(*("CON E%d %s" % (i, s) for i, (s, _, _) in enumerate(eqs)), sep="\n")
+PY
+code=0; wnucsp solve step13.csp --trace 2> step13.err || code=$?; test "$code" -eq 1
+grep -qxF "[trace] step 13 (depth 0, t3 0): no equation exists" step13.err
 wnucsp gen --seed 630 --domain-size 4 --wnu-arity 5 --wnu sum --vars 6 --constraints 6 --sat-bias --out step3.csp
 wnucsp solve step3.csp --trace 2> step3.err
 grep -qxF "[trace] step 3 (depth 0, t3 0): reduce x4 to [1, 3]" step3.err

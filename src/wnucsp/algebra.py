@@ -105,6 +105,27 @@ def _derived_table(arity, domain_size, array) -> OperationTable:
     return table
 
 
+def _tuple_index(digits, base, m):
+    """Per m-tuple of positions into ``digits``, in table order (first
+    argument most significant): the mixed-radix number of its digits in
+    ``base``."""
+
+    index = digits
+    for _ in range(m - 1):
+        index = (index[:, None] * base + digits[None, :]).ravel()
+    return index
+
+
+def _fold(add, m):
+    """The m-fold sum x1 + ... + xm of a k x k addition array, as the
+    k^m table array."""
+
+    fold = np.arange(len(add))
+    for _ in range(m - 1):
+        fold = add[fold].ravel()
+    return fold
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Algebra:
     """An ordered carrier of element ids plus a WNU table over positions.
@@ -433,13 +454,9 @@ def abelian_sum_structure(alg: Algebra):
         if inverse[x] is None:
             return None
 
-    # the group fold of every argument tuple, in table order (first
-    # argument most significant), checked against the table in one pass
-    add = np.array(b, dtype=np.int64)
-    fold = np.arange(n, dtype=np.int64)
-    for _ in range(m - 1):
-        fold = add[fold[:, None], np.arange(n)[None, :]].ravel()
-    if not np.array_equal(fold, table.array):
+    # the group fold of every argument tuple, checked against the table
+    if not np.array_equal(_fold(np.array(b, dtype=np.int64), m),
+                          table.array):
         return None
     return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse))
 
@@ -537,10 +554,7 @@ def _product_table(coords):
     for alg in coords:
         stride //= alg.size
         digit = codes // stride % alg.size
-        index = digit
-        for _ in range(m - 1):
-            index = (index[:, None] * alg.size + digit[None, :]).ravel()
-        table += alg.wnu.array[index] * stride
+        table += alg.wnu.array[_tuple_index(digit, alg.size, m)] * stride
     decode = list(itertools.product(*(alg.elements for alg in coords)))
     encode = {t: i for i, t in enumerate(decode)}
     weights = [n ** (m - 1 - j) for j in range(m)]
@@ -789,9 +803,7 @@ def restrict_algebra(alg: Algebra, subset: frozenset) -> Algebra:
     m = alg.arity
     # table positions of the argument tuples over the subset, in table order
     pos = np.array([alg.positions[e] for e in elems], dtype=np.int64)
-    index = pos
-    for _ in range(m - 1):
-        index = (index[:, None] * alg.size + pos[None, :]).ravel()
+    index = _tuple_index(pos, alg.size, m)
     # the subuniverse check keeps every value inside the subset
     renumber = np.zeros(alg.size, dtype=np.int64)
     renumber[pos] = np.arange(len(elems))
@@ -869,36 +881,27 @@ def _restricted_growth_strings(n, prefix=(), top=-1):
         yield from _restricted_growth_strings(n, prefix + (v,), max(top, v))
 
 
-def _kernel_compatible(alg: Algebra, kernel) -> bool:
-    """Blockwise compatibility of an equivalence with the WNU, checked one
-    argument position at a time.  Group sums never need it: their
-    congruences are the subgroups' coset partitions (``all_congruences``)
-    and ``quotient_algebra`` checks a partition against the addition."""
+def _induced_table(array, block, k, arity):
+    """The k^arity table that the partition ``block`` (the block of each
+    position; k blocks, none empty) induces from a table array over
+    positions, or None when it is no congruence of that operation.  Per
+    table position, the block of its value is stored at the index of its
+    argument blocks and read back: every combination of blocks occurs, and
+    a value read back differs from the one stored exactly where two
+    representatives of one combination disagree."""
 
-    elems = alg.elements
-    m = alg.arity
-    classes = {}
-    for e in elems:
-        classes.setdefault(kernel[e], []).append(e)
-    multi = [c for c in classes.values() if len(c) > 1]
-    if not multi:
-        return True
-    for j in range(m):
-        for ctx in itertools.product(elems, repeat=m - 1):
-            for cls in multi:
-                seen = set()
-                for e in cls:
-                    args = ctx[:j] + (e,) + ctx[j:]
-                    seen.add(kernel[alg.op(args)])
-                    if len(seen) > 1:
-                        return False
-    return True
+    combo = _tuple_index(block, k, arity)
+    value_block = block[array]
+    entries = np.empty(k ** arity, dtype=np.int64)
+    entries[combo] = value_block
+    if not np.array_equal(entries[combo], value_block):
+        return None
+    return entries
 
 
 def _subgroups(group, n):
     """Every subgroup of the group on positions 0..n-1, as frozensets."""
 
-    add = group.add
     found = {frozenset([group.identity])}
     frontier = list(found)
     while frontier:
@@ -907,14 +910,9 @@ def _subgroups(group, n):
             for x in range(n):
                 if x in sub:
                     continue
-                join = set(sub)
-                join.add(x)
-                while True:
-                    sums = {add[a][b] for a in join for b in join}
-                    if sums <= join:
-                        break
-                    join |= sums
-                join = frozenset(join)
+                # the coset through the identity is the subgroup it spans
+                _, join = _coset_closure((group,), [(h,) for h in (*sub, x)])
+                join = frozenset(h for (h,) in join)
                 if join not in found:
                     found.add(join)
                     grown.append(join)
@@ -928,7 +926,7 @@ def all_congruences(alg: Algebra):
 
     For a group sum these are the coset partitions of the subgroups.  Any
     other algebra enumerates every partition of the carrier (Bell(6) = 203
-    at the cap) and filters by blockwise compatibility.
+    at the cap) and keeps those that induce a table (``_induced_table``).
     """
 
     n = alg.size
@@ -947,11 +945,11 @@ def all_congruences(alg: Algebra):
         out.sort(key=lambda c: c.sort_key(elems))
         return tuple(out)
     for rgs in _restricted_growth_strings(n):
-        kernel = {elems[i]: rgs[i] for i in range(n)}
-        if _kernel_compatible(alg, kernel):
+        if _induced_table(alg.wnu.array, np.array(rgs), max(rgs) + 1,
+                          alg.arity) is not None:
             blocks = {}
-            for e in elems:
-                blocks.setdefault(kernel[e], []).append(e)
+            for e, b in zip(elems, rgs):
+                blocks.setdefault(b, []).append(e)
             out.append(Congruence(tuple(map(tuple, blocks.values()))))
     out.sort(key=lambda c: c.sort_key(elems))
     return tuple(out)
@@ -978,22 +976,18 @@ def maximal_congruences(alg: Algebra, nontrivial=False):
 def quotient_algebra(alg: Algebra, cong: Congruence):
     """Quotient by a congruence: carrier = block indices, induced table.
 
-    Returns (quotient, element -> block index map).  The induced table is
-    verified independent of block representatives.  The map is shared by all
-    callers and must not be mutated.
+    Returns (quotient, element -> block index map).  The map is shared by
+    all callers and must not be mutated.  The table comes from
+    ``_induced_table``, so a partition whose quotient would depend on
+    block representatives raises ``InvariantError``.
 
-    When the WNU is a group sum (``abelian_sum_structure``), a partition
-    is a congruence exactly when it is compatible with the group's
-    addition, x + y being w(x, y, e, ..., e) for the identity e; its blocks
-    are then the cosets of a subgroup, and the quotient's WNU is the m-fold
-    sum of the quotient group (an affine algebra is polynomially equivalent
-    to a module, so its congruences are the cosets of subgroups).  The
-    quotient group's k x k addition table is read from one representative
-    per block and checked against every pair of elements, n^2 sums; the
-    k^m table is then folded from it as ``abelian_sum_structure`` folds,
-    and the n^m table is never read.  Any other WNU is checked blockwise
-    (``_kernel_compatible``), and its table is scattered into the k^m one
-    and gathered back, which finds representatives that disagree.
+    When the WNU is a group sum (``abelian_sum_structure``), the test runs
+    on the group's addition, x + y being w(x, y, e, ..., e) for the
+    identity e: a partition compatible with it is the coset partition of a
+    subgroup (an affine algebra is polynomially equivalent to a module, so
+    its congruences are the cosets of subgroups), and the quotient's WNU
+    is the m-fold sum of the quotient group, folded from the k x k table;
+    the n^m table is never read.  Any other WNU is tested on its own table.
     """
 
     if set(cong.carrier) != alg.carrier:
@@ -1001,42 +995,18 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     if cong.is_equality and list(alg.elements) == sorted(alg.elements):
         # block i is the i-th element, so the induced table is the table
         return Algebra(tuple(range(alg.size)), alg.wnu), dict(cong.kernel())
-    if cong.is_full:
-        # every operation is compatible with the one-block partition
-        return (Algebra((0,), OperationTable(alg.arity, 1, (0,))),
-                dict(cong.kernel()))
     k = len(cong.blocks)
     m = alg.arity
     kernel = cong.kernel()
     block = np.array([kernel[e] for e in alg.elements], dtype=np.int64)
     group = abelian_sum_structure(alg)
-    if group is not None:
-        add = np.array(group.add, dtype=np.int64)
-        pos = alg.positions
-        reps = [pos[b[0]] for b in cong.blocks]
-        block_add = block[add[np.ix_(reps, reps)]]
-        if not np.array_equal(block[add], block_add[np.ix_(block, block)]):
-            raise InvariantError(
-                "partition is not compatible with the operation")
-        entries = np.arange(k, dtype=np.int64)
-        for _ in range(m - 1):
-            entries = block_add[entries[:, None], np.arange(k)].ravel()
+    if group is None:
+        entries = _induced_table(alg.wnu.array, block, k, m)
     else:
-        if not _kernel_compatible(alg, kernel):
-            raise InvariantError(
-                "partition is not compatible with the operation")
-        # per table position: the block of its value, and the index of its
-        # argument blocks' combination (first argument most significant)
-        value_block = block[alg.wnu.array]
-        combo = block
-        for _ in range(m - 1):
-            combo = (combo[:, None] * k + block[None, :]).ravel()
-        # every combination occurs; storing any one of its value blocks and
-        # reading it back everywhere finds representatives that disagree
-        entries = np.empty(k ** m, dtype=np.int64)
-        entries[combo] = value_block
-        if not np.array_equal(entries[combo], value_block):
-            raise InvariantError("quotient table depends on representatives")
+        add = _induced_table(np.ravel(group.add), block, k, 2)
+        entries = None if add is None else _fold(add.reshape(k, k), m)
+    if entries is None:
+        raise InvariantError("partition is not compatible with the operation")
     quotient = Algebra(tuple(range(k)), _derived_table(m, k, entries))
     return quotient, dict(kernel)
 
@@ -1352,11 +1322,8 @@ def binary_terms(alg: Algebra) -> BinaryTerms:
 def sum_table(n, m) -> OperationTable:
     """x1 + ... + xm mod n."""
 
-    entries = np.zeros(1, dtype=np.int64)
-    for _ in range(m):
-        entries = (entries[:, None] + np.arange(n)).ravel()
-        entries %= n
-    return _derived_table(m, n, entries)
+    add = np.add.outer(np.arange(n), np.arange(n)) % n
+    return _derived_table(m, n, _fold(add, m))
 
 
 def minority_table() -> OperationTable:

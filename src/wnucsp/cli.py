@@ -25,11 +25,9 @@ from .classify import classify_domain
 from .errors import (
     ArgumentError,
     ClassificationError,
-    ConfigError,
     CspError,
     FormatError,
     InternalError,
-    WnuInvalid,
 )
 from .fileformat import build_instance, parse_instance_text, serialize_instance
 from .harness import GenParams, brute_force, differential_test, random_instance
@@ -383,9 +381,6 @@ def execute_command(argv):
         return EXIT_USAGE if exc.code else EXIT_SAT
     try:
         return args.fn(args)
-    except (WnuInvalid, FormatError, ArgumentError, ConfigError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except (InternalError, ClassificationError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL

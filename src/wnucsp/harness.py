@@ -25,7 +25,9 @@ def brute_force(inst: Instance, mode="decision"):
     """Exhaustive assignment enumeration in lexicographic order.
 
     ``decision`` returns the first satisfying assignment or None; ``all``
-    returns every satisfying assignment as a list.
+    returns every satisfying assignment as a list.  Every value tried lies
+    in its current domain, so each constraint's own relation decides it:
+    no effective relation of the solver's is read.
     """
 
     if mode not in ("decision", "all"):
@@ -34,12 +36,12 @@ def brute_force(inst: Instance, mode="decision"):
     if space > BRUTE_FORCE_CAP:
         raise SizeError("assignment space %d above cap" % space)
     domains = [sorted(d) for d in inst.current_domains]
-    effs = [(c.scope, inst.effective(c).tuples) for c in inst.constraints]
+    rels = [(c.scope, c.relation.tuples) for c in inst.constraints]
     out = []
     for values in itertools.product(*domains):
         assignment = dict(zip(inst.variables, values))
         if all(tuple(assignment[v] for v in scope) in tuples
-               for scope, tuples in effs):
+               for scope, tuples in rels):
             if mode == "decision":
                 return assignment
             out.append(assignment)

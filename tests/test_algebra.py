@@ -287,6 +287,19 @@ def test_wnu_image_matches_coordinatewise_definition(z4, dd3, maj2, z2min,
 # --- congruences --------------------------------------------------------------
 
 
+def set_partitions(items):
+    """Every partition of the list ``items``, as lists of blocks."""
+
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
 def direct_congruences(alg):
     """Oracle: filter every partition by the raw preservation definition."""
 
@@ -294,18 +307,8 @@ def direct_congruences(alg):
     n = len(elems)
     m = alg.arity
 
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[first] + part[i]] + part[i + 1:]
-            yield [[first]] + part
-
     out = []
-    for blocks in partitions(list(elems)):
+    for blocks in set_partitions(list(elems)):
         kernel = {e: i for i, b in enumerate(blocks) for e in b}
         pairs = [(a, b) for a in elems for b in elems if kernel[a] == kernel[b]]
         ok = True
@@ -378,10 +381,16 @@ def test_quotient_by_equality_is_copy(z4):
         assert quotient.op(args) == z4.op(args)
 
 
-def test_quotient_by_full_is_trivial(z4):
-    full = Congruence(((0, 1, 2, 3),))
-    quotient, _ = quotient_algebra(z4, full)
-    assert quotient.size == 1
+def test_quotient_by_full_is_trivial(dd3, z4):
+    """The one-block quotient is the one-element algebra, from the group
+    sums' addition and from the table of any other WNU alike."""
+
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    for alg in (z4, dd3, z6, Algebra((2, 0, 1), dd3.wnu)):
+        full = Congruence((alg.elements,))
+        quotient, kmap = quotient_algebra(alg, full)
+        assert quotient is Algebra((0,), OperationTable(alg.arity, 1, (0,)))
+        assert kmap == full.kernel()
 
 
 def test_quotient_rejects_incompatible_partition(z4):
@@ -728,33 +737,29 @@ def test_quotient_by_equality_equals_the_general_path(monkeypatch, z2min,
     assert fast[6][0] is Algebra(tuple(range(6)), z6.wnu)
 
 
-def test_quotient_rejects_representative_dependence(monkeypatch, dd3):
-    # {0, 1} | {2} is no congruence of the dual discriminator; with the
-    # blockwise compatibility test bypassed the table check must catch it
+def test_quotient_rejects_representative_dependence(dd3):
+    # {0, 1} | {2} is no congruence of the dual discriminator: the table
+    # it would induce depends on the block representatives
     cong = Congruence(((0, 1), (2,)))
     assert naive_quotient_entries(dd3, cong) is None
-    with pytest.raises(InvariantError):
-        quotient_algebra(dd3, cong)
-    monkeypatch.setattr("wnucsp.algebra._kernel_compatible",
-                        lambda alg, kernel: True)
-    with pytest.raises(InvariantError, match="representatives"):
+    with pytest.raises(InvariantError, match="not compatible"):
         quotient_algebra(dd3, cong)
 
 
-def test_quotient_by_full_equals_the_general_path(monkeypatch, dd3, z4):
-    """The one-block shortcut against the general table construction, which
-    runs when ``is_full`` reads False."""
+def test_congruences_are_the_partitions_with_a_quotient(maj2, and3, dd3):
+    """``all_congruences`` of each algebra that is no group sum, in order,
+    against every set partition whose per-tuple quotient is defined."""
 
-    z6 = make_algebra(range(6), sum_table(6, 7))
-    algebras = (z4, dd3, z6, Algebra((2, 0, 1), dd3.wnu))
-    fulls = [Congruence((alg.elements,)) for alg in algebras]
-    fast = [quotient_algebra(alg, full) for alg, full in zip(algebras, fulls)]
-    monkeypatch.setattr(Congruence, "is_full", property(lambda self: False))
-    for alg, full, (quotient, kmap) in zip(algebras, fulls, fast):
-        general, general_map = quotient_algebra.__wrapped__(alg, full)
-        assert quotient is general
-        assert kmap == general_map == full.kernel()
-        assert quotient.wnu.entries == naive_quotient_entries(alg, full)
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    searched4 = make_algebra(range(4), search_special_wnu(4, [], 3).table)
+    for alg in (maj2, and3, dd3, dd4, searched3(), searched4,
+                Algebra((2, 0, 1), dd3.wnu)):
+        assert abelian_sum_structure(alg) is None
+        want = [Congruence(tuple(map(tuple, blocks)))
+                for blocks in set_partitions(list(alg.elements))]
+        want = [c for c in want if naive_quotient_entries(alg, c) is not None]
+        want.sort(key=lambda c: c.sort_key(alg.elements))
+        assert all_congruences(alg) == tuple(want)
 
 
 def group_sum_algebras(z2min, z4):
@@ -769,9 +774,8 @@ def group_sum_algebras(z2min, z4):
 
 def test_group_sum_quotient_equals_the_general_path(monkeypatch, z2min, z4):
     """The group-sum quotient against the per-tuple reference and the
-    scatter/gather table, which runs when ``abelian_sum_structure`` reads
-    None (blockwise compatibility is then taken as given: every partition
-    here is a congruence)."""
+    quotient induced from the full table, which runs when
+    ``abelian_sum_structure`` reads None."""
 
     cases = [(alg, cong) for alg in group_sum_algebras(z2min, z4)
              for cong in all_congruences(alg)]
@@ -779,8 +783,6 @@ def test_group_sum_quotient_equals_the_general_path(monkeypatch, z2min, z4):
     fast = [quotient_algebra.__wrapped__(alg, cong) for alg, cong in cases]
     monkeypatch.setattr(algebra_module, "abelian_sum_structure",
                         lambda alg: None)
-    monkeypatch.setattr(algebra_module, "_kernel_compatible",
-                        lambda alg, kernel: True)
     for (alg, cong), (quotient, kmap) in zip(cases, fast):
         general, general_map = quotient_algebra.__wrapped__(alg, cong)
         assert quotient is general
@@ -788,15 +790,12 @@ def test_group_sum_quotient_equals_the_general_path(monkeypatch, z2min, z4):
         assert quotient.wnu.entries == naive_quotient_entries(alg, cong)
 
 
-def test_group_sum_quotient_checks_every_pair(monkeypatch, z4):
+def test_group_sum_quotient_checks_every_pair(z4):
     """{0, 1} | {2, 3} is no coset partition of Z4: 1 + 1 = 2 but 0 + 1 = 1.
-    The pair check of the group-sum path rejects it, with the blockwise
-    compatibility test made to accept every partition."""
+    The congruence test on the group's addition rejects it."""
 
     cong = Congruence(((0, 1), (2, 3)))
     assert naive_quotient_entries(z4, cong) is None
-    monkeypatch.setattr("wnucsp.algebra._kernel_compatible",
-                        lambda alg, kernel: True)
     with pytest.raises(InvariantError, match="not compatible"):
         quotient_algebra.__wrapped__(z4, cong)
 

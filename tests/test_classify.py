@@ -10,6 +10,7 @@ from wnucsp.algebra import (
     all_congruences,
     all_subuniverses,
     conjunction_table,
+    dual_discriminator_table,
     is_affine,
     minority_table,
     make_algebra,
@@ -32,7 +33,7 @@ from wnucsp.classify import (
     reflexive_invariant_binaries,
     verify_structure_report,
 )
-from wnucsp.errors import ArgumentError
+from wnucsp.errors import ArgumentError, ConfigError
 from wnucsp.relation import Relation
 
 from test_algebra import build_wnu_from_pattern, special_wnu_by_definition
@@ -233,6 +234,16 @@ def test_classify_goldens(and3, maj2, dd3, z2min, z4):
     report = classify_domain(z4)
     assert report.kind == "linear_quotient"
     assert report.congruence == Congruence(((0, 2), (1, 3)))
+
+
+def test_classify_with_a_capped_center_search_is_undecided():
+    """The dual discriminator on 4 elements has no center, which a search
+    capped at arity 2 cannot show; at cap 3 it has a PC quotient."""
+
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    with pytest.raises(ConfigError, match="classification undecided"):
+        classify_domain(dd4, arity_cap=2)
+    assert classify_domain(dd4, arity_cap=3).kind == "pc_quotient"
 
 
 def test_classify_certificates_reverify(and3, maj2, dd3, z2min, z4):

@@ -5,10 +5,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from wnucsp import errors as errors_module
 from wnucsp.cli import execute_command
 from wnucsp.errors import (
     AffineStructureViolation,
+    ClassificationError,
+    CspError,
     FormatError,
+    InternalError,
     InvariantError,
     OracleError,
     PreconditionError,
@@ -514,3 +518,23 @@ def test_internal_breach_exit(z4_file, monkeypatch, error):
     code, _, err = run_cli(["solve", z4_file])
     assert code == 4
     assert "internal error:" in err
+
+
+CSP_ERRORS = [cls for cls in vars(errors_module).values()
+              if isinstance(cls, type) and issubclass(cls, CspError)]
+
+
+@pytest.mark.parametrize("error", CSP_ERRORS, ids=lambda cls: cls.__name__)
+def test_each_package_error_maps_to_its_exit(z4_file, monkeypatch, error):
+    """Invariant breaches of the solver and an algebra no structure fits
+    exit 4 as internal errors; every other package error exits 3."""
+
+    def fail(self, inst):
+        raise error("raised")
+
+    monkeypatch.setattr(Solver, "solve", fail)
+    code, out, err = run_cli(["solve", z4_file])
+    internal = issubclass(error, (InternalError, ClassificationError))
+    assert (code, out) == (4 if internal else 3, "")
+    assert err == ("internal error: raised\n" if internal
+                   else "error: raised\n")

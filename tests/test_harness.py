@@ -31,6 +31,28 @@ def test_brute_force_decision_matches_all(z4_example, z2min):
     assert brute_force(inst, "all") == []
 
 
+def test_brute_force_reads_no_effective_relation(z4_example, monkeypatch):
+    """The oracle shares no cache with the solver: with
+    ``Instance.effective`` made to raise it still answers, and with x1
+    reduced to {1, 3} it finds the solutions of the full instance that
+    keep x1 there."""
+
+    inst = z4_example
+    reduced = Instance(inst.variables, inst.base_algebras,
+                       (frozenset({1, 3}),) + inst.current_domains[1:],
+                       inst.constraints)
+
+    def refuse(self, constraint):
+        raise AssertionError("brute force read an effective relation")
+
+    monkeypatch.setattr(Instance, "effective", refuse)
+    every = brute_force(inst, "all")
+    assert len(every) == 8
+    assert brute_force(reduced, "all") == [
+        sol for sol in every if sol["x1"] in {1, 3}]
+    assert brute_force(reduced, "decision") is not None
+
+
 def test_brute_force_empty_instance(z2min):
     inst = Instance(("x",), (z2min,), (frozenset({0, 1}),), ())
     assert len(brute_force(inst, "all")) == 2

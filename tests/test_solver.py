@@ -26,7 +26,7 @@ from wnucsp.consistency import (
     value_components,
     witness_cover,
 )
-from wnucsp.errors import CspError
+from wnucsp.errors import ConfigError, CspError
 from wnucsp.fileformat import parse_instance
 from wnucsp.harness import GenParams, brute_force, random_instance
 from wnucsp import instance as instance_module
@@ -631,6 +631,51 @@ def test_linear_phase_unique_solution_lifts(z4):
     assert sol["z"] % 2 == 0 and sol["w"] % 2 == 0
     assert any(ev.step == "8" and "unique" in ev.detail for ev in events)
     assert brute_force(inst, "decision") is not None
+
+
+def test_step13_finds_no_equation_through_the_solver(z4, monkeypatch):
+    """A Z4 system whose crucial instance is linked and solvable at no
+    parameter point: Step 13 finds no equation at depth 0, at the default
+    witness budget and with none, and the solve is unsat."""
+
+    equations = (
+        (("x3", "x0", "x5"), (1, 3, 1), 0),
+        (("x4", "x0", "x6"), (1, 1, 3), 3),
+        (("x4", "x1", "x5"), (3, 3, 2), 2),
+        (("x6", "x3", "x2"), (2, 1, 2), 3),
+        (("x7", "x3"), (2, 2), 0),
+        (("x2", "x0", "x7"), (3, 2, 1), 1),
+        (("x3", "x5"), (3, 3), 3),
+        (("x4", "x6", "x5"), (3, 3, 1), 2),
+    )
+    vs = tuple("x%d" % i for i in range(8))
+    inst = Instance(vs, (z4,) * 8, (frozenset(range(4)),) * 8, tuple(
+        Constraint(linear_relation(z4, coeffs, rhs), scope)
+        for scope, coeffs, rhs in equations))
+    for budget in (2000, 0):
+        monkeypatch.setattr(consistency_module, "WITNESS_NODES", budget)
+        assert ("13", "no equation exists", 0, 0) in _traced(inst)
+        assert solve(inst).kind == "unsat"
+    assert brute_force(inst, "decision") is None
+
+
+def test_step5_capped_center_search_raises_config_error():
+    """The dual discriminator on 4 elements has no center, which a search
+    capped at arity 2 cannot show, so Step 5 refuses to pass the domain on;
+    at cap 3 the search is complete and Step 6 reduces both variables."""
+
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    full = Relation(2, (dd4, dd4), set(itertools.product(range(4), repeat=2)))
+    inst = Instance(("x", "y"), (dd4,) * 2, (frozenset(range(4)),) * 2,
+                    (Constraint(full, ("x", "y")),))
+    with pytest.raises(ConfigError, match="center search capped but later "
+                                          "steps require completeness"):
+        Solver(SolverConfig(center_arity_cap=2)).solve(inst)
+    sunk = []
+    outcome = Solver(SolverConfig(center_arity_cap=3,
+                                  trace_sink=sunk.append)).solve(inst)
+    assert outcome.kind == "sat"
+    assert [ev.step for ev in sunk] == ["6", "6"]
 
 
 def test_trace_and_reports_collected(z4_example):
