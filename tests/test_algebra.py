@@ -737,6 +737,21 @@ def test_quotient_by_equality_equals_the_general_path(monkeypatch, z2min,
     assert fast[6][0] is Algebra(tuple(range(6)), z6.wnu)
 
 
+def test_quotient_by_full_equals_the_general_path(dd3, z4):
+    """The one-block quotient takes no shortcut: the cached result is the
+    uncached general table construction, and its table is the per-tuple
+    reference's."""
+
+    z6 = make_algebra(range(6), sum_table(6, 7))
+    for alg in (z4, dd3, z6, Algebra((2, 0, 1), dd3.wnu)):
+        full = Congruence((alg.elements,))
+        quotient, kmap = quotient_algebra(alg, full)
+        general, general_map = quotient_algebra.__wrapped__(alg, full)
+        assert quotient is general
+        assert kmap == general_map == full.kernel()
+        assert quotient.wnu.entries == naive_quotient_entries(alg, full)
+
+
 def test_quotient_rejects_representative_dependence(dd3):
     # {0, 1} | {2} is no congruence of the dual discriminator: the table
     # it would induce depends on the block representatives
