@@ -4,8 +4,9 @@
 # variables where Step 1 does most of the work, gen, solve, a traced solve
 # whose JSON event count matches its printed events, a traced Step 2
 # reduction, a traced Step 13 that finds no equation, a traced depth-0
-# Step 3 reduction, classify to each kind of report line, WNU search and
-# an option check.
+# Step 3 reduction, a file with a non-integer tuple entry that must name
+# its line, classify to each kind of report line, WNU search and an option
+# check.
 #
 # The arguments are the command that runs wnucsp, for example
 #
@@ -69,6 +70,9 @@ grep -qxF "[trace] step 13 (depth 0, t3 0): no equation exists" step13.err
 wnucsp gen --seed 630 --domain-size 4 --wnu-arity 5 --wnu sum --vars 6 --constraints 6 --sat-bias --out step3.csp
 wnucsp solve step3.csp --trace 2> step3.err
 grep -qxF "[trace] step 3 (depth 0, t3 0): reduce x4 to [1, 3]" step3.err
+printf '%s\n' "DOMAIN B 2" "VAR x B" "VAR y B" "REL R 2 B B" "0 0" "0 x" "END" "CON R x y" > badentry.csp
+code=0; wnucsp solve badentry.csp 2> badentry.err || code=$?; test "$code" -eq 3
+test "$(cat badentry.err)" = "error: line 6: non-integer tuple entry"
 wnucsp gen --seed 4 --domain-size 6 --wnu-arity 7 --wnu sum --vars 4 --constraints 4 --out z6.csp
 wnucsp classify z6.csp > z6.out
 grep -q linear-quotient z6.out

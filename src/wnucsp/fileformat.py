@@ -14,12 +14,17 @@ its domain) before an instance is produced.  A relation that an earlier
 build already validated, on the same algebras with the same tuples, is
 reused rather than built and checked again.
 
-The tuple lines of a REL block are gathered until its END, then converted
-with one ``int`` pass over the block's tokens and range-checked column by
-column; when that finds a fault the lines are checked one at a time, so
-every ``FormatError`` names the first bad line.  Variable names are
-interned, and every variable of one algebra gets the algebra's own carrier
-frozenset as its domain, so parses of one text share both.
+A REL block is read as one unit up to the next line reading exactly
+``END``: its nonblank lines are split, their arity checked at once, and
+each token converted by its column's map from the tokens "0" .. "n-1" to
+the domain's values, a map built at the DOMAIN line.  Any other token, or
+a block that meets a directive or a spaced END first, is read again one
+line at a time with ``int`` entries, so every ``FormatError`` names the
+first bad line; the blocks after it are read that way too.  The parser is
+the boundary: ``build_instance`` makes relations, constraints and the
+instance without re-running the checks the parser has done.  Variable
+names are interned, and every variable of one algebra gets the algebra's
+own carrier frozenset as its domain, so parses of one text share both.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from .algebra import (
     verify_special_wnu,
 )
 from .errors import FormatError, WnuInvalid
-from .instance import Instance, normalize_scope
-from .relation import Relation, is_invariant
+from .instance import Constraint, Instance, normalize_scope
+from .relation import Relation, _derived as _derived_relation, is_invariant
 
 
 # Relations built by ``build_instance`` that passed validation, one per
@@ -59,69 +64,89 @@ class ParsedFile:
 
 _DIRECTIVES = frozenset(("DOMAIN", "WNU", "VAR", "REL", "CON"))
 
+# A DOMAIN line maps the tokens "0", "1", ... of at most this many of its
+# values to ints, so a huge declared size costs no more than its line; a
+# tuple entry past the map takes the line-by-line read.
+_MAPPED = 256
 
-def _block_tuples(name, doms, lines, sizes):
-    """The tuple set of one REL block, from its (line number, tokens)
-    pairs.  A block without faults costs one ``int`` pass over its tokens
-    and one range check per column; otherwise the lines are checked in
-    order and the first fault raises with its line number."""
+
+def _block_rows(lines, start, maps):
+    """The tuple set of the REL block whose tuple lines begin at index
+    ``start``, and the index after its END, read as one unit: ``maps``
+    holds each column's token map.  None unless the block is closed by a
+    line reading exactly ``END`` and every nonblank line in between has
+    one mapped token per column."""
+
+    try:
+        end = lines.index("END", start)
+    except ValueError:
+        return None
+    rows = [tokens for tokens in map(str.split, lines[start:end]) if tokens]
+    if not set(map(len, rows)) <= {len(maps)}:
+        return None
+    try:
+        # through a set in line order, as the line-by-line read builds it,
+        # so the frozenset keeps the same iteration order
+        tuples = {tuple(map(dict.__getitem__, maps, row)) for row in rows}
+    except KeyError:
+        return None
+    return frozenset(tuples), end + 1
+
+
+def _checked_block(name, doms, lines, start, sizes):
+    """``_block_rows`` one line at a time, with ``int`` entries: the first
+    fault raises with its line number, and a block that meets a directive
+    or the end of the text before its END raises after its lines."""
 
     r = len(doms)
-    if lines and all(len(tokens) == r for _, tokens in lines):
-        try:
-            values = list(map(int, itertools.chain.from_iterable(
-                tokens for _, tokens in lines)))
-        except ValueError:
-            pass
-        else:
-            columns = [values[c::r] for c in range(r)]
-            if all(min(col) >= 0 and max(col) < sizes[d]
-                   for col, d in zip(columns, doms)):
-                # through a set, as the line-by-line check builds it, so the
-                # frozenset keeps the same iteration order
-                return frozenset(set(zip(*columns)))
     tuples = set()
-    for lineno, tokens in lines:
+    for i in range(start, len(lines)):
+        tokens = lines[i].split()
+        if not tokens:
+            continue
+        if tokens[0] == "END":
+            if len(tokens) != 1:
+                raise FormatError("END takes no further tokens", line=i + 1)
+            return frozenset(tuples), i + 1
+        if tokens[0] in _DIRECTIVES:
+            break
         if len(tokens) != r:
             raise FormatError("tuple arity mismatch in REL %s" % name,
-                              line=lineno)
+                              line=i + 1)
         try:
             values = tuple(map(int, tokens))
         except ValueError:
-            raise FormatError("non-integer tuple entry", line=lineno)
+            raise FormatError("non-integer tuple entry", line=i + 1)
         for v, d in zip(values, doms):
             if not 0 <= v < sizes[d]:
                 raise FormatError("tuple entry %d outside %s" % (v, d),
-                                  line=lineno)
+                                  line=i + 1)
         tuples.add(values)
-    return frozenset(tuples)
+    # the REL line is the one before index start, so its number is start
+    raise FormatError("REL %s missing END" % name, line=start)
 
 
 def parse_instance_text(text) -> ParsedFile:
     parsed = ParsedFile()
     declared = set()  # variable names
-    rel_open = None  # (name, domain names, (line number, tokens) pairs, line)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    maps = {}  # domain name -> {"0": 0, "1": 1, ...}
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # after one block needs the line-by-line read, the rest do too: a text
+    # whose END lines carry spaces or comments then costs one search for
+    # an exact END, not one per block
+    blocks_fast = True
+    i = 0
+    while i < len(lines):
+        tokens = lines[i].split()
+        i += 1
+        if not tokens:
             continue
-        tokens = line.split()
+        lineno = i
         key = tokens[0]
-        if rel_open is not None and key != "END":
-            if key in _DIRECTIVES:
-                # a fault in the block's lines comes first
-                name, doms, lines, opened = rel_open
-                _block_tuples(name, doms, lines, parsed.domains)
-                raise FormatError("REL %s missing END" % name, line=opened)
-            rel_open[2].append((lineno, tokens))
-            continue
         if key == "END":
-            if rel_open is None:
-                raise FormatError("END without REL", line=lineno)
-            name, doms, lines, _ = rel_open
-            parsed.relations[name] = (
-                tuple(doms), _block_tuples(name, doms, lines, parsed.domains))
-            rel_open = None
+            raise FormatError("END without REL", line=lineno)
         elif key == "DOMAIN":
             if len(tokens) != 3:
                 raise FormatError("DOMAIN needs a name and a size", line=lineno)
@@ -135,6 +160,7 @@ def parse_instance_text(text) -> ParsedFile:
             if size < 1:
                 raise FormatError("domain size must be positive", line=lineno)
             parsed.domains[name] = size
+            maps[name] = {str(v): v for v in range(min(size, _MAPPED))}
         elif key == "WNU":
             if len(tokens) < 4:
                 raise FormatError("WNU needs a domain, arity, and table",
@@ -198,7 +224,13 @@ def parse_instance_text(text) -> ParsedFile:
             for d in doms:
                 if d not in parsed.domains:
                     raise FormatError("unknown domain %s" % d, line=lineno)
-            rel_open = (name, doms, [], lineno)
+            block = blocks_fast and _block_rows(lines, i,
+                                                [maps[d] for d in doms])
+            if not block:
+                blocks_fast = False
+                block = _checked_block(name, doms, lines, i, parsed.domains)
+            parsed.relations[name] = (tuple(doms), block[0])
+            i = block[1]
         elif key == "CON":
             if len(tokens) < 3:
                 raise FormatError("CON needs a relation and variables",
@@ -218,11 +250,19 @@ def parse_instance_text(text) -> ParsedFile:
                 (tokens[1], tuple(map(sys.intern, tokens[2:]))))
         else:
             raise FormatError("unknown directive %s" % key, line=lineno)
-    if rel_open is not None:
-        name, doms, lines, opened = rel_open
-        _block_tuples(name, doms, lines, parsed.domains)
-        raise FormatError("REL %s missing END" % name, line=opened)
     return parsed
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields``, without its ``__post_init__`` checks.
+    Set one at a time in the order its constructor sets them, so the
+    instance dict stays as compact as the constructor leaves it (updating
+    ``__dict__`` in one call gives each object a dict of its own keys)."""
+
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def build_instance(parsed: ParsedFile, extra_wnus=None,
@@ -233,6 +273,11 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
     With ``placeholder_ok`` domains lacking a WNU get a projection table so
     operation-free consumers (the brute-force oracle) can still run;
     relation preservation is then skipped for those domains.
+
+    What ``parse_instance_text`` checked is not checked again: relations,
+    constraints and the instance are built without the checks of their
+    constructors, each of which names the parser check that stands for it.
+    Placeholder relations and ``extra_wnus`` tables keep their checks.
     """
 
     wnus = dict(parsed.wnus)
@@ -266,7 +311,11 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
         key = (coords, tuples)
         rel = _PARSED_RELATIONS.get(key)
         if rel is None:
-            rel = Relation(len(doms), coords, tuples)
+            # Relation's checks: one coordinate per REL domain (the REL
+            # line's count), and each tuple of the REL arity with its
+            # entries in range (the tuple lines); each algebra's carrier
+            # is range(size)
+            rel = _derived_relation(coords, tuples)
             if not is_invariant(rel):
                 raise WnuInvalid("relation %s is not preserved by the WNU"
                                  % name, witness=name)
@@ -285,11 +334,26 @@ def build_instance(parsed: ParsedFile, extra_wnus=None,
                 raise FormatError(
                     "variable %s has domain %s but %s expects %s"
                     % (v, var_dom[v], relname, d))
-        constraints.append(normalize_scope(relations[relname], scope))
+        rel = relations[relname]
+        if len(set(scope)) < len(scope):
+            constraints.append(normalize_scope(rel, scope))
+        else:
+            # Constraint's checks: the scope is a tuple as long as the
+            # relation's arity (the CON line's count) and not empty (CON
+            # needs a variable)
+            constraints.append(_unchecked(Constraint, relation=rel,
+                                          scope=scope))
     variables = tuple(v for v, _ in parsed.variables)
     bases = tuple(algebras[d] for _, d in parsed.variables)
-    domains = tuple(a.carrier for a in bases)
-    return Instance(variables, bases, domains, tuple(constraints))
+    # Instance's checks: the variables are distinct (VAR's duplicate
+    # check); each domain is its algebra's carrier, so nonempty (DOMAIN's
+    # positive size) and a subuniverse; scopes are distinct (normalized
+    # above) and declared (CON's variable check), and each relation
+    # coordinate is its variable's algebra (the domain check above)
+    return _unchecked(Instance, variables=variables, base_algebras=bases,
+                      current_domains=tuple(a.carrier for a in bases),
+                      constraints=tuple(constraints),
+                      _index={v: i for i, v in enumerate(variables)})
 
 
 def parse_instance(text) -> Instance:

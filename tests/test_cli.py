@@ -148,6 +148,18 @@ def test_parse_names_the_first_faulty_tuple_line():
     assert err.value.line == 3
 
 
+def test_parse_rejects_tokens_after_end():
+    text = "DOMAIN B 2\nVAR x B\nREL R 1 B\n0\nEND R\nCON R x\n"
+    with pytest.raises(FormatError, match="END takes no further tokens") \
+            as err:
+        parse_instance_text(text)
+    assert err.value.line == 5
+    # a fault in the block's lines comes first
+    with pytest.raises(FormatError, match="outside") as err:
+        parse_instance_text(text.replace("\n0\n", "\n2\n"))
+    assert err.value.line == 4
+
+
 def test_parses_of_one_text_share_domains_and_names():
     text = z4_instance_text()
     first, second = parse_instance(text), parse_instance(text)
