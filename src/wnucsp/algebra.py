@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import lcm, prod
 from operator import getitem
 
-import numpy as np
-
 from .errors import (
     ArgumentError,
     FormatError,
@@ -44,9 +42,8 @@ class OperationTable:
     """Explicit value table of an m-ary operation on positions {0..n-1}.
 
     Entries are listed over argument tuples in lexicographic order with the
-    first argument most significant.  A table computes its hash and its
-    entries as a read-only int64 array (``array``) once, on first use; both
-    are left out of equality and pickles.
+    first argument most significant.  A table computes its hash once, on
+    first use, and leaves it out of equality and pickles.
     """
 
     arity: int
@@ -76,15 +73,6 @@ class OperationTable:
     def __reduce__(self):
         return OperationTable, (self.arity, self.domain_size, self.entries)
 
-    @property
-    def array(self):
-        arr = self.__dict__.get("_array")
-        if arr is None:
-            arr = np.array(self.entries, dtype=np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_array", arr)
-        return arr
-
     def apply(self, args):
         idx = 0
         for a in args:
@@ -92,16 +80,14 @@ class OperationTable:
         return self.entries[idx]
 
 
-def _derived_table(arity, domain_size, array) -> OperationTable:
+def _derived_table(arity, domain_size, entries) -> OperationTable:
     """A table derived from valid ones, skipping the checks of
-    ``OperationTable.__post_init__``: callers pass an int64 array of
-    ``domain_size ** arity`` entries in range, which the table keeps as
-    its ``array``."""
+    ``OperationTable.__post_init__``: callers pass a list or tuple of
+    ``domain_size ** arity`` int entries in range."""
 
-    array.flags.writeable = False
     table = object.__new__(OperationTable)
     table.__dict__.update(arity=arity, domain_size=domain_size,
-                          entries=tuple(array.tolist()), _array=array)
+                          entries=tuple(entries))
     return table
 
 
@@ -110,19 +96,19 @@ def _tuple_index(digits, base, m):
     argument most significant): the mixed-radix number of its digits in
     ``base``."""
 
-    index = digits
+    index = list(digits)
     for _ in range(m - 1):
-        index = (index[:, None] * base + digits[None, :]).ravel()
+        index = [i * base + d for i in index for d in digits]
     return index
 
 
 def _fold(add, m):
-    """The m-fold sum x1 + ... + xm of a k x k addition array, as the
-    k^m table array."""
+    """The m-fold sum x1 + ... + xm of a k x k addition table (a list of
+    rows), as the k^m table entries."""
 
-    fold = np.arange(len(add))
+    fold = list(range(len(add)))
     for _ in range(m - 1):
-        fold = add[fold].ravel()
+        fold = [x for a in fold for x in add[a]]
     return fold
 
 
@@ -455,8 +441,7 @@ def abelian_sum_structure(alg: Algebra):
             return None
 
     # the group fold of every argument tuple, checked against the table
-    if not np.array_equal(_fold(np.array(b, dtype=np.int64), m),
-                          table.array):
+    if tuple(_fold(b, m)) != table.entries:
         return None
     return GroupSum(tuple(map(tuple, b)), identity, tuple(inverse))
 
@@ -522,8 +507,9 @@ def _coset_closure(groups, positions_seed):
 #   6 elements): the product algebra's WNU as one ``bytes`` table on tuple
 #   codes, so each m-tuple of a closure round is one index and one lookup.
 #   A tuple's code is its positions in mixed radix, first coordinate most
-#   significant; the table is built once per coordinate tuple from each
-#   coordinate's table array and kept in a bounded cache;
+#   significant; the table is built once per coordinate tuple, as the sum
+#   of each coordinate's table read at its digits, and kept in a bounded
+#   cache;
 # - past that cap (for a ternary WNU, ternary relations on 4 elements and
 #   wider ones on 5 and 6): the layered image.  It fixes arguments one
 #   position at a time; each coordinate contributes a small deterministic
@@ -548,17 +534,18 @@ def _product_table(coords):
     m = coords[0].arity
     if n > _TABLE_TUPLES or n ** m > _TABLE_ENTRIES:
         return None
-    codes = np.arange(n, dtype=np.int64)
-    table = np.zeros(n ** m, dtype=np.int64)
+    table = [0] * n ** m
     stride = n
     for alg in coords:
         stride //= alg.size
-        digit = codes // stride % alg.size
-        table += alg.wnu.array[_tuple_index(digit, alg.size, m)] * stride
+        digit = [c // stride % alg.size for c in range(n)]
+        entries = alg.wnu.entries
+        table = [t + entries[i] * stride for t, i
+                 in zip(table, _tuple_index(digit, alg.size, m))]
     decode = list(itertools.product(*(alg.elements for alg in coords)))
     encode = {t: i for i, t in enumerate(decode)}
     weights = [n ** (m - 1 - j) for j in range(m)]
-    return table.astype(np.uint8).tobytes(), encode, decode, weights
+    return bytes(table), encode, decode, weights
 
 
 def _round_splits(weights, old, frontier):
@@ -802,13 +789,12 @@ def restrict_algebra(alg: Algebra, subset: frozenset) -> Algebra:
         raise InvariantError("subset is not a subuniverse")
     m = alg.arity
     # table positions of the argument tuples over the subset, in table order
-    pos = np.array([alg.positions[e] for e in elems], dtype=np.int64)
-    index = _tuple_index(pos, alg.size, m)
+    pos = [alg.positions[e] for e in elems]
     # the subuniverse check keeps every value inside the subset
-    renumber = np.zeros(alg.size, dtype=np.int64)
-    renumber[pos] = np.arange(len(elems))
-    entries = renumber[alg.wnu.array[index]]
-    return Algebra(elems, _derived_table(m, len(elems), entries))
+    renumber = {p: i for i, p in enumerate(pos)}
+    entries = alg.wnu.entries
+    table = [renumber[entries[i]] for i in _tuple_index(pos, alg.size, m)]
+    return Algebra(elems, _derived_table(m, len(elems), table))
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +867,9 @@ def _restricted_growth_strings(n, prefix=(), top=-1):
         yield from _restricted_growth_strings(n, prefix + (v,), max(top, v))
 
 
-def _induced_table(array, block, k, arity):
+def _induced_table(entries, block, k, arity):
     """The k^arity table that the partition ``block`` (the block of each
-    position; k blocks, none empty) induces from a table array over
+    position; k blocks, none empty) induces from table entries over
     positions, or None when it is no congruence of that operation.  Per
     table position, the block of its value is stored at the index of its
     argument blocks and read back: every combination of blocks occurs, and
@@ -891,12 +877,13 @@ def _induced_table(array, block, k, arity):
     representatives of one combination disagree."""
 
     combo = _tuple_index(block, k, arity)
-    value_block = block[array]
-    entries = np.empty(k ** arity, dtype=np.int64)
-    entries[combo] = value_block
-    if not np.array_equal(entries[combo], value_block):
+    value_block = [block[v] for v in entries]
+    induced = [0] * k ** arity
+    for c, v in zip(combo, value_block):
+        induced[c] = v
+    if list(map(induced.__getitem__, combo)) != value_block:
         return None
-    return entries
+    return induced
 
 
 def _subgroups(group, n):
@@ -945,7 +932,7 @@ def all_congruences(alg: Algebra):
         out.sort(key=lambda c: c.sort_key(elems))
         return tuple(out)
     for rgs in _restricted_growth_strings(n):
-        if _induced_table(alg.wnu.array, np.array(rgs), max(rgs) + 1,
+        if _induced_table(alg.wnu.entries, rgs, max(rgs) + 1,
                           alg.arity) is not None:
             blocks = {}
             for e, b in zip(elems, rgs):
@@ -998,13 +985,15 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
     k = len(cong.blocks)
     m = alg.arity
     kernel = cong.kernel()
-    block = np.array([kernel[e] for e in alg.elements], dtype=np.int64)
+    block = [kernel[e] for e in alg.elements]
     group = abelian_sum_structure(alg)
     if group is None:
-        entries = _induced_table(alg.wnu.array, block, k, m)
+        entries = _induced_table(alg.wnu.entries, block, k, m)
     else:
-        add = _induced_table(np.ravel(group.add), block, k, 2)
-        entries = None if add is None else _fold(add.reshape(k, k), m)
+        add = _induced_table([x for row in group.add for x in row],
+                             block, k, 2)
+        entries = None if add is None else _fold(
+            [add[i:i + k] for i in range(0, k * k, k)], m)
     if entries is None:
         raise InvariantError("partition is not compatible with the operation")
     quotient = Algebra(tuple(range(k)), _derived_table(m, k, entries))
@@ -1013,11 +1002,69 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 
 # ---------------------------------------------------------------------------
 # pointwise closures of derived operations (unary / binary / ternary terms)
+#
+# A closure round applies w, cell by cell, to every m-tuple of value vectors
+# of old + frontier that uses a frontier vector, each once: split by the
+# position k of its first frontier vector, it takes old vectors before k
+# and any vectors after k.  A round takes one of two paths, by its count of
+# m-tuples:
+# - up to ``_GATHER_TUPLES`` (every round of the benchmark workloads; the
+#   largest, of dd3's PC test, has 3 096): pure Python, running the slice
+#   automaton of ``wnu_image`` over the cells, one level per argument, with
+#   the joint states deduplicated level by level (``_automaton_round``);
+# - past it (dd4's PC test has a round of 1 025 388): a numpy gather over
+#   chunks of m-tuples (``_vector_round``), about three times faster there.
+#   This is the package's only use of numpy, imported inside the two
+#   functions, so that ``import wnucsp`` does not load it.
+# Both paths return the distinct rows of the round ascending by packed
+# code, cell 0 least significant, so the closure adds them in one order.
+
+_GATHER_TUPLES = 1 << 16
+
+
+def _packed_order(row):
+    return row[::-1]
+
+
+def _automaton_round(old, frontier, alg):
+    """The distinct rows of one closure round, on the slice automaton of
+    the WNU of ``alg``.
+
+    ``old`` and ``frontier`` are lists of value vectors.  Each cell runs
+    the automaton on its own state, the joint state being the vector of
+    the cells' states; the last level goes straight to the value its slice
+    holds, so the states it reaches are the rows."""
+
+    levels, finals = _slice_automaton(alg)
+    levels = levels[:-1] + (tuple(tuple(map(finals.__getitem__, row))
+                                  for row in levels[-1]),)
+    every = old + frontier
+    ncells = len(frontier[0])
+    m = len(levels)
+    rows = set()
+    for k in range(m if old else 1):
+        states = {(0,) * ncells}
+        for trans, pool in zip(levels, [old] * k + [frontier]
+                               + [every] * (m - 1 - k)):
+            # per cell, per state: the next state of the cell for each row
+            # of the pool, so a joint state's successors are one zip
+            steps = []
+            for col in zip(*pool):
+                steps.append([tuple(map(row.__getitem__, col))
+                              for row in trans])
+            nxt = set()
+            for st in states:
+                nxt.update(zip(*map(getitem, steps, st)))
+            states = nxt
+        rows |= states
+    return sorted(rows, key=_packed_order)
 
 
 def _sorted_distinct(codes):
     """The distinct values of a 1-d array, ascending, as ``np.unique`` gives
     them, without the ``numpy.ma`` import ``np.unique`` costs on first use."""
+
+    import numpy as np
 
     codes = np.sort(codes)
     keep = np.ones(len(codes), dtype=bool)
@@ -1026,17 +1073,21 @@ def _sorted_distinct(codes):
 
 
 def _vector_round(old, frontier, entries, n, m):
-    """The distinct rows of one closure round, as tuples.
+    """The distinct rows of one closure round, by a numpy gather.
 
-    ``old`` and ``frontier`` are arrays of value vectors, one per row, and
-    ``entries`` is the flat table of the m-ary WNU.  The round applies w,
-    cell by cell, to every m-tuple of rows of old + frontier that uses a
-    frontier row, each once: split by the position k of its first frontier
-    row, it takes old rows before k and any rows after k.
+    ``old`` and ``frontier`` are lists of value vectors and ``entries`` is
+    the flat table of the m-ary WNU; each is converted to an array here.
+    The m-tuples are enumerated in chunks, each looked up in the table
+    cell by cell at once.
     """
 
+    import numpy as np
+
+    ncells = len(frontier[0])
+    old = np.array(old, dtype=np.int64).reshape(-1, ncells)
+    frontier = np.array(frontier, dtype=np.int64)
+    entries = np.array(entries, dtype=np.int64)
     every = np.concatenate([old, frontier])
-    ncells = every.shape[1]
     chunk = max(1, (1 << 21) // ncells)
     packed = n ** ncells <= (1 << 62)
     powers = n ** np.arange(ncells, dtype=np.int64)
@@ -1058,10 +1109,10 @@ def _vector_round(old, frontier, entries, n, m):
                 codes.append(_sorted_distinct(vals @ powers))
             else:
                 rows.update(map(tuple, vals.tolist()))
-    if packed:
-        codes = _sorted_distinct(np.concatenate(codes))
-        rows = map(tuple, (codes[:, None] // powers % n).tolist())
-    return list(rows)
+    if not packed:
+        return sorted(rows, key=_packed_order)
+    codes = _sorted_distinct(np.concatenate(codes))
+    return list(map(tuple, (codes[:, None] // powers % n).tolist()))
 
 
 def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
@@ -1069,9 +1120,10 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
 
     The vectors are equal-length tuples over positions, one cell per
     argument tuple of a derived operation.  Each round maps the set T to
-    T + w(T^m), semi-naively: ``_vector_round`` applies w only to the
-    m-tuples that use a row added by the previous round.  Abelian group
-    sums take the coset closure instead.
+    T + w(T^m), semi-naively: it applies w only to the m-tuples that use a
+    row added by the previous round, on the path its size selects (see the
+    head of this section).  Abelian group sums take the coset closure
+    instead.
 
     Returns (frozenset, complete flag).  The flag is False when the next
     round would take the m-tuples applied past ``_CLOSURE_BUDGET``, or when
@@ -1091,16 +1143,17 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
         # closure in the product group
         _, closed = _coset_closure([group] * ncells, list(current))
         return frozenset(closed), True
-    entries = alg.wnu.array
-    old = np.empty((0, ncells), dtype=np.int64)
-    frontier = np.array(list(current), dtype=np.int64)
+    old, frontier = [], list(current)
     while True:
         # after this round w has met every m-tuple over old + frontier once
-        if (len(old) + len(frontier)) ** m > _CLOSURE_BUDGET:
+        applied = (len(old) + len(frontier)) ** m
+        if applied > _CLOSURE_BUDGET:
             return frozenset(current), False
-        fresh = [row for row in _vector_round(old, frontier, entries,
-                                              alg.size, m)
-                 if row not in current]
+        if applied - len(old) ** m <= _GATHER_TUPLES:
+            rows = _automaton_round(old, frontier, alg)
+        else:
+            rows = _vector_round(old, frontier, alg.wnu.entries, alg.size, m)
+        fresh = [row for row in rows if row not in current]
         if not fresh:
             return frozenset(current), True
         current.update(fresh)
@@ -1108,8 +1161,8 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
             return frozenset(current), False
         if early_stop and early_stop(current):
             return frozenset(current), True
-        old = np.concatenate([old, frontier])
-        frontier = np.array(fresh, dtype=np.int64)
+        old += frontier
+        frontier = fresh
 
 
 def unary_polynomial_closure(alg: Algebra):
@@ -1322,7 +1375,7 @@ def binary_terms(alg: Algebra) -> BinaryTerms:
 def sum_table(n, m) -> OperationTable:
     """x1 + ... + xm mod n."""
 
-    add = np.add.outer(np.arange(n), np.arange(n)) % n
+    add = [[(x + y) % n for y in range(n)] for x in range(n)]
     return _derived_table(m, n, _fold(add, m))
 
 

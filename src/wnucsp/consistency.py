@@ -547,29 +547,35 @@ def witness_cover(inst: Instance, network: PairNetwork, pool=None) -> bool:
         value[best] = None
         return False
 
-    while left:
-        q = (left & -left).bit_length() - 1
-        k = owner[q]
-        for j in free:
-            value[j] = None
-        if value[k] is None:
-            budget -= 1 + forced
-            value[k] = q - offsets[k]
-        else:
-            budget -= forced
-        if budget < 0 or not extend(nodes[q]):
-            return False
-        solution = {var: elems[a] for var, elems, a
-                    in zip(inst.variables, elements, value)}
-        if not inst.assignment_satisfies(solution):
-            raise InternalError("witness search found a non-solution")
-        row = 0
-        for off, a in zip(offsets, value):
-            row |= 1 << off + a
-        left &= ~row
-        if pool is not None and len(pool) < WITNESS_POOL:
-            pool.append(row)
-    return True
+    # ``extend`` reaches itself through its closure cell: clearing the
+    # name on the way out frees the search by reference counting, leaving
+    # the cyclic collector nothing to do
+    try:
+        while left:
+            q = (left & -left).bit_length() - 1
+            k = owner[q]
+            for j in free:
+                value[j] = None
+            if value[k] is None:
+                budget -= 1 + forced
+                value[k] = q - offsets[k]
+            else:
+                budget -= forced
+            if budget < 0 or not extend(nodes[q]):
+                return False
+            solution = {var: elems[a] for var, elems, a
+                        in zip(inst.variables, elements, value)}
+            if not inst.assignment_satisfies(solution):
+                raise InternalError("witness search found a non-solution")
+            row = 0
+            for off, a in zip(offsets, value):
+                row |= 1 << off + a
+            left &= ~row
+            if pool is not None and len(pool) < WITNESS_POOL:
+                pool.append(row)
+        return True
+    finally:
+        extend = None
 
 
 # ---------------------------------------------------------------------------

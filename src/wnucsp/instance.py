@@ -507,7 +507,8 @@ def relation_to_equations(rel: Relation, isos):
 # weakening and crucial instances
 
 
-# Constraint replacements make_crucial tries before it gives up.
+# Oracle calls make_crucial makes before it gives up: each call either
+# accepts a weakening or rejects a distinct (scope, tuples) pair.
 MAX_CRUCIAL_ROUNDS = 10_000
 
 
@@ -572,6 +573,12 @@ def make_crucial(inst: Instance, unsat_oracle) -> Instance:
     First drops constraints weaker than others, then repeatedly replaces one
     constraint by its minimal weaker constraints whenever the oracle still
     reports the target unsatisfiable, restarting after each acceptance.
+
+    The oracle's predicate is monotone: a weaker instance has at least the
+    solutions of a stronger one.  So a constraint whose weakening was
+    rejected stays rejected after any later acceptance, and the scans skip
+    its (scope, tuples) pair; the acceptances come in the same order as
+    when every constraint is asked again, giving the same instance.
     """
 
     def build(constraints):
@@ -581,11 +588,15 @@ def make_crucial(inst: Instance, unsat_oracle) -> Instance:
     current = prune_weaker(inst, inst.constraints)
     if not unsat_oracle(build(current)):
         raise OracleError("instance is not unsatisfiable for the oracle")
+    rejected = set()
     rounds = 0
     restart = True
     while restart:
         restart = False
         for c in sorted(current, key=Constraint.sort_key):
+            key = (c.scope, c.relation.tuples)
+            if key in rejected:
+                continue
             rounds += 1
             if rounds > MAX_CRUCIAL_ROUNDS:
                 raise InternalError("crucial computation did not settle")
@@ -596,4 +607,5 @@ def make_crucial(inst: Instance, unsat_oracle) -> Instance:
                 current = candidate
                 restart = True
                 break
+            rejected.add(key)
     return build(current)

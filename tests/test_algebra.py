@@ -647,19 +647,33 @@ def test_binary_terms_majority_only_projections(maj2):
     assert {t.entries for t in terms.tables} == {(0, 0, 1, 1), (0, 1, 0, 1)}
 
 
-def test_binary_term_closure_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma on first use, about 12 ms in a fresh process
-    code = ("import sys\n"
-            "from wnucsp.algebra import binary_terms, "
-            "dual_discriminator_table, make_algebra\n"
-            "terms = binary_terms(make_algebra(range(3), "
-            "dual_discriminator_table()))\n"
-            "assert terms.complete\n"
-            "assert 'numpy.ma' not in sys.modules\n")
+def test_import_and_solves_leave_numpy_unimported():
+    """numpy serves only closure rounds past ``_GATHER_TUPLES``: importing
+    the package, the binary terms of dd3, and parsing and solving the
+    first seed-0 file of each ``files`` family (dd3, Z4 and Z6 ``SUM``)
+    load none of it."""
+
+    code = (
+        "import sys\n"
+        "import wnucsp\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from wnucsp import Solver, parse_instance, serialize_instance\n"
+        "from wnucsp.algebra import (binary_terms, dual_discriminator_table,\n"
+        "                            make_algebra, sum_table)\n"
+        "from wnucsp.harness import GenParams, random_instance\n"
+        "assert binary_terms(make_algebra(range(3),\n"
+        "                                 dual_discriminator_table())).complete\n"
+        "for n, m, table, seed in ((3, 3, dual_discriminator_table(), 100000),\n"
+        "                          (4, 5, sum_table(4, 5), 100000),\n"
+        "                          (6, 7, sum_table(6, 7), 100008)):\n"
+        "    inst, _ = random_instance(GenParams(n, m, 6, 6, 3, seed,\n"
+        "                                        wnu=table))\n"
+        "    Solver().solve(parse_instance(serialize_instance(inst)))\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n")
     src = str(pathlib.Path(wnucsp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
@@ -824,17 +838,16 @@ def test_group_sum_quotient_reads_no_full_table(monkeypatch):
     congs = (Congruence(((0, 2, 4), (1, 3, 5))),
              Congruence(((0, 3), (1, 4), (2, 5))))
     want = [sum_table(len(c.blocks), 7) for c in congs]
-    array = OperationTable.array
 
-    def guarded(table):
-        if table.domain_size ** table.arity > 6 ** 6:
-            raise AssertionError("read a %d^%d-entry table"
-                                 % (table.domain_size, table.arity))
-        return array.fget(table)
+    class Unread:
+        def __getitem__(self, index):
+            raise AssertionError("read the 6^7-entry table")
 
-    monkeypatch.setattr(OperationTable, "array", property(guarded))
+        __iter__ = __len__ = __getitem__
+
+    monkeypatch.setitem(vars(z6.wnu), "entries", Unread())
     with pytest.raises(AssertionError):
-        z6.wnu.array
+        z6.wnu.entries[0]
     for cong, table in zip(congs, want):
         quotient, _ = quotient_algebra.__wrapped__(z6, cong)
         assert quotient.wnu == table
@@ -1003,10 +1016,45 @@ def test_closure_budget_stops_between_rounds(monkeypatch):
         assert complete == (want is None)
 
 
-def test_vector_round_applies_every_tuple_with_a_frontier_row():
-    import numpy as np
+def test_closure_round_paths_agree(monkeypatch, dd3, maj2):
+    """Closures whose every round runs in pure Python (``_GATHER_TUPLES``
+    huge) and whose every round is the numpy gather (``_GATHER_TUPLES``
+    0) give equal sets, iterated in one order, and equal flags: on the
+    binary seeds of the closure algebras, the unary polynomial seeds of
+    dd3, maj2 and searched3, and the budgets of
+    ``test_closure_budget_stops_between_rounds``."""
 
-    from wnucsp.algebra import _vector_round
+    import wnucsp.algebra as algebra_mod
+
+    cases = [(alg, binary_seed(alg.size),
+              {"size_cap": algebra_mod._BINARY_TERMS_CAP})
+             for alg in closure_algebras(dd3, maj2)]
+    for alg in (dd3, maj2, searched3()):
+        n = alg.size
+        cases.append((alg, {tuple(range(n))} | {(c,) * n for c in range(n)},
+                      {}))
+    twenty = make_algebra(range(3), OperationTable(3, 3, TWENTY_TERMS))
+    budget = algebra_mod._CLOSURE_BUDGET
+    runs = []
+    for gather in (0, 1 << 60):
+        monkeypatch.setattr(algebra_mod, "_GATHER_TUPLES", gather)
+        monkeypatch.setattr(algebra_mod, "_CLOSURE_BUDGET", budget)
+        got = [algebra_mod._pointwise_closure(alg, seed, **kw)
+               for alg, seed, kw in cases]
+        for cut in (7, 8, 27, 100, 20 ** 3 - 1, 20 ** 3):
+            monkeypatch.setattr(algebra_mod, "_CLOSURE_BUDGET", cut)
+            got.append(algebra_mod._pointwise_closure(twenty, binary_seed(3)))
+        runs.append([(list(closed), complete) for closed, complete in got])
+    assert runs[0] == runs[1]
+    assert {complete for _, complete in runs[0]} == {True, False}
+
+
+def test_vector_round_applies_every_tuple_with_a_frontier_row():
+    """Both round paths, the numpy gather and the slice automaton, give
+    the w-values of exactly the m-tuples that use a frontier row, once
+    each, ascending by packed code (cell 0 least significant)."""
+
+    from wnucsp.algebra import _automaton_round, _vector_round
 
     rng = random.Random(5)
     # packed rows (3^5), unpacked rows (3^40 > 2^62), and an empty old set
@@ -1019,10 +1067,10 @@ def test_vector_round_applies_every_tuple_with_a_frontier_row():
         want = {tuple(table.apply(col) for col in zip(*combo))
                 for combo in itertools.product(rows, repeat=m)
                 if any(r in frontier for r in combo)}
-        got = _vector_round(np.array(old, dtype=np.int64).reshape(-1, ncells),
-                            np.array(frontier, dtype=np.int64),
-                            np.array(table.entries, dtype=np.int64), n, m)
-        assert len(got) == len(set(got)) and set(got) == want
+        want = sorted(want, key=lambda r: r[::-1])
+        assert _vector_round(old, frontier, table.entries, n, m) == want
+        alg = Algebra(range(n), table)
+        assert _automaton_round(old, frontier, alg) == want
 
 
 def test_unary_polynomial_closure_matches_naive_rounds(dd3, maj2):
@@ -1046,11 +1094,9 @@ def test_table_constructor_keeps_every_check():
 
 
 def test_derived_tables_equal_their_checked_rebuild(z4, dd3):
-    """The tables the package derives (sums, quotients, subalgebras) keep
-    the array they were built from, read-only, and equal the table that
-    ``OperationTable(...)`` builds, with its checks, from their entries."""
-
-    import numpy as np
+    """The tables the package derives (sums, quotients, subalgebras) hold
+    a tuple of ints and equal the table that ``OperationTable(...)``
+    builds, with its checks, from their entries."""
 
     mod2 = next(c for c in all_congruences(z4)
                 if not c.is_equality and not c.is_full)
@@ -1064,11 +1110,6 @@ def test_derived_tables_equal_their_checked_rebuild(z4, dd3):
         assert rebuilt == table and hash(rebuilt) == hash(table)
         assert type(table.entries) is tuple
         assert all(type(e) is int for e in table.entries)
-        arr = vars(table)["_array"]
-        assert table.array is arr and arr.dtype == np.int64
-        assert arr.tolist() == list(table.entries)
-        with pytest.raises(ValueError):
-            arr[0] = 0
 
 
 def test_equal_tables_compare_equal():
@@ -1086,23 +1127,21 @@ def test_equal_tables_compare_equal():
 
 
 def test_table_hash_and_array_stay_out_of_equality_and_pickles():
-    import pickle
+    """A table caches its hash and nothing else: no array of its entries,
+    and neither the hash nor any array reaches equality or pickles."""
 
-    import numpy as np
+    import pickle
 
     t = OperationTable(3, 3, tuple(dual_discriminator_table().entries))
     assert hash(t) == hash((t.arity, t.domain_size, t.entries))
-    arr = t.array
-    assert t.array is arr and arr.dtype == np.int64
-    assert arr.tolist() == list(t.entries)
-    with pytest.raises(ValueError):
-        arr[0] = 1
+    assert set(vars(t)) == {"arity", "domain_size", "entries", "_hash"}
+    assert not hasattr(t, "array")
     assert t == dual_discriminator_table()
     data = pickle.dumps(t)
     assert data == pickle.dumps(OperationTable(3, 3, t.entries))
     back = pickle.loads(data)
     assert back == t and hash(back) == hash(t)
-    assert "_array" not in vars(back)
+    assert set(vars(back)) == {"arity", "domain_size", "entries", "_hash"}
 
 
 def test_verify_special_wnu_checks_equal_tables_once():

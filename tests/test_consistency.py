@@ -1383,3 +1383,29 @@ def test_witness_search_finds_the_reference_solutions(solver_instances):
         assert witness_cover(inst, res.network) == covered
         forced += any(len(dom) == 1 for dom in inst.current_domains)
     assert forced
+
+
+def test_solves_leave_no_cyclic_garbage():
+    """About 200 desk-family solves, most of them reaching the witness
+    search, leave nothing for the cyclic collector: the search's recursive
+    closure is freed by reference counting (before, each searching call
+    left its closures, cells and lists in a cycle)."""
+
+    import gc
+
+    families = ((2, 3, minority_table()), (2, 3, majority_table()),
+                (2, 3, conjunction_table(3)), (3, 3, dual_discriminator_table()),
+                (4, 5, sum_table(4, 5)))
+    instances = [random_instance(GenParams(n, m, 6, 6, 3, seed,
+                                           satisfiable_bias=seed % 2 == 1,
+                                           wnu=table))[0]
+                 for n, m, table in families
+                 for seed in range(100_000, 100_040)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in instances:
+            Solver().solve(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -48,8 +48,10 @@ from wnucsp.relation import (
     minimal_weaker_relations,
     restrict_relation,
 )
+from wnucsp import solver as solver_module
 from wnucsp.solver import Solver
 
+import reference_instance
 from conftest import linear_relation
 from helpers import full_relation
 
@@ -448,6 +450,81 @@ def test_make_crucial_removes_duplicates(z4):
                     (frozenset(range(4)),) * 4, pair + (pair[0],))
     result = make_crucial(inst, even_class_unsat_oracle)
     assert len(result.constraints) == 2
+
+
+def planted_z4_system(n, seed):
+    """A planted linear system over Z4 with the sum-of-5 WNU, of the kind
+    that reaches Step 10: a planted value for each of n variables, then
+    round(0.7 n) equations, each on 3 distinct variables with coefficients
+    from {1, 2, 3} and the right-hand side the planted values give."""
+
+    rng = random.Random(seed)
+    z4 = make_algebra(range(4), sum_table(4, 5))
+    values = [rng.randrange(4) for _ in range(n)]
+    constraints = []
+    for _ in range(round(0.7 * n)):
+        idx = rng.sample(range(n), 3)
+        coeffs = [rng.choice((1, 2, 3)) for _ in range(3)]
+        rhs = sum(c * values[i] for c, i in zip(coeffs, idx)) % 4
+        constraints.append(Constraint(linear_relation(z4, coeffs, rhs),
+                                      tuple("x%d" % i for i in idx)))
+    return Instance(tuple("x%d" % i for i in range(n)), (z4,) * n,
+                    (frozenset(range(4)),) * n, tuple(constraints))
+
+
+def solve_recording_crucial(monkeypatch, inst, crucial):
+    """Solve ``inst`` with ``crucial`` as the solver's ``make_crucial``.
+    Returns the outcome, the learned equations, the crucial instances in
+    order and the count of ``Solver._solve`` calls."""
+
+    made = []
+    calls = 0
+    solve = Solver._solve
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args)
+
+    def recording(inst, oracle):
+        made.append(crucial(inst, oracle))
+        return made[-1]
+
+    monkeypatch.setattr(Solver, "_solve", counting)
+    monkeypatch.setattr(solver_module, "make_crucial", recording)
+    solver = Solver()
+    outcome = solver.solve(inst)
+    monkeypatch.undo()
+    return outcome, solver.learned, made, calls
+
+
+def test_crucial_scan_skips_rejected_weakenings(monkeypatch):
+    """On planted Z4 n = 28 seed 2, skipping the weakenings rejected before
+    gives the crucial instances, the outcome and the learned equations of
+    the scan that asks again after each acceptance, with 1 564 ``_solve``
+    calls against 12 971; and every weakening that scan asks about again
+    is rejected again."""
+
+    inst = planted_z4_system(28, 2)
+    retests = []
+    got = solve_recording_crucial(monkeypatch, inst, make_crucial)
+    want = solve_recording_crucial(
+        monkeypatch, inst,
+        lambda inst, oracle: reference_instance.make_crucial(inst, oracle,
+                                                             retests))
+    assert got[2] and got[2] == want[2]
+    assert (got[0].kind, got[0].assignment) == (want[0].kind,
+                                                want[0].assignment)
+    assert got[1] and got[1] == want[1]
+    assert retests and not any(retests)
+    assert (got[3], want[3]) == (1_564, 12_971)
+
+
+def test_crucial_scan_solve_count_on_planted_z4_24(monkeypatch):
+    outcome, learned, made, calls = solve_recording_crucial(
+        monkeypatch, planted_z4_system(24, 0), make_crucial)
+    assert outcome.kind == "sat" and learned and made
+    assert calls == 7_964
 
 
 # --- the public boundary and the trusted path ----------------------------------
