@@ -1006,24 +1006,11 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 # A closure round applies w, cell by cell, to every m-tuple of value vectors
 # of old + frontier that uses a frontier vector, each once: split by the
 # position k of its first frontier vector, it takes old vectors before k
-# and any vectors after k.  A round takes one of two paths, by its count of
-# m-tuples:
-# - up to ``_GATHER_TUPLES`` (every round of the benchmark workloads; the
-#   largest, of dd3's PC test, has 3 096): pure Python, running the slice
-#   automaton of ``wnu_image`` over the cells, one level per argument, with
-#   the joint states deduplicated level by level (``_automaton_round``);
-# - past it (dd4's PC test has a round of 1 025 388): a numpy gather over
-#   chunks of m-tuples (``_vector_round``), about three times faster there.
-#   This is the package's only use of numpy, imported inside the two
-#   functions, so that ``import wnucsp`` does not load it.
-# Both paths return the distinct rows of the round ascending by packed
-# code, cell 0 least significant, so the closure adds them in one order.
-
-_GATHER_TUPLES = 1 << 16
-
-
-def _packed_order(row):
-    return row[::-1]
+# and any vectors after k.  Each round runs the slice automaton of
+# ``wnu_image`` over the cells, one level per argument, with the joint
+# states deduplicated level by level (``_automaton_round``), and returns
+# the distinct rows ascending by packed code, cell 0 least significant, so
+# the closure adds them in one order.
 
 
 def _automaton_round(old, frontier, alg):
@@ -1057,62 +1044,7 @@ def _automaton_round(old, frontier, alg):
                 nxt.update(zip(*map(getitem, steps, st)))
             states = nxt
         rows |= states
-    return sorted(rows, key=_packed_order)
-
-
-def _sorted_distinct(codes):
-    """The distinct values of a 1-d array, ascending, as ``np.unique`` gives
-    them, without the ``numpy.ma`` import ``np.unique`` costs on first use."""
-
-    import numpy as np
-
-    codes = np.sort(codes)
-    keep = np.ones(len(codes), dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return codes[keep]
-
-
-def _vector_round(old, frontier, entries, n, m):
-    """The distinct rows of one closure round, by a numpy gather.
-
-    ``old`` and ``frontier`` are lists of value vectors and ``entries`` is
-    the flat table of the m-ary WNU; each is converted to an array here.
-    The m-tuples are enumerated in chunks, each looked up in the table
-    cell by cell at once.
-    """
-
-    import numpy as np
-
-    ncells = len(frontier[0])
-    old = np.array(old, dtype=np.int64).reshape(-1, ncells)
-    frontier = np.array(frontier, dtype=np.int64)
-    entries = np.array(entries, dtype=np.int64)
-    every = np.concatenate([old, frontier])
-    chunk = max(1, (1 << 21) // ncells)
-    packed = n ** ncells <= (1 << 62)
-    powers = n ** np.arange(ncells, dtype=np.int64)
-    codes = []
-    rows = set()
-    for k in range(m):
-        pools = [old] * k + [frontier] + [every] * (m - 1 - k)
-        sizes = [len(p) for p in pools]
-        total = prod(sizes)
-        for start in range(0, total, chunk):
-            rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            flat = 0
-            for j in range(m - 1, -1, -1):
-                flat = flat + pools[j][rem % sizes[j]] * n ** (m - 1 - j)
-                rem = rem // sizes[j]
-            vals = entries[flat]
-            if packed:
-                # pack rows into single ints so dedup is one-dimensional
-                codes.append(_sorted_distinct(vals @ powers))
-            else:
-                rows.update(map(tuple, vals.tolist()))
-    if not packed:
-        return sorted(rows, key=_packed_order)
-    codes = _sorted_distinct(np.concatenate(codes))
-    return list(map(tuple, (codes[:, None] // powers % n).tolist()))
+    return sorted(rows, key=lambda row: row[::-1])
 
 
 def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
@@ -1121,9 +1053,8 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
     The vectors are equal-length tuples over positions, one cell per
     argument tuple of a derived operation.  Each round maps the set T to
     T + w(T^m), semi-naively: it applies w only to the m-tuples that use a
-    row added by the previous round, on the path its size selects (see the
-    head of this section).  Abelian group sums take the coset closure
-    instead.
+    row added by the previous round (see the head of this section).
+    Abelian group sums take the coset closure instead.
 
     Returns (frozenset, complete flag).  The flag is False when the next
     round would take the m-tuples applied past ``_CLOSURE_BUDGET``, or when
@@ -1149,11 +1080,8 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
         applied = (len(old) + len(frontier)) ** m
         if applied > _CLOSURE_BUDGET:
             return frozenset(current), False
-        if applied - len(old) ** m <= _GATHER_TUPLES:
-            rows = _automaton_round(old, frontier, alg)
-        else:
-            rows = _vector_round(old, frontier, alg.wnu.entries, alg.size, m)
-        fresh = [row for row in rows if row not in current]
+        fresh = [row for row in _automaton_round(old, frontier, alg)
+                 if row not in current]
         if not fresh:
             return frozenset(current), True
         current.update(fresh)

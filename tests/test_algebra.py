@@ -493,6 +493,9 @@ def test_pc_two_element_matches_ternary_closure(arity, count, complete):
 
 def test_pc_dual_discriminator(dd3):
     assert is_polynomially_complete(dd3)
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    assert unary_polynomial_closure(dd4) == set(
+        itertools.product(range(4), repeat=4))
 
 
 def test_pc_affine_z4_false(z4):
@@ -648,28 +651,31 @@ def test_binary_terms_majority_only_projections(maj2):
 
 
 def test_import_and_solves_leave_numpy_unimported():
-    """numpy serves only closure rounds past ``_GATHER_TUPLES``: importing
-    the package, the binary terms of dd3, and parsing and solving the
-    first seed-0 file of each ``files`` family (dd3, Z4 and Z6 ``SUM``)
-    load none of it."""
+    """The package runs without numpy: with its import blocked, importing
+    the package, the binary terms of dd3, the polynomial completeness of
+    dd4 (a closure round of 1 025 388 m-tuples), and parsing and solving
+    the first seed-0 file of each ``files`` family (dd3, Z4 and Z6 ``SUM``)
+    all succeed."""
 
     code = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
         "import wnucsp\n"
-        "assert 'numpy' not in sys.modules\n"
         "from wnucsp import Solver, parse_instance, serialize_instance\n"
         "from wnucsp.algebra import (binary_terms, dual_discriminator_table,\n"
-        "                            make_algebra, sum_table)\n"
+        "                            is_polynomially_complete, make_algebra,\n"
+        "                            sum_table)\n"
         "from wnucsp.harness import GenParams, random_instance\n"
         "assert binary_terms(make_algebra(range(3),\n"
         "                                 dual_discriminator_table())).complete\n"
+        "assert is_polynomially_complete(\n"
+        "    make_algebra(range(4), dual_discriminator_table(4)))\n"
         "for n, m, table, seed in ((3, 3, dual_discriminator_table(), 100000),\n"
         "                          (4, 5, sum_table(4, 5), 100000),\n"
         "                          (6, 7, sum_table(6, 7), 100008)):\n"
         "    inst, _ = random_instance(GenParams(n, m, 6, 6, 3, seed,\n"
         "                                        wnu=table))\n"
-        "    Solver().solve(parse_instance(serialize_instance(inst)))\n"
-        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n")
+        "    Solver().solve(parse_instance(serialize_instance(inst)))\n")
     src = str(pathlib.Path(wnucsp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -1016,48 +1022,15 @@ def test_closure_budget_stops_between_rounds(monkeypatch):
         assert complete == (want is None)
 
 
-def test_closure_round_paths_agree(monkeypatch, dd3, maj2):
-    """Closures whose every round runs in pure Python (``_GATHER_TUPLES``
-    huge) and whose every round is the numpy gather (``_GATHER_TUPLES``
-    0) give equal sets, iterated in one order, and equal flags: on the
-    binary seeds of the closure algebras, the unary polynomial seeds of
-    dd3, maj2 and searched3, and the budgets of
-    ``test_closure_budget_stops_between_rounds``."""
+def test_automaton_round_applies_every_tuple_with_a_frontier_row():
+    """A closure round on the slice automaton gives the w-values of
+    exactly the m-tuples that use a frontier row, once each, ascending by
+    packed code (cell 0 least significant)."""
 
-    import wnucsp.algebra as algebra_mod
-
-    cases = [(alg, binary_seed(alg.size),
-              {"size_cap": algebra_mod._BINARY_TERMS_CAP})
-             for alg in closure_algebras(dd3, maj2)]
-    for alg in (dd3, maj2, searched3()):
-        n = alg.size
-        cases.append((alg, {tuple(range(n))} | {(c,) * n for c in range(n)},
-                      {}))
-    twenty = make_algebra(range(3), OperationTable(3, 3, TWENTY_TERMS))
-    budget = algebra_mod._CLOSURE_BUDGET
-    runs = []
-    for gather in (0, 1 << 60):
-        monkeypatch.setattr(algebra_mod, "_GATHER_TUPLES", gather)
-        monkeypatch.setattr(algebra_mod, "_CLOSURE_BUDGET", budget)
-        got = [algebra_mod._pointwise_closure(alg, seed, **kw)
-               for alg, seed, kw in cases]
-        for cut in (7, 8, 27, 100, 20 ** 3 - 1, 20 ** 3):
-            monkeypatch.setattr(algebra_mod, "_CLOSURE_BUDGET", cut)
-            got.append(algebra_mod._pointwise_closure(twenty, binary_seed(3)))
-        runs.append([(list(closed), complete) for closed, complete in got])
-    assert runs[0] == runs[1]
-    assert {complete for _, complete in runs[0]} == {True, False}
-
-
-def test_vector_round_applies_every_tuple_with_a_frontier_row():
-    """Both round paths, the numpy gather and the slice automaton, give
-    the w-values of exactly the m-tuples that use a frontier row, once
-    each, ascending by packed code (cell 0 least significant)."""
-
-    from wnucsp.algebra import _automaton_round, _vector_round
+    from wnucsp.algebra import _automaton_round
 
     rng = random.Random(5)
-    # packed rows (3^5), unpacked rows (3^40 > 2^62), and an empty old set
+    # rows of 5 and 40 cells, and an empty old set
     for n, m, ncells, n_old in ((3, 3, 5, 4), (3, 4, 40, 3), (2, 3, 4, 0)):
         table = OperationTable(m, n, tuple(rng.randrange(n)
                                            for _ in range(n ** m)))
@@ -1068,7 +1041,6 @@ def test_vector_round_applies_every_tuple_with_a_frontier_row():
                 for combo in itertools.product(rows, repeat=m)
                 if any(r in frontier for r in combo)}
         want = sorted(want, key=lambda r: r[::-1])
-        assert _vector_round(old, frontier, table.entries, n, m) == want
         alg = Algebra(range(n), table)
         assert _automaton_round(old, frontier, alg) == want
 

@@ -499,13 +499,13 @@ def solve_recording_crucial(monkeypatch, inst, crucial):
 
 
 def test_crucial_scan_skips_rejected_weakenings(monkeypatch):
-    """On planted Z4 n = 28 seed 2, skipping the weakenings rejected before
+    """On planted Z4 n = 18 seed 0, skipping the weakenings rejected before
     gives the crucial instances, the outcome and the learned equations of
-    the scan that asks again after each acceptance, with 1 564 ``_solve``
-    calls against 12 971; and every weakening that scan asks about again
+    the scan that asks again after each acceptance, with 1 622 ``_solve``
+    calls against 6 197; and every weakening that scan asks about again
     is rejected again."""
 
-    inst = planted_z4_system(28, 2)
+    inst = planted_z4_system(18, 0)
     retests = []
     got = solve_recording_crucial(monkeypatch, inst, make_crucial)
     want = solve_recording_crucial(
@@ -517,14 +517,15 @@ def test_crucial_scan_skips_rejected_weakenings(monkeypatch):
                                                 want[0].assignment)
     assert got[1] and got[1] == want[1]
     assert retests and not any(retests)
-    assert (got[3], want[3]) == (1_564, 12_971)
+    assert (got[3], want[3]) == (1_622, 6_197)
 
 
-def test_crucial_scan_solve_count_on_planted_z4_24(monkeypatch):
+@pytest.mark.parametrize("n, seed, want", [(24, 0, 7_964), (28, 2, 1_564)])
+def test_crucial_scan_solve_count_on_planted_z4(monkeypatch, n, seed, want):
     outcome, learned, made, calls = solve_recording_crucial(
-        monkeypatch, planted_z4_system(24, 0), make_crucial)
+        monkeypatch, planted_z4_system(n, seed), make_crucial)
     assert outcome.kind == "sat" and learned and made
-    assert calls == 7_964
+    assert calls == want
 
 
 # --- the public boundary and the trusted path ----------------------------------
