@@ -23,6 +23,18 @@ Recursion bookkeeping follows the four call types: single-domain reductions
 loop in place, linked components and parameter-point reductions strictly
 shrink domains, and weakened-instance descents are guarded by the
 strictly-decreasing constraint order plus a depth cap.
+
+The memo keys only the calls that another call can repeat.  The root call
+is not keyed, nor are the fragments and linked components of a call that
+is not keyed; every other sub-solve (Step 2's pinned projections, Step 3's
+pinned weakenings, the linear phase's point solves) is keyed, and so is
+every call below it.  No call of the unkeyed region can hit or be hit by
+another call: a call never meets its own key inside its own subtree, or
+the recursion would not end; sibling fragments have disjoint variables,
+and a descendant keeps a subset of its ancestor's variables; sibling
+components have disjoint nonempty domains on every variable, and a
+descendant keeps its domains inside its ancestor's.  So the memo answers
+the same calls as one that keys every call.
 """
 
 from __future__ import annotations
@@ -124,6 +136,7 @@ class Solver:
     def __init__(self, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
         self.memo = {}
+        self._keyed = False  # whether _solve keys the memo; see the module
         self.reports = []   # (Algebra, StructureReport) pairs, as applied
         self.learned = []   # LearnedEquation log
 
@@ -134,10 +147,8 @@ class Solver:
             ok, assignment = self._solve(inst, 0, 0)
         finally:
             # the shape data is shared with the instances derived in the
-            # solve, and the memo key belongs to this solve's memo; the
-            # caller's instance keeps neither
+            # solve; the caller's instance does not keep it
             inst.__dict__.pop("_shape", None)
-            inst.__dict__.pop("_key", None)
         if ok:
             return SolveOutcome("sat", assignment)
         return SolveOutcome("unsat")
@@ -152,17 +163,43 @@ class Solver:
         self.config.trace_sink(TraceEvent(step, detail, depth, t3))
 
     def _solve(self, inst: Instance, depth, t3):
-        key = inst.canonical_key()
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        """Solve ``inst`` and verify its solution.  The memo is read and
+        written only while ``self._keyed`` is on: ``_solve_keyed`` turns it
+        on around the sub-solves of Steps 2 and 3 and of the linear phase,
+        and fragments and linked components leave it as it is.  So the root
+        and the fragments and components of an unkeyed call are not keyed.
+        None of them could hit or be hit: a call never meets its own key in
+        its own subtree, sibling fragments have disjoint variables and
+        sibling components disjoint nonempty domains, and a descendant
+        keeps its ancestor's variables or fewer and domains inside its
+        ancestor's.  The memo answers the calls it would answer if every
+        call were keyed."""
+
+        keyed = self._keyed
+        if keyed:
+            key = inst.canonical_key()
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
         ok, assignment = self._solve_main(inst, depth, t3)
         if ok:
             if not inst.assignment_satisfies(assignment):
                 raise InternalError("solution failed the final verification")
         result = (ok, assignment)
-        self.memo[key] = result
+        if keyed:
+            self.memo[key] = result
         return result
+
+    def _solve_keyed(self, inst: Instance, depth, t3):
+        """``_solve`` with the memo keyed for this call and every call
+        below it."""
+
+        keyed = self._keyed
+        self._keyed = True
+        try:
+            return self._solve(inst, depth, t3)
+        finally:
+            self._keyed = keyed
 
     # -- the pipeline
 
@@ -220,7 +257,8 @@ class Solver:
                     later = later[1:]
                 else:
                     step, res = "2", check_irreducibility(
-                        inst, lambda sub: self._solve(sub, depth + 1, t3)[1])
+                        inst,
+                        lambda sub: self._solve_keyed(sub, depth + 1, t3)[1])
             if res.status == "ok":
                 for step, run in later:
                     res = run(inst, depth, t3)
@@ -283,7 +321,7 @@ class Solver:
             return None
         supports = pinned_supports(
             weakened, inst.variables,
-            lambda pinned: self._solve(pinned, depth + 1, t3 + 1)[1])
+            lambda pinned: self._solve_keyed(pinned, depth + 1, t3 + 1)[1])
         for var, good in supports:
             if not good:
                 return PropagationResult("nosolution")
@@ -384,7 +422,7 @@ class Solver:
                 return False, None
             if res.kind == "unique":
                 reduced = self._point_reduction(inst, factors, res.assignment)
-                return self._solve(reduced, depth + 1, t3)
+                return self._solve_keyed(reduced, depth + 1, t3)
             param = res.param
             zero = tuple([0] * len(param.free_vars))
             ok, a = self._solve_at_point(inst, factors, param, zero, depth, t3)
@@ -438,7 +476,7 @@ class Solver:
     def _solve_at_point(self, inst: Instance, factors, param, point, depth, t3):
         values = param.evaluate(point)
         reduced = self._point_reduction(inst, factors, values)
-        return self._solve(reduced, depth + 1, t3)
+        return self._solve_keyed(reduced, depth + 1, t3)
 
     def _unsat_somewhere_oracle(self, factors, param, depth, t3):
         def oracle(candidate: Instance) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -56,6 +57,26 @@ def linear_relation(alg, coeffs, rhs):
         if sum(c * v for c, v in zip(coeffs, t)) % n == rhs
     }
     return Relation(arity, (alg,) * arity, tuples)
+
+
+def planted_z4_system(n, seed):
+    """A planted linear system over Z4 with the sum-of-5 WNU, of the kind
+    that reaches Step 10: a planted value for each of n variables, then
+    round(0.7 n) equations, each on 3 distinct variables with coefficients
+    from {1, 2, 3} and the right-hand side the planted values give."""
+
+    rng = random.Random(seed)
+    z4 = make_algebra(range(4), sum_table(4, 5))
+    values = [rng.randrange(4) for _ in range(n)]
+    constraints = []
+    for _ in range(round(0.7 * n)):
+        idx = rng.sample(range(n), 3)
+        coeffs = [rng.choice((1, 2, 3)) for _ in range(3)]
+        rhs = sum(c * values[i] for c, i in zip(coeffs, idx)) % 4
+        constraints.append(Constraint(linear_relation(z4, coeffs, rhs),
+                                      tuple("x%d" % i for i in idx)))
+    return Instance(tuple("x%d" % i for i in range(n)), (z4,) * n,
+                    (frozenset(range(4)),) * n, tuple(constraints))
 
 
 @pytest.fixture(scope="session")

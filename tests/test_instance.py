@@ -52,7 +52,7 @@ from wnucsp import solver as solver_module
 from wnucsp.solver import Solver
 
 import reference_instance
-from conftest import linear_relation
+from conftest import linear_relation, planted_z4_system
 from helpers import full_relation
 
 
@@ -450,26 +450,6 @@ def test_make_crucial_removes_duplicates(z4):
                     (frozenset(range(4)),) * 4, pair + (pair[0],))
     result = make_crucial(inst, even_class_unsat_oracle)
     assert len(result.constraints) == 2
-
-
-def planted_z4_system(n, seed):
-    """A planted linear system over Z4 with the sum-of-5 WNU, of the kind
-    that reaches Step 10: a planted value for each of n variables, then
-    round(0.7 n) equations, each on 3 distinct variables with coefficients
-    from {1, 2, 3} and the right-hand side the planted values give."""
-
-    rng = random.Random(seed)
-    z4 = make_algebra(range(4), sum_table(4, 5))
-    values = [rng.randrange(4) for _ in range(n)]
-    constraints = []
-    for _ in range(round(0.7 * n)):
-        idx = rng.sample(range(n), 3)
-        coeffs = [rng.choice((1, 2, 3)) for _ in range(3)]
-        rhs = sum(c * values[i] for c, i in zip(coeffs, idx)) % 4
-        constraints.append(Constraint(linear_relation(z4, coeffs, rhs),
-                                      tuple("x%d" % i for i in idx)))
-    return Instance(tuple("x%d" % i for i in range(n)), (z4,) * n,
-                    (frozenset(range(4)),) * n, tuple(constraints))
 
 
 def solve_recording_crucial(monkeypatch, inst, crucial):

@@ -41,7 +41,12 @@ from wnucsp.relation import Relation
 from wnucsp import solver as solver_module
 from wnucsp.solver import Solver, SolverConfig, solve
 
-from conftest import linear_relation, solver_fixture_params
+from conftest import (
+    linear_relation,
+    planted_z4_system,
+    solver_fixture_params,
+)
+import reference_solver
 
 
 def test_golden_z4_instance(z4_example):
@@ -199,17 +204,18 @@ def test_fragments_carry_their_partition(solver_instances):
     assert preset > 0
 
 
-def test_free_variable_takes_least_value_without_a_sub_instance(z2min, dd3):
+def test_free_variable_takes_least_value_without_a_sub_instance(
+        z2min, dd3, monkeypatch):
     eq = Relation(2, (z2min, z2min), {(0, 0), (1, 1)})
     inst = Instance(("a", "b", "z"), (z2min, z2min, dd3),
                     (frozenset({0, 1}),) * 2 + (frozenset({1, 2}),),
                     (Constraint(eq, ("a", "b")),))
-    solver = Solver()
-    outcome = solver.solve(inst)
+    calls = _counting_solve(monkeypatch)
+    outcome = Solver().solve(inst)
     assert outcome.assignment == {"a": 0, "b": 0, "z": 1}
-    # memo keys start with the instance's variables
-    assert ("a", "b") in {key[0] for key in solver.memo}
-    assert all(key[0] != ("z",) for key in solver.memo)
+    solved = {sub.variables for sub, _ in calls}
+    assert ("a", "b") in solved
+    assert ("z",) not in solved
 
 
 def test_step3_solves_no_pinned_instance_of_an_empty_weakening(z2min,
@@ -711,7 +717,8 @@ def test_solver_memo_reused_across_points(z4_example):
     solver.solve(z4_example)
     memo_size = len(solver.memo)
     assert memo_size > 1
-    # solving again is a pure cache hit
+    # solving again repeats only the unkeyed calls: every keyed sub-solve
+    # is a hit
     again = solver.solve(z4_example)
     assert again.satisfiable and len(solver.memo) == memo_size
 
@@ -975,9 +982,10 @@ def test_z4_sum_of_five_seed_100016_large_parameter_space_sat():
 
 
 def test_solve_leaves_the_instance_only_its_own_caches(z4_example):
-    """The shape data the solve shares among derived instances and the
-    memo key are dropped from the solved instance: it keeps its index, its
-    domain algebras and its effective relations."""
+    """The shape data the solve shares among derived instances is dropped
+    from the solved instance, and the root call is not keyed in the memo:
+    the instance keeps its index, its domain algebras and its effective
+    relations."""
 
     fields = {"variables", "base_algebras", "current_domains", "constraints"}
     kept = fields | {"_index", "_algebras", "_effs"}
@@ -1189,3 +1197,74 @@ def test_workload_outputs_match_their_digests(seed0_workloads, name, budget,
     monkeypatch.setattr(consistency_module, "WITNESS_NODES", budget)
     assert workload_outputs_digest(workloads, items[name]) == \
         WORKLOAD_DIGESTS[name, budget]
+
+
+# --- the memo keys only the calls a hit can reach ---------------------------
+
+
+def solve_counting(cls, inst, cap):
+    """Solve ``inst`` with a ``cls`` solver, a center arity cap of ``cap``
+    and a trace sink.  Returns the solver, its outputs (outcome,
+    assignment, reports, learned equations and trace events), the count
+    of ``_solve`` calls and the count of memo hits, the calls that did not
+    reach ``_solve_main``."""
+
+    solve, main = cls._solve, cls._solve_main
+    calls = mains = 0
+
+    def counting_solve(self, inst, depth, t3):
+        nonlocal calls
+        calls += 1
+        return solve(self, inst, depth, t3)
+
+    def counting_main(self, inst, depth, t3):
+        nonlocal mains
+        mains += 1
+        return main(self, inst, depth, t3)
+
+    events = []
+    solver = cls(SolverConfig(center_arity_cap=cap, trace_sink=events.append))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_solve", counting_solve)
+        mp.setattr(cls, "_solve_main", counting_main)
+        outcome = solver.solve(inst)
+    outputs = (outcome, list(outcome.assignment or ()), solver.reports,
+               solver.learned, events)
+    return solver, outputs, calls, calls - mains
+
+
+def test_memo_keyed_where_hits_matches_keying_every_call(seed0_workloads):
+    """Keying the memo only below the sub-solves of Steps 2 and 3 and of
+    the linear phase gives the outputs, ``_solve`` calls and memo hits of
+    the reference solver that keys every call, with fewer entries, each
+    holding the reference's result.  The instances are the seed-0 desk
+    instance whose memo hits and planted Z4 systems that reach Step 10."""
+
+    workloads, items = seed0_workloads
+    desk = next(item.inst for item in items["desk"]
+                if item.label == "z4:100075:n6")
+    pinned = [(desk, workloads.center_arity_cap(4), 63, 3),
+              (planted_z4_system(18, 0), 3, 1_622, 475),
+              (planted_z4_system(28, 2), 3, 1_564, 436)]
+    for inst, cap, want_calls, want_hits in pinned:
+        got, got_out, calls, hits = solve_counting(Solver, inst, cap)
+        ref, ref_out, ref_calls, ref_hits = solve_counting(
+            reference_solver.KeyEverySolver, inst, cap)
+        assert got_out == ref_out
+        assert (calls, hits) == (ref_calls, ref_hits) == (want_calls,
+                                                          want_hits)
+        assert len(got.memo) < len(ref.memo)
+        assert all(ref.memo[key] == result for key, result in got.memo.items())
+
+
+def test_memo_stays_empty_on_the_tail_workload(seed0_workloads):
+    """The seed-0 tail instances reach no Step 2, Step 3 or linear phase
+    sub-solve, so no call is keyed."""
+
+    workloads, items = seed0_workloads
+    for item in items["tail"]:
+        cap = workloads.center_arity_cap(
+            max(alg.size for alg in item.inst.base_algebras))
+        solver = Solver(SolverConfig(center_arity_cap=cap))
+        solver.solve(item.inst)
+        assert solver.memo == {}
