@@ -13,7 +13,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm, prod
+from math import inf, lcm, prod
 from operator import getitem
 
 from .errors import (
@@ -26,7 +26,9 @@ from .errors import (
 
 DEFAULT_DOMAIN_CAP = 6
 
-# Guard for the layered image computation; generous for desk scale.
+# Joint states one level of a relation closure's automaton round may hold;
+# generous for desk scale.  Pointwise closures are bounded by
+# ``_CLOSURE_BUDGET`` instead.
 _STATE_CAP = 500_000
 
 # Ordered m-tuples of value vectors one pointwise closure may apply w to.
@@ -511,11 +513,15 @@ def _coset_closure(groups, positions_seed):
 #   of each coordinate's table read at its digits, and kept in a bounded
 #   cache;
 # - past that cap (for a ternary WNU, ternary relations on 4 elements and
-#   wider ones on 5 and 6): the layered image.  It fixes arguments one
-#   position at a time; each coordinate contributes a small deterministic
-#   automaton over residual table slices, the joint state is a vector of
-#   per-coordinate state ids, deduplicated level by level, and structured
-#   operations collapse to few states per level.
+#   wider ones on 5 and 6): rounds of ``_automaton_round`` on tuples of
+#   positions.  A round fixes arguments one position at a time; each
+#   coordinate contributes a small deterministic automaton over residual
+#   table slices, the joint state is a vector of per-coordinate state ids,
+#   deduplicated level by level, and structured operations collapse to few
+#   states per level.
+# The table and automaton paths run semi-naive rounds (``_semi_naive``),
+# and the coset and automaton paths convert element ids to positions once
+# on entry and back once on exit (``_positions``, ``_elements``).
 # Coordinates whose WNU arities differ have no coordinatewise WNU:
 # ``wnu_closure`` raises before choosing a path.
 
@@ -548,42 +554,63 @@ def _product_table(coords):
     return bytes(table), encode, decode, weights
 
 
-def _round_splits(weights, old, frontier):
-    """Table indices of the m-tuples of codes from ``old + frontier`` that
-    use a frontier code, each once, as one list per split: split k holds
-    the m-tuples whose first frontier code is at position k, so the codes
-    before k are old ones."""
+def _round_pools(old, frontier, m):
+    """The argument pools of each split of a semi-naive round over
+    ``old + frontier``: split k takes old rows before position k, a
+    frontier row at k and any row after it, so every m-tuple that uses a
+    frontier row is in exactly one split, the one of its first frontier
+    row.  With no old rows there is one split, every m-tuple."""
 
     every = old + frontier
-    m = len(weights)
     for k in range(m if old else 1):
+        yield [old] * k + [frontier] + [every] * (m - 1 - k)
+
+
+def _round_splits(weights, old, frontier):
+    """Table indices of the m-tuples of codes from ``old + frontier`` that
+    use a frontier code, each once, as one list per split of
+    ``_round_pools``."""
+
+    for pools in _round_pools(old, frontier, len(weights)):
         index = [0]
-        for w, pool in zip(weights, [old] * k + [frontier]
-                           + [every] * (m - 1 - k)):
+        for w, pool in zip(weights, pools):
             index = [i + c * w for i in index for c in pool]
         yield index
 
 
+def _semi_naive(seed, round_rows):
+    """The rows of ``seed`` and every row the rounds add, up to the first
+    round that adds none.  ``round_rows(old, frontier)`` is one
+    semi-naive round: the set of values of w over the m-tuples of rows of
+    ``old + frontier`` that use a frontier row, one added by the previous
+    round."""
+
+    seen = set(seed)
+    old, frontier = [], list(seen)
+    while True:
+        added = round_rows(old, frontier) - seen
+        if not added:
+            return seen
+        seen |= added
+        old, frontier = old + frontier, list(added)
+
+
 def _table_closure(coords, tuples):
     """Closure of the set ``tuples`` on the product table, or None past
-    the cap.  Semi-naive: a round applies w only to the m-tuples of codes
-    that use one added by the previous round."""
+    the cap, by semi-naive rounds."""
 
     entry = _product_table(coords)
     if entry is None:
         return None
     table, encode, decode, weights = entry
-    seen = set(map(encode.__getitem__, tuples))
-    old, frontier = [], list(seen)
-    while True:
+
+    def round_codes(old, frontier):
         image = set()
         for index in _round_splits(weights, old, frontier):
             image.update(map(table.__getitem__, index))
-        added = image.difference(seen)
-        if not added:
-            break
-        seen |= added
-        old, frontier = old + frontier, list(added)
+        return image
+
+    seen = _semi_naive(map(encode.__getitem__, tuples), round_codes)
     if len(seen) == len(tuples):
         return frozenset(tuples)
     return frozenset(map(decode.__getitem__, seen))
@@ -592,64 +619,78 @@ def _table_closure(coords, tuples):
 @lru_cache(maxsize=1024)
 def _slice_automaton(alg: Algebra):
     """Per-level transition tables: level j maps (state, position) -> state
-    id at level j+1; states at level m are value positions."""
+    id at level j+1; the last level maps to value positions."""
 
     n = alg.size
-    m = alg.arity
     levels = []
     slices = [alg.wnu.entries]
-    for _ in range(m):
-        seen = {}
-        trans = []
-        nxt_slices = []
-        for sl in slices:
-            block = len(sl) // n
-            row = []
-            for a in range(n):
-                piece = sl[a * block:(a + 1) * block]
-                sid = seen.get(piece)
-                if sid is None:
-                    sid = len(nxt_slices)
-                    seen[piece] = sid
-                    nxt_slices.append(piece)
-                row.append(sid)
-            trans.append(tuple(row))
-        levels.append(tuple(trans))
-        slices = nxt_slices
-    finals = tuple(sl[0] for sl in slices)
-    return tuple(levels), finals
+    for _ in range(alg.arity):
+        ids = {}  # each distinct slice of the next level -> its state id
+        block = len(slices[0]) // n
+        levels.append(tuple(
+            tuple(ids.setdefault(sl[a * block:(a + 1) * block], len(ids))
+                  for a in range(n))
+            for sl in slices))
+        slices = list(ids)
+    # each last-level slice holds one value
+    levels[-1] = tuple(tuple(slices[sid][0] for sid in row)
+                       for row in levels[-1])
+    return tuple(levels)
+
+
+def _automaton_round(old, frontier, coords, cap=inf):
+    """The set of rows one semi-naive round gives on the slice automata of
+    ``coords``, one algebra per cell: w applied cell by cell to every
+    m-tuple of rows of ``old + frontier`` that uses a frontier row.
+
+    Rows are tuples of positions.  Each cell runs its automaton on its own
+    state, the joint state being the vector of the cells' states,
+    deduplicated level by level; the states the last level reaches are the
+    rows.  A level of more than ``cap`` joint states raises
+    ``SizeError``."""
+
+    autos = [_slice_automaton(alg) for alg in coords]
+    rows = set()
+    for pools in _round_pools(old, frontier, len(autos[0])):
+        states = {(0,) * len(coords)}
+        for level, pool in enumerate(pools):
+            # per cell, per state: the next state of the cell for each row
+            # of the pool, so a joint state's successors are one zip
+            steps = [[tuple(map(trans.__getitem__, col))
+                      for trans in auto[level]]
+                     for auto, col in zip(autos, zip(*pool))]
+            nxt = set()
+            for st in states:
+                nxt.update(zip(*map(getitem, steps, st)))
+                if len(nxt) > cap:
+                    raise SizeError("image state explosion")
+            states = nxt
+        rows |= states
+    return rows
+
+
+def _positions(coords, tuples):
+    """Each tuple of element ids as the tuple of its positions."""
+
+    maps = [alg.positions for alg in coords]
+    return [tuple(map(getitem, maps, t)) for t in tuples]
+
+
+def _elements(coords, points):
+    """Each tuple of positions as the tuple of its element ids."""
+
+    elems = [alg.elements for alg in coords]
+    return [tuple(map(getitem, elems, p)) for p in points]
 
 
 def wnu_image(coords, tuples):
-    """Set of coordinatewise w-values over all m-tuples from ``tuples``;
-    the coordinates share one arity (``wnu_closure`` checks it)."""
+    """Set of coordinatewise w-values over all m-tuples from ``tuples``:
+    a first round, with no old rows; the coordinates share one arity
+    (``wnu_closure`` checks it)."""
 
-    tuples = list(tuples)
-    if not tuples:
-        return set()
-    r = len(coords)
-    m = coords[0].arity
-    autos = [_slice_automaton(alg) for alg in coords]
-    cols = []
-    for c, alg in enumerate(coords):
-        pos = alg.positions
-        cols.append([pos[t[c]] for t in tuples])
-    points = list(zip(*cols))  # each tuple as element positions
-    states = {(0,) * r}
-    for level in range(m):
-        trans = [autos[c][0][level] for c in range(r)]
-        new = set()
-        for st in states:
-            rows = [trans[c][st[c]] for c in range(r)]
-            new.update(tuple(map(getitem, rows, p)) for p in points)
-            if len(new) > _STATE_CAP:
-                raise SizeError("image state explosion")
-        states = new
-    finals = [autos[c][1] for c in range(r)]
-    return {
-        tuple(coords[c].elements[finals[c][st[c]]] for c in range(r))
-        for st in states
-    }
+    rows = _automaton_round([], _positions(coords, tuples), coords,
+                            _STATE_CAP)
+    return set(_elements(coords, rows))
 
 
 def _group_coords(coords):
@@ -680,23 +721,20 @@ def wnu_closure(coords, seed):
     if not current:
         return frozenset()
     groups = _group_coords(coords)
+    if groups is None:
+        closed = _table_closure(coords, current)
+        if closed is not None:
+            return closed
+    points = _positions(coords, current)
     if groups is not None:
-        rng = range(len(coords))
-        maps = [alg.positions for alg in coords]
-        size, closed = _coset_closure(
-            groups, [tuple([maps[c][t[c]] for c in rng]) for t in current])
-        if size == len(current):
-            return frozenset(current)
-        return frozenset(
-            tuple([coords[c].elements[p[c]] for c in rng]) for p in closed)
-    closed = _table_closure(coords, current)
-    if closed is not None:
-        return closed
-    while True:
-        img = wnu_image(coords, current)
-        if img <= current:
-            return frozenset(current)
-        current |= img
+        size, closed = _coset_closure(groups, points)
+    else:
+        closed = _semi_naive(points, lambda old, frontier: _automaton_round(
+            old, frontier, coords, _STATE_CAP))
+        size = len(closed)
+    if size == len(current):
+        return frozenset(current)
+    return frozenset(_elements(coords, closed))
 
 
 def upper_covers(coords, tuples):
@@ -708,14 +746,10 @@ def upper_covers(coords, tuples):
     t + H gives the cover of t, so each coset of H is closed once."""
 
     tuples = frozenset(tuples)
-    r = len(coords)
     groups = _group_coords(coords) if tuples else None
     if groups is not None:
-        maps = [alg.positions for alg in coords]
-        pos = [tuple(maps[c][t[c]] for c in range(r)) for t in tuples]
-        t0 = pos[0]
-        diffs = [tuple(groups[c].sub(p[c], t0[c]) for c in range(r))
-                 for p in pos]
+        pos = _positions(coords, tuples)
+        diffs = [tuple(map(GroupSum.sub, groups, p, pos[0])) for p in pos]
     covered = set(tuples)
     out = set()
     for t in itertools.product(*(alg.elements for alg in coords)):
@@ -723,12 +757,10 @@ def upper_covers(coords, tuples):
             continue
         out.add(wnu_closure(coords, tuples | {t}))
         if groups is not None:
-            pt = tuple(maps[c][t[c]] for c in range(r))
-            covered.update(
-                tuple(coords[c].elements[groups[c].add[pt[c]][d[c]]]
-                      for c in range(r))
-                for d in diffs
-            )
+            (pt,) = _positions(coords, [t])
+            covered.update(_elements(coords, [
+                tuple([g.add[x][y] for g, x, y in zip(groups, pt, d)])
+                for d in diffs]))
     return out
 
 
@@ -1003,48 +1035,11 @@ def quotient_algebra(alg: Algebra, cong: Congruence):
 # ---------------------------------------------------------------------------
 # pointwise closures of derived operations (unary / binary / ternary terms)
 #
-# A closure round applies w, cell by cell, to every m-tuple of value vectors
-# of old + frontier that uses a frontier vector, each once: split by the
-# position k of its first frontier vector, it takes old vectors before k
-# and any vectors after k.  Each round runs the slice automaton of
-# ``wnu_image`` over the cells, one level per argument, with the joint
-# states deduplicated level by level (``_automaton_round``), and returns
-# the distinct rows ascending by packed code, cell 0 least significant, so
-# the closure adds them in one order.
-
-
-def _automaton_round(old, frontier, alg):
-    """The distinct rows of one closure round, on the slice automaton of
-    the WNU of ``alg``.
-
-    ``old`` and ``frontier`` are lists of value vectors.  Each cell runs
-    the automaton on its own state, the joint state being the vector of
-    the cells' states; the last level goes straight to the value its slice
-    holds, so the states it reaches are the rows."""
-
-    levels, finals = _slice_automaton(alg)
-    levels = levels[:-1] + (tuple(tuple(map(finals.__getitem__, row))
-                                  for row in levels[-1]),)
-    every = old + frontier
-    ncells = len(frontier[0])
-    m = len(levels)
-    rows = set()
-    for k in range(m if old else 1):
-        states = {(0,) * ncells}
-        for trans, pool in zip(levels, [old] * k + [frontier]
-                               + [every] * (m - 1 - k)):
-            # per cell, per state: the next state of the cell for each row
-            # of the pool, so a joint state's successors are one zip
-            steps = []
-            for col in zip(*pool):
-                steps.append([tuple(map(row.__getitem__, col))
-                              for row in trans])
-            nxt = set()
-            for st in states:
-                nxt.update(zip(*map(getitem, steps, st)))
-            states = nxt
-        rows |= states
-    return sorted(rows, key=lambda row: row[::-1])
+# A closure round is one round of ``_automaton_round`` with the WNU in
+# every cell: w applied, cell by cell, to every m-tuple of value vectors of
+# old + frontier that uses a frontier vector, each once.  The closure adds
+# a round's new rows ascending by packed code, cell 0 least significant,
+# so it adds them in one order.
 
 
 def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
@@ -1074,14 +1069,15 @@ def _pointwise_closure(alg: Algebra, seed, early_stop=None, size_cap=None):
         # closure in the product group
         _, closed = _coset_closure([group] * ncells, list(current))
         return frozenset(closed), True
+    cells = (alg,) * ncells
     old, frontier = [], list(current)
     while True:
         # after this round w has met every m-tuple over old + frontier once
         applied = (len(old) + len(frontier)) ** m
         if applied > _CLOSURE_BUDGET:
             return frozenset(current), False
-        fresh = [row for row in _automaton_round(old, frontier, alg)
-                 if row not in current]
+        fresh = sorted(_automaton_round(old, frontier, cells) - current,
+                       key=lambda row: row[::-1])
         if not fresh:
             return frozenset(current), True
         current.update(fresh)

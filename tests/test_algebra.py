@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import os
 import pathlib
@@ -78,6 +79,42 @@ def special_wnu_by_definition(table):
             if table.apply([a] * (m - 1) + [c]) != c:
                 return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def op_values(alg):
+    """``alg.op`` over every m-tuple of elements, in itertools order."""
+
+    return tuple(alg.op(args)
+                 for args in itertools.product(alg.elements, repeat=alg.arity))
+
+
+def op_image(coords, tuples):
+    """w applied per coordinate, by ``alg.op``, to every m-tuple of
+    ``tuples``.  The arguments are fixed one at a time, last first.  A
+    prefix of fixed arguments is kept only as what it leaves of each
+    coordinate's ``op_values``, numbered per coordinate, so prefixes that
+    leave the same values share a state; sums of arity 7 over 36 tuples
+    stay small."""
+
+    index = [[alg.elements.index(x) for alg, x in zip(coords, t)]
+             for t in tuples]
+    parts = [[op_values(alg)] for alg in coords]  # per coordinate, by number
+    numbers = [{} for _ in coords]
+
+    @functools.lru_cache(maxsize=None)
+    def fix(c, state, i):
+        part = parts[c][state][i::coords[c].size]
+        if part not in numbers[c]:
+            numbers[c][part] = len(parts[c])
+            parts[c].append(part)
+        return numbers[c][part]
+
+    states = {(0,) * len(coords)}
+    for _ in range(coords[0].arity):
+        states = {tuple(map(fix, range(len(coords)), st, idx))
+                  for st in states for idx in index}
+    return {tuple(parts[c][s][0] for c, s in enumerate(st)) for st in states}
 
 
 def preserves(table, rel_tuples, arity):
@@ -264,7 +301,8 @@ def test_is_subuniverse_matches_is_closed_on_solver_algebras(
 def test_wnu_image_matches_coordinatewise_definition(z4, dd3, maj2, z2min,
                                                      and3):
     """The image is w applied coordinatewise to every m-tuple of tuples;
-    element ids (3, 7, 9) check the position maps."""
+    element ids (3, 7, 9) check the position maps.  The test reference
+    ``op_image`` gives the same sets."""
 
     searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
     searched4 = make_algebra(range(4), search_special_wnu(4, [], 3).table)
@@ -282,6 +320,7 @@ def test_wnu_image_matches_coordinatewise_definition(z4, dd3, maj2, z2min,
                     for args in itertools.product(tuples,
                                                   repeat=coords[0].arity)}
             assert wnu_image(coords, tuples) == want
+            assert op_image(coords, tuples) == want
 
 
 # --- congruences --------------------------------------------------------------
@@ -1023,26 +1062,37 @@ def test_closure_budget_stops_between_rounds(monkeypatch):
 
 
 def test_automaton_round_applies_every_tuple_with_a_frontier_row():
-    """A closure round on the slice automaton gives the w-values of
-    exactly the m-tuples that use a frontier row, once each, ascending by
-    packed code (cell 0 least significant)."""
+    """A round on the slice automata gives the w-values, each cell by its
+    own algebra's table, of exactly the m-tuples that use a frontier row."""
 
     from wnucsp.algebra import _automaton_round
 
     rng = random.Random(5)
-    # rows of 5 and 40 cells, and an empty old set
-    for n, m, ncells, n_old in ((3, 3, 5, 4), (3, 4, 40, 3), (2, 3, 4, 0)):
-        table = OperationTable(m, n, tuple(rng.randrange(n)
-                                           for _ in range(n ** m)))
-        rows = list({tuple(rng.randrange(n) for _ in range(ncells))
+
+    def random_table(n, m):
+        return OperationTable(m, n, tuple(rng.randrange(n)
+                                          for _ in range(n ** m)))
+
+    # rows of 5 and 40 cells under one table, an empty old set, and 6
+    # cells whose tables differ (carriers of 2 to 4 elements)
+    for sizes, m, n_old, shared in (((3,) * 5, 3, 4, True),
+                                    ((3,) * 40, 4, 3, True),
+                                    ((2,) * 4, 3, 0, True),
+                                    ((2, 3, 4, 3, 2, 3), 3, 3, False)):
+        if shared:
+            tables = [random_table(sizes[0], m)] * len(sizes)
+        else:
+            tables = [random_table(n, m) for n in sizes]
+        rows = list({tuple(rng.randrange(n) for n in sizes)
                      for _ in range(n_old + 3)})
         old, frontier = rows[:n_old], rows[n_old:]
-        want = {tuple(table.apply(col) for col in zip(*combo))
+        want = {tuple(table.apply(col)
+                      for table, col in zip(tables, zip(*combo)))
                 for combo in itertools.product(rows, repeat=m)
                 if any(r in frontier for r in combo)}
-        want = sorted(want, key=lambda r: r[::-1])
-        alg = Algebra(range(n), table)
-        assert _automaton_round(old, frontier, alg) == want
+        cells = tuple(Algebra(range(t.domain_size), t) for t in tables)
+        assert len(set(cells)) == (1 if shared else 6)
+        assert _automaton_round(old, frontier, cells) == want
 
 
 def test_unary_polynomial_closure_matches_naive_rounds(dd3, maj2):
@@ -1260,7 +1310,7 @@ def test_is_closed_matches_image_containment(z2min, z4, dd3, maj2):
             tuples = set(rng.sample(space, rng.randint(0, len(space))))
             if rng.random() < 0.5:
                 tuples = set(wnu_closure(coords, tuples))
-            want = wnu_image(coords, tuples) <= tuples
+            want = op_image(coords, tuples) <= tuples
             assert is_closed(coords, tuples) == want
             verdicts.add(want)
     assert verdicts == {True, False}
@@ -1297,7 +1347,7 @@ def test_mixed_wnu_arities_raise_on_every_path(z2min, z4, maj2):
 def _image_fixpoint(coords, seed):
     current = set(seed)
     while True:
-        image = wnu_image(coords, current)
+        image = op_image(coords, current)
         if image <= current:
             return frozenset(current)
         current |= image
@@ -1315,9 +1365,10 @@ def _coset_by_positions(coords, seed):
 
 
 def test_closure_paths_agree(monkeypatch, z2min, maj2, and3, dd3, z4):
-    """The product table, the image iterated to its fixpoint and the coset
-    closure give one closure wherever each applies; the table is built
-    only under its cap and the image is reached only past it."""
+    """The product table, the automaton rounds and the coset closure give
+    the closure of the ``alg.op`` image iterated to its fixpoint wherever
+    each applies; the table is built only under its cap and the automaton
+    rounds run only past it."""
 
     and5 = make_algebra(range(2), conjunction_table(5))
     searched3 = make_algebra(range(3), search_special_wnu(3, [], 3).table)
@@ -1325,19 +1376,21 @@ def test_closure_paths_agree(monkeypatch, z2min, maj2, and3, dd3, z4):
     odd_ids = make_algebra((3, 7, 9), dual_discriminator_table())
     odd_min = make_algebra((3, 9), minority_table())
     z6 = make_algebra(range(6), sum_table(6, 7))
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
     under = [(z2min,) * 3, (maj2,) * 3, (and3,) * 3, (and5,) * 3,
              (dd3,) * 3, (searched3,) * 3, (searched4,) * 2, (z4,),
              (odd_ids,) * 2, (odd_min, z2min, odd_min),
              (maj2, dd3, odd_ids), (searched4, and3, z2min)]
     past = [(searched4,) * 3, (and5,) * 4, (z4,) * 2, (z6,),
-            (odd_ids,) * 4]
-    images = []
+            (odd_ids,) * 4, (dd4,) * 3, (searched4, searched4, odd_ids)]
+    rounds = []
+    automaton_round = algebra_module._automaton_round
 
-    def counted_image(coords, tuples):
-        images.append(coords)
-        return wnu_image(coords, tuples)
+    def counted_round(old, frontier, coords, *cap):
+        rounds.append(coords)
+        return automaton_round(old, frontier, coords, *cap)
 
-    monkeypatch.setattr(algebra_module, "wnu_image", counted_image)
+    monkeypatch.setattr(algebra_module, "_automaton_round", counted_round)
     rng = random.Random(47)
     for coords in under + past:
         space = list(itertools.product(*(alg.elements for alg in coords)))
@@ -1355,9 +1408,34 @@ def test_closure_paths_agree(monkeypatch, z2min, maj2, and3, dd3, z4):
                 want if coords in under else None)
             if affine:
                 assert _coset_by_positions(coords, seed) == want
-            del images[:]
+            del rounds[:]
             assert wnu_closure(coords, seed) == want
-            assert bool(images) == (coords in past and not affine)
+            assert bool(rounds) == (coords in past and not affine)
+
+
+def test_state_cap_bounds_relation_closures_only(monkeypatch):
+    """``_STATE_CAP`` bounds the joint states of each level of a relation
+    closure's automaton round: patched low, a closure past the table cap
+    raises.  Pointwise closures of the same algebra never read it."""
+
+    dd4 = make_algebra(range(4), dual_discriminator_table(4))
+    coords = (dd4,) * 3
+    seed = {(0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 3, 3)}
+    assert _product_table(coords) is None
+    closed = wnu_closure(coords, seed)
+    assert len(closed) > len(seed)
+    terms = binary_terms(dd4)
+    unary = unary_polynomial_closure(dd4)
+    assert terms.complete and len(unary) == 4 ** 4
+    for cap in (1, 4):
+        monkeypatch.setattr(algebra_module, "_STATE_CAP", cap)
+        with pytest.raises(SizeError, match="image state explosion"):
+            wnu_closure(coords, seed)
+        with pytest.raises(SizeError, match="image state explosion"):
+            wnu_image(coords, seed)
+    monkeypatch.setattr(algebra_module, "_STATE_CAP", 1)
+    assert binary_terms(dd4) == terms
+    assert unary_polynomial_closure(dd4) == unary
 
 
 def test_table_rounds_enumerate_each_m_tuple_once(maj2, and3, dd3):
